@@ -31,9 +31,9 @@
 // stdout when PATH is omitted) as JSONL, one object per saved outlier:
 // every node the branch-and-bound search visited with the action taken
 // (expand / prune_lb / prune_budget / infeasible / incumbent_update /
-// memo_hit / revert_refine), its Prop-3/Prop-5 bounds, and a derived
-// summary with prune breakdown, incumbent timeline and bound-tightness
-// ratios (schemas/explain.schema.json; analyze with
+// memo_hit / prune_dominated / revert_refine), its Prop-3/Prop-5 bounds,
+// and a derived summary with prune breakdown, incumbent timeline and
+// bound-tightness ratios (schemas/explain.schema.json; analyze with
 // scripts/analyze_explain.py). Capture is bit-identical for any --threads.
 //
 // Crash safety & chaos testing (DESIGN.md §11):

@@ -6,16 +6,19 @@ outlier — see schemas/explain.schema.json and DESIGN.md §14) and prints:
 
   * the prune-reason breakdown: how every visited node was dispatched
     (expand, prune_lb, prune_budget, infeasible, incumbent_update,
-    memo_hit) plus revert_refine post-pass restores,
+    memo_hit, prune_dominated) plus revert_refine post-pass restores, and
+    the dominated share of the cut nodes (prune_dominated skips over all
+    prune_lb + infeasible + prune_dominated nodes),
   * bound-efficacy aggregates — how tight the Prop-3 lower and Prop-5
     upper bounds were: max lb/opt and first ub/opt ratios per feasible
     search, and the ub-lb gap distribution over fully bounded nodes,
   * incumbent convergence: first-feasible depth and adoption counts,
   * per-log consistency: the event stream must re-derive the search's own
-    SearchStats counters (prune_lb + infeasible events == lb_prunes;
-    non-memo node events == visited_sets on the DISC path, since a memo_hit
-    revisits a set the memo already counted; revert_refine events ==
-    revert_refines) whenever no events were dropped.
+    SearchStats counters (prune_lb + infeasible events == lb_prunes, which
+    leaves out the scan-free prune_dominated skips; non-memo node events ==
+    visited_sets on the DISC path, since a memo_hit revisits a set the memo
+    already counted; revert_refine events == revert_refines) whenever no
+    events were dropped.
 
 With --metrics METRICS.json (the `disc_cli --metrics-json` snapshot of the
 same run) the file totals are also cross-checked against the batch
@@ -35,7 +38,8 @@ import json
 import sys
 
 ACTIONS = ("expand", "prune_lb", "prune_budget", "infeasible",
-           "incumbent_update", "memo_hit", "revert_refine")
+           "incumbent_update", "memo_hit", "revert_refine",
+           "prune_dominated")
 
 # Actions that visit a *new* attribute set on the DISC path: revert_refine
 # is a post-pass event, seed incumbents are injected before the search, and
@@ -125,6 +129,8 @@ def analyze(logs):
     def mean(xs):
         return sum(xs) / len(xs) if xs else None
 
+    cut = (actions["prune_lb"] + actions["infeasible"]
+           + actions["prune_dominated"])
     return {
         "searches": len(logs),
         "feasible": sum(1 for log in logs if log["feasible"]),
@@ -132,6 +138,7 @@ def analyze(logs):
                     for a in ("disc", "exact")},
         "terminations": dict(sorted(terminations.items())),
         "actions": actions,
+        "dominated_share": actions["prune_dominated"] / cut if cut else None,
         "totals": totals,
         "bound_efficacy": {
             "mean_max_lb_over_cost": mean(lb_ratios),
@@ -212,6 +219,9 @@ def main(argv):
         share = ("" if action == "revert_refine"
                  else f" {100.0 * n / total_nodes:5.1f}%")
         print(f"  {action:<17} {n:>8}{share}")
+    if summary["dominated_share"] is not None:
+        print(f"  dominated share of cut nodes "
+              f"{100.0 * summary['dominated_share']:.1f}%")
 
     be = summary["bound_efficacy"]
     print("\nbound efficacy:")

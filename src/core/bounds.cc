@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <limits>
+#include <stdexcept>
 
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -73,14 +74,81 @@ struct ChunkSpanRecorder {
 constexpr std::size_t kNestedScanGrain = 8192;
 constexpr std::size_t kNestedPollStride = 64;
 
-/// True when chunking an n-row bound scan over `pool` pays for itself.
-inline bool UseNestedScan(const WorkStealingPool* pool, std::size_t n) {
-  return pool != nullptr && pool->size() > 1 && n >= 2 * kNestedScanGrain;
+/// Chunks a pass over `count` list entries runs as: 1 (inline) unless
+/// chunking across `pool` pays for itself.
+inline std::size_t ScanChunks(const WorkStealingPool* pool,
+                              std::size_t count) {
+  if (pool == nullptr || pool->size() <= 1 || count < 2 * kNestedScanGrain) {
+    return 1;
+  }
+  return (count + kNestedScanGrain - 1) / kNestedScanGrain;
+}
+
+/// Budget poll of a pass that runs inline: the gauge's own strided
+/// KeepScanning, which also hits the `bounds.scan` fault site.
+struct InlinePoll {
+  BudgetGauge* gauge;
+  bool operator()() const {
+    return gauge == nullptr || gauge->KeepScanning();
+  }
+};
+
+/// Budget poll of one parallel chunk: every kNestedPollStride rows, the
+/// thread-safe hard-stop probe, shared with the sibling chunks through
+/// `aborted`.
+struct ChunkPoll {
+  const BudgetGauge* gauge;
+  std::atomic<bool>* aborted;
+  std::size_t polls = 0;
+  bool operator()() {
+    if (gauge == nullptr || (++polls % kNestedPollStride) != 0) return true;
+    if (aborted->load(std::memory_order_relaxed)) return false;
+    if (gauge->HardStopRequested()) {
+      aborted->store(true, std::memory_order_relaxed);
+      return false;
+    }
+    return true;
+  }
+};
+
+/// Runs the grain-pure chunk body `body(begin, end, chunk, poll)` over
+/// list positions [0, count): inline as chunk 0, or as ScanChunks() chunks
+/// on `nested`. The body returns false once its poll says stop. Returns
+/// false when the scan was abandoned, after folding the stop into the gauge
+/// and the decision log; the caller then returns its safe value.
+template <class Body>
+bool RunScan(std::size_t count, BudgetGauge* gauge, WorkStealingPool* nested,
+             Body&& body) {
+  if (ScanChunks(nested, count) == 1) {
+    InlinePoll poll{gauge};
+    if (body(std::size_t{0}, count, std::size_t{0}, poll)) return true;
+    NoteAbandonedScan(gauge);
+    return false;
+  }
+  std::atomic<bool> aborted{false};
+  const ChunkSpanRecorder chunk_spans(TraceOf(gauge), TracePhase::kBoundsScan);
+  nested->ParallelFor(
+      0, count, kNestedScanGrain,
+      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        const std::uint64_t chunk_start =
+            chunk_spans.enabled() ? TraceNowNs() : 0;
+        ChunkPoll poll{gauge, &aborted};
+        if (!body(begin, end, chunk, poll)) return;
+        if (chunk_spans.enabled()) {
+          chunk_spans.Record(chunk_start, chunk, end - begin);
+        }
+      });
+  if (!aborted.load(std::memory_order_relaxed)) return true;
+  gauge->RecordHardStop();
+  NoteAbandonedScan(gauge);
+  return false;
 }
 
 /// The memoized attribute rows of a SearchDistanceCache for one subset X,
-/// resolved once per bound call so the O(n) row scans below touch flat
-/// arrays with no per-row subset iteration or lazy-fill checks.
+/// resolved once per pass so the row loops below touch flat arrays with no
+/// per-row subset iteration or lazy-fill checks. Resolve on the calling
+/// thread: AttributeRow's lazy fill mutates under const and must never run
+/// inside a chunk.
 struct SubsetRows {
   std::array<const double*, AttributeSet::kCapacity> rows;
   std::size_t count = 0;
@@ -111,6 +179,33 @@ inline double SubsetDistanceWithin(const SubsetRows& s, LpNorm norm,
   return acc.Total();
 }
 
+/// Keeps the `needed` smallest values offered so far in a max-heap.
+inline void KeepSmallest(std::vector<double>* heap, std::size_t needed,
+                         double d) {
+  if (heap->size() < needed) {
+    heap->push_back(d);
+    std::push_heap(heap->begin(), heap->end());
+  } else if (d < heap->front()) {
+    std::pop_heap(heap->begin(), heap->end());
+    heap->back() = d;
+    std::push_heap(heap->begin(), heap->end());
+  }
+}
+
+/// One parallel chunk's share of a band pass.
+struct BandChunk {
+  BoundsEngine::Band band;
+  std::vector<double> heap;
+};
+
+/// Running Proposition-5 donor minima of one chunk.
+struct DonorBest {
+  double qualified = std::numeric_limits<double>::infinity();
+  std::size_t qualified_row = static_cast<std::size_t>(-1);
+  double any = std::numeric_limits<double>::infinity();
+  std::size_t any_row = static_cast<std::size_t>(-1);
+};
+
 }  // namespace
 
 BoundsEngine::BoundsEngine(const Relation& relation,
@@ -122,7 +217,12 @@ BoundsEngine::BoundsEngine(const Relation& relation,
       evaluator_(evaluator),
       index_(index),
       cache_(cache),
-      constraint_(constraint) {}
+      constraint_(constraint) {
+  if (relation_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "BoundsEngine: relation exceeds the 32-bit band row range");
+  }
+}
 
 double BoundsEngine::GlobalLowerBound(const Tuple& outlier,
                                       BudgetGauge* gauge) const {
@@ -142,144 +242,108 @@ double BoundsEngine::GlobalLowerBound(const Tuple& outlier,
   return bound > 0 ? bound : 0;
 }
 
-double BoundsEngine::LowerBoundForX(const Tuple& outlier,
-                                    const AttributeSet& x, BudgetGauge* gauge,
-                                    const SearchDistanceCache* dcache,
-                                    WorkStealingPool* nested) const {
+double BoundsEngine::BandPass(const SearchDistanceCache& dcache,
+                              const AttributeSet& x, const Band* parent,
+                              bool lower_bound, Band* band, BudgetGauge* gauge,
+                              WorkStealingPool* nested) const {
   // Candidates are inliers with Δ(t_o[X], t[X]) ≤ ε (the shaded band in
-  // Figure 3); among them we need the η-th nearest in full-space distance
-  // (η−1 excluding the tuple's self-count).
-  std::size_t needed = constraint_.eta > 0 ? constraint_.eta - 1 : 0;
-  if (needed == 0) return 0;
-  if (gauge != nullptr) {
+  // Figure 3); among them Proposition 3 needs the η-th nearest in
+  // full-space distance (η−1 excluding the tuple's self-count).
+  const std::size_t needed = constraint_.eta > 0 ? constraint_.eta - 1 : 0;
+  const bool want_lb = lower_bound && needed > 0;
+  if (gauge != nullptr && want_lb) {
     ++gauge->stats().index_queries;
     ++gauge->stats().prop3_bounds;
   }
   PhaseScope phase(TraceOf(gauge), TracePhase::kBoundsScan);
-
-  // Collect full-space distances of qualifying inliers; track only the
-  // smallest `needed` of them with a max-heap. Band checks pass ε as the
-  // early-exit threshold so they stop at the first overshooting attribute
-  // (the verdict is unchanged: non-negative Lp aggregates are monotone).
-  std::vector<double> heap;
-  heap.reserve(needed);
-  SubsetRows band;
-  if (dcache != nullptr) {
-    // Resolved on the calling thread: AttributeRow's lazy fill mutates
-    // under const and must never run inside a chunk.
-    band = ResolveSubsetRows(*dcache, x, evaluator_.arity());
-  }
+  const SubsetRows x_rows = ResolveSubsetRows(dcache, x, evaluator_.arity());
+  // Inheritance: round-to-nearest sums of non-negative terms are monotone,
+  // so a row whose partial sum exceeded ε on the parent's subset exceeds it
+  // on every superset, and the parent's list holds all of band(X). A NaN
+  // term breaks that, so such a search walks all rows (DESIGN.md §4).
+  const std::uint32_t* source =
+      parent != nullptr && !parent->all_rows && !dcache.has_nan()
+          ? parent->rows.data()
+          : nullptr;
+  const std::size_t count =
+      source != nullptr ? parent->rows.size() : relation_.size();
   const LpNorm norm = evaluator_.norm();
-  const std::size_t n = relation_.size();
+  const double eps = constraint_.epsilon;
 
-  if (UseNestedScan(nested, n)) {
-    // Chunked scan. Each chunk keeps its own `needed`-smallest heap; the
-    // merge takes the needed-th smallest of the concatenation, which equals
-    // the sequential heap front: a chunk only ever discards distances that
-    // already have `needed` smaller ones within the chunk, so the global
-    // k-smallest multiset survives intact. The "< needed qualifiers → +inf"
-    // verdict survives too — kept sizes sum below `needed` iff the total
-    // qualifier count is below `needed`.
-    const std::size_t chunks =
-        (n + kNestedScanGrain - 1) / kNestedScanGrain;
-    std::vector<std::vector<double>> chunk_heaps(chunks);
-    std::atomic<bool> aborted{false};
-    const ChunkSpanRecorder chunk_spans(TraceOf(gauge),
-                                        TracePhase::kBoundsScan);
-    nested->ParallelFor(
-        0, n, kNestedScanGrain,
-        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-          const std::uint64_t chunk_start =
-              chunk_spans.enabled() ? TraceNowNs() : 0;
-          std::vector<double>& local = chunk_heaps[chunk];
-          local.reserve(needed);
-          std::size_t polls = 0;
-          for (std::size_t row = begin; row < end; ++row) {
-            if (gauge != nullptr && (++polls % kNestedPollStride) == 0) {
-              if (aborted.load(std::memory_order_relaxed)) return;
-              if (gauge->HardStopRequested()) {
-                aborted.store(true, std::memory_order_relaxed);
-                return;
-              }
-            }
-            double dx =
-                dcache != nullptr
-                    ? SubsetDistanceWithin(band, norm, row, constraint_.epsilon)
-                    : evaluator_.DistanceOnWithin(x, outlier, relation_[row],
-                                                  constraint_.epsilon);
-            if (dx > constraint_.epsilon) continue;
-            double d = dcache != nullptr
-                           ? dcache->FullDistance(row)
-                           : evaluator_.Distance(outlier, relation_[row]);
-            if (local.size() < needed) {
-              local.push_back(d);
-              std::push_heap(local.begin(), local.end());
-            } else if (d < local.front()) {
-              std::pop_heap(local.begin(), local.end());
-              local.back() = d;
-              std::push_heap(local.begin(), local.end());
-            }
-          }
-          if (chunk_spans.enabled()) {
-            chunk_spans.Record(chunk_start, chunk, end - begin);
-          }
-        });
-    if (aborted.load(std::memory_order_relaxed)) {
-      gauge->RecordHardStop();
-      NoteAbandonedScan(gauge);
-      return 0;  // same safe value as an abandoned sequential scan
+  band->rows.clear();
+  band->dx.clear();
+  band->all_rows = x.empty() && !(0.0 > eps);
+  if (band->all_rows && !want_lb) return 0;  // nothing to scan for
+  std::vector<double> heap;
+  const std::size_t chunks = ScanChunks(nested, count);
+  std::vector<BandChunk> parts(chunks > 1 ? chunks : 0);
+  // Band checks pass ε as the early-exit threshold so they stop at the
+  // first overshooting attribute; the verdict is unchanged.
+  auto body = [&](std::size_t begin, std::size_t end, std::size_t chunk,
+                  auto& poll) {
+    Band& out = chunks > 1 ? parts[chunk].band : *band;
+    std::vector<double>& kept = chunks > 1 ? parts[chunk].heap : heap;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (!poll()) return false;
+      const std::uint32_t row =
+          source != nullptr ? source[i] : static_cast<std::uint32_t>(i);
+      const double dx = SubsetDistanceWithin(x_rows, norm, row, eps);
+      if (dx > eps) continue;
+      if (!band->all_rows) {
+        out.rows.push_back(row);
+        out.dx.push_back(dx);
+      }
+      if (want_lb) KeepSmallest(&kept, needed, dcache.FullDistance(row));
     }
-    std::vector<double> all;
-    all.reserve(chunks * needed);
-    for (const std::vector<double>& local : chunk_heaps) {
-      all.insert(all.end(), local.begin(), local.end());
-    }
-    if (all.size() < needed) {
-      return std::numeric_limits<double>::infinity();
-    }
-    std::nth_element(all.begin(),
-                     all.begin() + static_cast<std::ptrdiff_t>(needed - 1),
-                     all.end());
-    double bound = all[needed - 1] - constraint_.epsilon;
-    return bound > 0 ? bound : 0;
+    return true;
+  };
+  // An abandoned pass returns the uninformative bound 0: nothing is pruned
+  // on its account, and the caller unwinds via gauge->stopped().
+  if (!RunScan(count, gauge, nested, body)) return 0;
+  // Chunk-ordered concatenation keeps the rows ascending. Each chunk's heap
+  // dropped only distances with `needed` smaller ones inside that chunk, so
+  // the concatenated heaps still hold the global `needed` smallest, and
+  // they sum below `needed` iff the band has fewer qualifiers.
+  for (BandChunk& part : parts) {
+    band->rows.insert(band->rows.end(), part.band.rows.begin(),
+                      part.band.rows.end());
+    band->dx.insert(band->dx.end(), part.band.dx.begin(), part.band.dx.end());
+    heap.insert(heap.end(), part.heap.begin(), part.heap.end());
   }
-
-  for (std::size_t row = 0; row < n; ++row) {
-    // An abandoned scan returns the uninformative bound 0: nothing is
-    // pruned on its account, and the caller unwinds via gauge->stopped().
-    if (gauge != nullptr && !gauge->KeepScanning()) {
-      NoteAbandonedScan(gauge);
-      return 0;
-    }
-    double dx = dcache != nullptr
-                    ? SubsetDistanceWithin(band, norm, row, constraint_.epsilon)
-                    : evaluator_.DistanceOnWithin(x, outlier, relation_[row],
-                                                  constraint_.epsilon);
-    if (dx > constraint_.epsilon) continue;
-    double d = dcache != nullptr ? dcache->FullDistance(row)
-                                 : evaluator_.Distance(outlier, relation_[row]);
-    if (heap.size() < needed) {
-      heap.push_back(d);
-      std::push_heap(heap.begin(), heap.end());
-    } else if (d < heap.front()) {
-      std::pop_heap(heap.begin(), heap.end());
-      heap.back() = d;
-      std::push_heap(heap.begin(), heap.end());
-    }
-  }
+  if (!want_lb) return 0;
   if (heap.size() < needed) {
     // Fewer than η−1 inliers are reachable keeping X fixed: infeasible.
     return std::numeric_limits<double>::infinity();
   }
-  double bound = heap.front() - constraint_.epsilon;
+  // A single chunk's max-heap holds exactly the `needed` smallest, so its
+  // top is the answer; concatenated chunk heaps need a selection.
+  double kth = heap.front();
+  if (chunks > 1) {
+    std::nth_element(heap.begin(),
+                     heap.begin() + static_cast<std::ptrdiff_t>(needed - 1),
+                     heap.end());
+    kth = heap[needed - 1];
+  }
+  const double bound = kth - eps;
   return bound > 0 ? bound : 0;
 }
 
-std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
-    const Tuple& outlier, const AttributeSet& x, BudgetGauge* gauge,
-    const SearchDistanceCache* dcache, WorkStealingPool* nested) const {
+double BoundsEngine::LowerBoundForX(const Tuple& outlier,
+                                    const AttributeSet& x, BudgetGauge* gauge,
+                                    const SearchDistanceCache* dcache,
+                                    WorkStealingPool* nested) const {
+  std::optional<SearchDistanceCache> own;
+  if (dcache == nullptr) dcache = &own.emplace(relation_, evaluator_, outlier);
+  Band band;
+  return BandPass(*dcache, x, nullptr, /*lower_bound=*/true, &band, gauge,
+                  nested);
+}
+
+std::optional<BoundsEngine::UpperBound> BoundsEngine::DonorSplice(
+    const Tuple& outlier, const AttributeSet& x,
+    const SearchDistanceCache& dcache, const Band& band, BudgetGauge* gauge,
+    WorkStealingPool* nested) const {
   const std::size_t arity = evaluator_.arity();
-  AttributeSet complement = x.ComplementIn(arity);
   if (gauge != nullptr) {
     ++gauge->stats().index_queries;
     ++gauge->stats().prop5_bounds;
@@ -293,129 +357,59 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
   //      by an exact neighbor count. (a)'s sufficient condition is very
   //      conservative when δ_η runs close to ε (chains, sparse clusters,
   //      high dimension), where (b) still finds cheap feasible splices.
-  double best_qualified = std::numeric_limits<double>::infinity();
-  std::size_t best_qualified_row = static_cast<std::size_t>(-1);
-  double best_any = std::numeric_limits<double>::infinity();
-  std::size_t best_any_row = static_cast<std::size_t>(-1);
-  SubsetRows band, splice_rows;
-  if (dcache != nullptr) {
-    band = ResolveSubsetRows(*dcache, x, arity);
-    splice_rows = ResolveSubsetRows(*dcache, complement, arity);
-  }
+  const SubsetRows splice_rows =
+      ResolveSubsetRows(dcache, x.ComplementIn(arity), arity);
   const LpNorm norm = evaluator_.norm();
-  const std::size_t n = relation_.size();
-
-  if (UseNestedScan(nested, n)) {
-    // Chunked donor scan. Each chunk tracks its own (qualified, any) minima
-    // with a chunk-local cost cap; accepted splice costs are always exact
-    // (partial Lp sums are monotone, so a cost below the cap never trips
-    // the early exit), so each chunk's minima equal a sequential scan of
-    // its rows. Merging in ascending chunk order with strict < then picks
-    // the globally minimal cost at its lowest row — exactly the sequential
-    // first-minimum. The splice + feasibility tail below stays sequential.
-    struct ChunkBest {
-      double qualified = std::numeric_limits<double>::infinity();
-      std::size_t qualified_row = static_cast<std::size_t>(-1);
-      double any = std::numeric_limits<double>::infinity();
-      std::size_t any_row = static_cast<std::size_t>(-1);
-    };
-    const std::size_t chunks =
-        (n + kNestedScanGrain - 1) / kNestedScanGrain;
-    std::vector<ChunkBest> bests(chunks);
-    std::atomic<bool> aborted{false};
-    const ChunkSpanRecorder chunk_spans(TraceOf(gauge),
-                                        TracePhase::kBoundsScan);
-    nested->ParallelFor(
-        0, n, kNestedScanGrain,
-        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-          const std::uint64_t chunk_start =
-              chunk_spans.enabled() ? TraceNowNs() : 0;
-          ChunkBest& best = bests[chunk];
-          std::size_t polls = 0;
-          for (std::size_t row = begin; row < end; ++row) {
-            if (gauge != nullptr && (++polls % kNestedPollStride) == 0) {
-              if (aborted.load(std::memory_order_relaxed)) return;
-              if (gauge->HardStopRequested()) {
-                aborted.store(true, std::memory_order_relaxed);
-                return;
-              }
-            }
-            double dx =
-                dcache != nullptr
-                    ? SubsetDistanceWithin(band, norm, row, constraint_.epsilon)
-                    : evaluator_.DistanceOnWithin(x, outlier, relation_[row],
-                                                  constraint_.epsilon);
-            if (dx > constraint_.epsilon) continue;
-            double cost_cap = std::max(best.any, best.qualified);
-            double cost =
-                dcache != nullptr
-                    ? SubsetDistanceWithin(splice_rows, norm, row, cost_cap)
-                    : evaluator_.DistanceOnWithin(complement, outlier,
-                                                  relation_[row], cost_cap);
-            if (cost < best.any) {
-              best.any = cost;
-              best.any_row = row;
-            }
-            if (cache_.delta(row) <= constraint_.epsilon - dx &&
-                cost < best.qualified) {
-              best.qualified = cost;
-              best.qualified_row = row;
-            }
-          }
-          if (chunk_spans.enabled()) {
-            chunk_spans.Record(chunk_start, chunk, end - begin);
-          }
-        });
-    if (aborted.load(std::memory_order_relaxed)) {
-      gauge->RecordHardStop();
-      NoteAbandonedScan(gauge);
-      return std::nullopt;  // never a bound from a partial donor scan
-    }
-    for (const ChunkBest& best : bests) {
-      if (best.any < best_any) {
-        best_any = best.any;
-        best_any_row = best.any_row;
-      }
-      if (best.qualified < best_qualified) {
-        best_qualified = best.qualified;
-        best_qualified_row = best.qualified_row;
-      }
-    }
-  } else {
-    for (std::size_t row = 0; row < n; ++row) {
-      // No partial donor scan may produce a bound: abandoning returns "no
-      // upper bound" so the incumbent is never replaced by a half-searched
-      // splice (anytime-soundness — see DESIGN.md).
-      if (gauge != nullptr && !gauge->KeepScanning()) {
-        NoteAbandonedScan(gauge);
-        return std::nullopt;
-      }
-      double dx =
-          dcache != nullptr
-              ? SubsetDistanceWithin(band, norm, row, constraint_.epsilon)
-              : evaluator_.DistanceOnWithin(x, outlier, relation_[row],
-                                            constraint_.epsilon);
-      if (dx > constraint_.epsilon) continue;
+  const double eps = constraint_.epsilon;
+  const std::size_t count =
+      band.all_rows ? relation_.size() : band.rows.size();
+  const std::size_t chunks = ScanChunks(nested, count);
+  DonorBest best;
+  std::vector<DonorBest> parts(chunks > 1 ? chunks : 0);
+  auto body = [&](std::size_t begin, std::size_t end, std::size_t chunk,
+                  auto& poll) {
+    DonorBest& local = chunks > 1 ? parts[chunk] : best;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (!poll()) return false;
+      const std::uint32_t row =
+          band.all_rows ? static_cast<std::uint32_t>(i) : band.rows[i];
+      const double dx = band.all_rows ? 0.0 : band.dx[i];
       // A splice cost beyond both incumbents can update neither, so the
       // larger incumbent is a sound early-exit threshold (accepted values
       // are exact, rejected ones come back as +infinity and fail both `<`).
-      double cost_cap = std::max(best_any, best_qualified);
-      double cost = dcache != nullptr
-                        ? SubsetDistanceWithin(splice_rows, norm, row, cost_cap)
-                        : evaluator_.DistanceOnWithin(complement, outlier,
-                                                      relation_[row], cost_cap);
-      if (cost < best_any) {
-        best_any = cost;
-        best_any_row = row;
+      const double cost_cap = std::max(local.any, local.qualified);
+      const double cost =
+          SubsetDistanceWithin(splice_rows, norm, row, cost_cap);
+      if (cost < local.any) {
+        local.any = cost;
+        local.any_row = row;
       }
-      if (cache_.delta(row) <= constraint_.epsilon - dx &&
-          cost < best_qualified) {
-        best_qualified = cost;
-        best_qualified_row = row;
+      if (cache_.delta(row) <= eps - dx && cost < local.qualified) {
+        local.qualified = cost;
+        local.qualified_row = row;
       }
     }
+    return true;
+  };
+  // No partial donor scan may produce a bound: abandoning returns "no upper
+  // bound" so the incumbent is never replaced by a half-searched splice
+  // (anytime-soundness — see DESIGN.md).
+  if (!RunScan(count, gauge, nested, body)) return std::nullopt;
+  // Chunk minima are exact (a cost below the chunk-local cap never trips
+  // the early exit); merging in ascending chunk order with strict < picks
+  // the globally minimal cost at its lowest row — the first minimum of one
+  // sequential walk.
+  for (const DonorBest& part : parts) {
+    if (part.any < best.any) {
+      best.any = part.any;
+      best.any_row = part.any_row;
+    }
+    if (part.qualified < best.qualified) {
+      best.qualified = part.qualified;
+      best.qualified_row = part.qualified_row;
+    }
   }
-  if (best_any_row == static_cast<std::size_t>(-1)) return std::nullopt;
+  if (best.any_row == static_cast<std::size_t>(-1)) return std::nullopt;
 
   auto splice = [&](std::size_t row) {
     UpperBound ub;
@@ -432,12 +426,23 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
   };
 
   // Prefer the strictly cheaper unqualified splice when it verifies.
-  if (best_any < best_qualified) {
-    UpperBound candidate = splice(best_any_row);
+  if (best.any < best.qualified) {
+    UpperBound candidate = splice(best.any_row);
     if (IsFeasible(candidate.adjusted, gauge)) return candidate;
   }
-  if (best_qualified_row == static_cast<std::size_t>(-1)) return std::nullopt;
-  return splice(best_qualified_row);
+  if (best.qualified_row == static_cast<std::size_t>(-1)) return std::nullopt;
+  return splice(best.qualified_row);
+}
+
+std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
+    const Tuple& outlier, const AttributeSet& x, BudgetGauge* gauge,
+    const SearchDistanceCache* dcache, WorkStealingPool* nested) const {
+  std::optional<SearchDistanceCache> own;
+  if (dcache == nullptr) dcache = &own.emplace(relation_, evaluator_, outlier);
+  Band band;
+  BandPass(*dcache, x, nullptr, /*lower_bound=*/false, &band, gauge, nested);
+  if (gauge != nullptr && gauge->stopped()) return std::nullopt;
+  return DonorSplice(outlier, x, *dcache, band, gauge, nested);
 }
 
 bool BoundsEngine::IsFeasible(const Tuple& candidate,

@@ -62,24 +62,26 @@ AttributeSet ChangedAttributes(const Tuple& original, const Tuple& adjusted) {
   AttributeSet changed;
   for (std::size_t a = 0;
        a < original.size() && a < kMaxSaveableAttributes; ++a) {
-    if (!(original[a] == adjusted[a])) changed.insert(a);
+    if (!SameValue(original[a], adjusted[a])) changed.insert(a);
   }
   return changed;
+}
+
+bool SameValue(const Value& a, const Value& b) {
+  return a == b || (a.is_numeric() && b.is_numeric() && std::isnan(a.num()) &&
+                    std::isnan(b.num()));
 }
 
 DiscSaver::DiscSaver(const Relation& inliers,
                      const DistanceEvaluator& evaluator,
                      DistanceConstraint constraint, bool enable_fast_path)
-    : inliers_(inliers),
-      evaluator_(evaluator),
-      constraint_(constraint),
-      enable_fast_path_(enable_fast_path) {
+    : inliers_(inliers), evaluator_(evaluator), constraint_(constraint) {
   index_ = MakeNeighborIndex(inliers_, evaluator_, constraint_.epsilon);
   cache_ = std::make_unique<KthNeighborCache>(inliers_, *index_,
                                               constraint_.eta);
   bounds_ = std::make_unique<BoundsEngine>(inliers_, evaluator_, *index_,
                                            *cache_, constraint_);
-  if (enable_fast_path_) {
+  if (enable_fast_path) {
     columnar_ = ColumnarView::Build(inliers_, evaluator_);
   }
 }
@@ -92,14 +94,42 @@ struct DiscSaver::SearchState {
   std::size_t pruned = 0;
   BudgetGauge* gauge = nullptr;
   /// Per-search distance cache (full-space distances to every inlier plus
-  /// memoized per-attribute rows), shared by every bound computation of this
-  /// search. Null when the fast path is disabled.
+  /// memoized per-attribute rows), shared by every band pass of this search.
   const SearchDistanceCache* dcache = nullptr;
-  /// Pool serving the chunked bound scans of this search (null = inline).
+  /// Pool serving the chunked passes of this search (null = inline).
   WorkStealingPool* nested = nullptr;
+  /// Band of the node at each recursion depth: a node's children read its
+  /// slot while writing their own, and siblings reuse the same slot.
+  std::vector<BoundsEngine::Band> bands;
+  /// True when dominance pruning applies: lower-bound pruning is on and no
+  /// full-space distance is NaN (DESIGN.md §4).
+  bool dominance = false;
+  /// Antichain of the minimal sets cut so far by the lower bound (finite or
+  /// infeasible), as AttributeSet bits.
+  std::vector<std::uint64_t> cut;
+  /// The X = ∅ seed splice, which the unrestricted root reuses instead of
+  /// repeating its donor reduction (null in κ-restricted mode).
+  const std::optional<BoundsEngine::UpperBound>* root_splice = nullptr;
+
+  /// True when X contains a set already cut. Its band is a subset of that
+  /// set's band, so its lower bound is no smaller and the incumbent has
+  /// only dropped since: the search would cut X as well.
+  bool Dominated(AttributeSet x) const {
+    return std::any_of(cut.begin(), cut.end(), [&](std::uint64_t s) {
+      return (s & ~x.bits()) == 0;
+    });
+  }
+
+  /// Adds a freshly cut X, dropping the supersets it now dominates. X never
+  /// contains a member: such an X is skipped before it is scanned.
+  void AddCut(AttributeSet x) {
+    std::erase_if(cut, [&](std::uint64_t s) { return (x.bits() & ~s) == 0; });
+    cut.push_back(x.bits());
+  }
 };
 
 void DiscSaver::Explore(const Tuple& outlier, AttributeSet x,
+                        const BoundsEngine::Band* parent, std::size_t depth,
                         const SaveOptions& options,
                         SearchState* state) const {
   BudgetGauge* gauge = state->gauge;
@@ -131,22 +161,37 @@ void DiscSaver::Explore(const Tuple& outlier, AttributeSet x,
     return;
   }
 
-  // Lower bound (Algorithm 1 lines 1-3, Proposition 3): any adjustment that
+  // Dominance: a superset of a cut set is cut without a scan. It stays
+  // memo-visited, so the node counters and fault schedules do not move.
+  if (state->dominance && state->Dominated(x)) {
+    if (ex != nullptr) {
+      node.action = ExplainAction::kPruneDominated;
+      ex->Record(node);
+    }
+    return;
+  }
+
+  // One band pass: X's band, from the parent's, plus — with pruning — the
+  // lower bound (Algorithm 1 lines 1-3, Proposition 3). Any adjustment that
   // keeps X fixed costs at least LB(X); supersets of X only cost more, so
   // the whole subtree is cut when LB(X) >= incumbent.
-  if (options.use_lower_bound_pruning) {
-    double lb = bounds_->LowerBoundForX(outlier, x, gauge, state->dcache,
-                                        state->nested);
-    if (gauge->stopped()) {
-      if (ex != nullptr) {
-        node.action = ExplainAction::kPruneBudget;
-        ex->Record(node);
-      }
-      return;
+  BoundsEngine::Band& band = state->bands[depth];
+  const double lb =
+      bounds_->BandPass(*state->dcache, x, parent,
+                        options.use_lower_bound_pruning, &band, gauge,
+                        state->nested);
+  if (gauge->stopped()) {
+    if (ex != nullptr) {
+      node.action = ExplainAction::kPruneBudget;
+      ex->Record(node);
     }
+    return;
+  }
+  if (options.use_lower_bound_pruning) {
     node.lb = lb;
     if (lb >= state->best_cost) {
       ++state->pruned;
+      if (state->dominance) state->AddCut(x);
       if (ex != nullptr) {
         node.action = std::isinf(lb) ? ExplainAction::kInfeasible
                                      : ExplainAction::kPruneLb;
@@ -159,9 +204,13 @@ void DiscSaver::Explore(const Tuple& outlier, AttributeSet x,
   // Upper bound (lines 4-9, Proposition 5): the spliced tuple t_o^u is a
   // feasible adjustment; adopt it when it beats the incumbent. An abandoned
   // donor scan yields no bound, so a stopped gauge can never sneak a
-  // half-searched splice into the incumbent.
+  // half-searched splice into the incumbent. The unrestricted root's splice
+  // is the X = ∅ seed, which already is the incumbent.
   std::optional<BoundsEngine::UpperBound> ub =
-      bounds_->UpperBoundForX(outlier, x, gauge, state->dcache, state->nested);
+      x.empty() && state->root_splice != nullptr
+          ? *state->root_splice
+          : bounds_->DonorSplice(outlier, x, *state->dcache, band, gauge,
+                                 state->nested);
   if (gauge->stopped()) {
     if (ex != nullptr) {
       node.action = ExplainAction::kPruneBudget;
@@ -191,7 +240,7 @@ void DiscSaver::Explore(const Tuple& outlier, AttributeSet x,
   const std::size_t arity = evaluator_.arity();
   for (std::size_t a = 0; a < arity; ++a) {
     if (x.contains(a)) continue;
-    Explore(outlier, x.With(a), options, state);
+    Explore(outlier, x.With(a), &band, depth + 1, options, state);
     if (gauge->stopped()) return;
   }
 }
@@ -210,7 +259,7 @@ void DiscSaver::RevertRefine(const Tuple& outlier, Tuple* adjusted,
     // Candidate attributes ordered by their per-attribute contribution.
     std::vector<std::pair<double, std::size_t>> order;
     for (std::size_t a = 0; a < arity; ++a) {
-      if ((*adjusted)[a] == outlier[a]) continue;
+      if (SameValue((*adjusted)[a], outlier[a])) continue;
       order.emplace_back(
           evaluator_.AttributeDistance(a, outlier[a], (*adjusted)[a]), a);
     }
@@ -283,22 +332,21 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
 
   // Per-search distance cache: Δ(t_o, t) to every inlier is invariant
   // across all B&B nodes of this search, so compute the vector once here
-  // (the very first bound scan would have paid that cost anyway) and let
-  // every LowerBoundForX/UpperBoundForX serve from it. Backed by the
-  // columnar kernels when the relation qualifies, the scalar evaluator
-  // otherwise; bit-identical either way.
-  std::optional<SearchDistanceCache> dcache;
-  if (enable_fast_path_) {
-    // `dcache.fill` fault site: the eager full-space fill is the search's
-    // single biggest allocation, so a simulated allocation failure lands
-    // here and aborts the search as retryable.
-    if (Status s = DISC_FAULT_POINT("dcache.fill"); !s.ok()) {
-      return FaultedResult(outlier, start_ns);
-    }
-    dcache.emplace(inliers_, evaluator_, outlier, columnar_.get(),
-                   &gauge.stats(), nested, strace);
-    state.dcache = &*dcache;
+  // (the very first band pass would have paid that cost anyway) and let
+  // every band pass serve from it. Backed by the columnar kernels when the
+  // relation qualifies, the scalar evaluator otherwise; bit-identical
+  // either way. `dcache.fill` fault site: the eager full-space fill is the
+  // search's single biggest allocation, so a simulated allocation failure
+  // lands here and aborts the search as retryable.
+  if (Status s = DISC_FAULT_POINT("dcache.fill"); !s.ok()) {
+    return FaultedResult(outlier, start_ns);
   }
+  const SearchDistanceCache dcache(inliers_, evaluator_, outlier,
+                                   columnar_.get(), &gauge.stats(), nested,
+                                   strace);
+  state.dcache = &dcache;
+  state.bands.resize(arity + 1);
+  state.dominance = options.use_lower_bound_pruning && !dcache.has_nan();
 
   // The X = emptyset upper bound (Lemma 4 flavour): nearest substitution-
   // style donor. In unrestricted mode it seeds the incumbent directly. In
@@ -308,8 +356,9 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
   // letting the often-cheaper substitution into it would both over-prune
   // and mask the low-attribute adjustment the caller asked for. The
   // substitution is reconsidered after revert refinement below.
-  std::optional<BoundsEngine::UpperBound> global_seed = bounds_->UpperBoundForX(
-      outlier, AttributeSet(), &gauge, state.dcache, nested);
+  const std::optional<BoundsEngine::UpperBound> global_seed =
+      bounds_->UpperBoundForX(outlier, AttributeSet(), &gauge, &dcache,
+                              nested);
   if (!restricted && global_seed.has_value()) {
     state.best_cost = global_seed->cost;
     state.best_adjusted = global_seed->adjusted;
@@ -329,7 +378,8 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
 
   if (!restricted) {
     // Unrestricted: Algorithm 1 from X = ∅.
-    Explore(outlier, AttributeSet(), options, &state);
+    state.root_splice = &global_seed;
+    Explore(outlier, AttributeSet(), nullptr, 0, options, &state);
   } else {
     // κ-restricted (§3.3.3): only adjustments touching <= κ attributes are
     // trusted, i.e. only X with |X| >= m − κ. Seed the recursion with every
@@ -357,7 +407,7 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
     do {
       AttributeSet x;
       for (std::size_t idx : combo) x.insert(idx);
-      Explore(outlier, x, options, &state);
+      Explore(outlier, x, nullptr, 0, options, &state);
       if (gauge.stopped()) break;
     } while (base_size > 0 && next_combination());
   }

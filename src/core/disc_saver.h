@@ -149,12 +149,12 @@ class DiscSaver {
   /// satisfy the constraint. The relation and evaluator must outlive the
   /// saver.
   ///
-  /// `enable_fast_path` controls the columnar kernels and the per-search
-  /// distance cache (results are bit-identical either way; disabling exists
-  /// for reference comparisons in tests and benchmarks). The columnar
-  /// kernels engage only when the inlier relation is all-numeric and every
-  /// metric is a scaled absolute difference (ColumnarView::Eligible); the
-  /// per-search cache engages for any schema.
+  /// Every search builds a per-search distance cache. `enable_fast_path`
+  /// selects its columnar backing (results are bit-identical either way;
+  /// disabling exists for reference comparisons in tests and benchmarks).
+  /// The columnar kernels engage only when the inlier relation is
+  /// all-numeric and every metric is a scaled absolute difference
+  /// (ColumnarView::Eligible); otherwise the cache is scalar-backed.
   DiscSaver(const Relation& inliers, const DistanceEvaluator& evaluator,
             DistanceConstraint constraint, bool enable_fast_path = true);
 
@@ -254,25 +254,34 @@ class DiscSaver {
   /// the space the B&B search must cover, and runs outside any BudgetGauge
   /// so per-search stats stay schedule-independent.
   double EstimateSearchCost(const Tuple& outlier) const;
-  void Explore(const Tuple& outlier, AttributeSet x, const SaveOptions& options,
-               SearchState* state) const;
+  /// Evaluates node X and recurses into its supersets. `parent` is the
+  /// band of the node that reached X (null at the search's entry nodes);
+  /// `depth` is X's recursion depth, which indexes its band slot.
+  void Explore(const Tuple& outlier, AttributeSet x,
+               const BoundsEngine::Band* parent, std::size_t depth,
+               const SaveOptions& options, SearchState* state) const;
   void RevertRefine(const Tuple& outlier, Tuple* adjusted,
                     BudgetGauge* gauge) const;
 
   const Relation& inliers_;
   const DistanceEvaluator& evaluator_;
   DistanceConstraint constraint_;
-  bool enable_fast_path_ = true;
   std::unique_ptr<NeighborIndex> index_;
   std::unique_ptr<KthNeighborCache> cache_;
   std::unique_ptr<BoundsEngine> bounds_;
   std::unique_ptr<ColumnarView> columnar_;  ///< null when ineligible/disabled
 };
 
-/// Computes which attributes differ between `original` and `adjusted`.
-/// Only the first kMaxSaveableAttributes attributes are representable;
-/// callers must have rejected wider tuples via ValidateSaveArity.
+/// Computes which attributes differ between `original` and `adjusted`
+/// (by SameValue). Only the first kMaxSaveableAttributes attributes are
+/// representable; callers must have rejected wider tuples via
+/// ValidateSaveArity.
 AttributeSet ChangedAttributes(const Tuple& original, const Tuple& adjusted);
+
+/// True when two cells hold the same value: equal, or both NaN. Value's ==
+/// says NaN != NaN, yet a saved tuple can keep the outlier's NaN cell (L∞
+/// drops NaN terms), and that cell is unchanged, not adjusted.
+bool SameValue(const Value& a, const Value& b);
 
 }  // namespace disc
 

@@ -1,5 +1,7 @@
 #include "core/search_distance_cache.h"
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/thread_pool.h"
@@ -113,6 +115,8 @@ SearchDistanceCache::SearchDistanceCache(const Relation& relation,
       full_[i] = evaluator_.Distance(outlier_, relation_[i]);
     }
   }
+  has_nan_ = std::any_of(full_.begin(), full_.end(),
+                         [](double d) { return std::isnan(d); });
 }
 
 const double* SearchDistanceCache::AttributeRow(std::size_t a) const {

@@ -18,20 +18,24 @@ struct SearchTrace;
 /// Per-outlier-search distance cache for the branch-and-bound hot loops.
 ///
 /// Within one outlier's search, the full-space distance Δ(t_o, t) to each
-/// inlier is invariant across every B&B node, yet LowerBoundForX recomputes
-/// it at every explored X. This cache computes the full-distance vector ONCE
-/// per search and serves it from a flat array thereafter. Likewise the
+/// inlier is invariant across every B&B node, and every Proposition-3 band
+/// pass needs it. This cache computes the full-distance vector ONCE per
+/// search and serves it from a flat array thereafter. Likewise the
 /// per-attribute distances Δ(t_o[A], t[A]) are invariant; they are memoized
 /// lazily (one n-sized row per attribute, filled on first touch), turning
 /// every subset distance Δ(t_o[X], t[X]) into a short sum over cached
 /// doubles — no Value unwrapping, no virtual metric dispatch.
+///
+/// Every bound computation reads it: DiscSaver builds one per search, and
+/// the all-rows BoundsEngine wrappers build a scalar-backed one when the
+/// caller passes none.
 ///
 /// Determinism contract: cached entries are produced by exactly the scalar
 /// arithmetic (via FlatKernel when a ColumnarView is supplied, whose kernels
 /// are bit-identical to DistanceEvaluator by construction, or via the
 /// evaluator itself otherwise), and subset sums replay the canonical
 /// LpAccumulator recurrence in increasing attribute order. Every value and
-/// every threshold verdict matches the uncached path bit for bit.
+/// every threshold verdict matches DistanceEvaluator bit for bit.
 ///
 /// Thread-safety: NONE — the lazy rows mutate under const. A cache is a
 /// per-search, stack-local object owned by a single worker; it is never
@@ -66,6 +70,14 @@ class SearchDistanceCache {
   /// Cached full-space distance Δ(t_o, t_row).
   double FullDistance(std::size_t row) const { return full_[row]; }
 
+  /// True when some full-space distance is NaN. Under L1 and L2 a NaN
+  /// attribute distance (a NaN cell in the outlier or in an inlier) makes
+  /// the whole sum NaN; L∞ drops NaN terms, so its vector never holds one.
+  /// Band inheritance and dominance pruning rest on monotone partial sums,
+  /// which a NaN term breaks, so a search reads this once to decide
+  /// whether they apply (DESIGN.md §4).
+  bool has_nan() const { return has_nan_; }
+
   /// Subset distance Δ(t_o[X], t_row[X]) from the memoized attribute rows —
   /// bit-identical to DistanceEvaluator::DistanceOn.
   double DistanceOn(const AttributeSet& x, std::size_t row) const;
@@ -99,6 +111,7 @@ class SearchDistanceCache {
   std::size_t arity_;
   std::optional<FlatKernel> kernel_;
   std::vector<double> full_;                           ///< eager, n entries
+  bool has_nan_ = false;
   mutable std::vector<std::vector<double>> attr_rows_;  ///< lazy, m rows
 };
 

@@ -30,11 +30,18 @@ struct SearchStats {
   std::uint64_t nodes_expanded = 0;
   /// Distinct attribute sets X visited (deduplicated nodes).
   std::uint64_t visited_sets = 0;
-  /// Subtrees cut by the Proposition-3 lower-bound pruning rule.
+  /// Subtrees cut by a computed Proposition-3 lower bound (finite, or
+  /// infinite = infeasible). Supersets of a cut set that the search skips
+  /// without a scan (explain's prune_dominated) are not counted, so this
+  /// stays "prunes per computed lower bound".
   std::uint64_t lb_prunes = 0;
-  /// Proposition-3 lower-bound computations (LowerBoundForX).
+  /// Proposition-3 lower-bound computations: band passes that filled the
+  /// bound heap (BoundsEngine::BandPass with pruning on, LowerBoundForX).
+  /// Dominated nodes are visited but compute none.
   std::uint64_t prop3_bounds = 0;
-  /// Proposition-5 upper-bound computations (UpperBoundForX).
+  /// Proposition-5 upper-bound computations (BoundsEngine::DonorSplice,
+  /// UpperBoundForX). The unrestricted root reuses the X = ∅ seed splice
+  /// and computes none.
   std::uint64_t prop5_bounds = 0;
   /// Exact feasibility checks (IsFeasible; ε-count against the index).
   std::uint64_t feasibility_checks = 0;

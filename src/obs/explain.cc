@@ -19,7 +19,7 @@ constexpr ExplainAction kAllActions[] = {
     ExplainAction::kExpand,          ExplainAction::kPruneLb,
     ExplainAction::kPruneBudget,     ExplainAction::kInfeasible,
     ExplainAction::kIncumbentUpdate, ExplainAction::kMemoHit,
-    ExplainAction::kRevertRefine,
+    ExplainAction::kRevertRefine,    ExplainAction::kPruneDominated,
 };
 
 /// The size of the attribute set encoded in `bits` (the node's B&B depth).
@@ -125,6 +125,8 @@ const char* ExplainActionName(ExplainAction action) {
       return "memo_hit";
     case ExplainAction::kRevertRefine:
       return "revert_refine";
+    case ExplainAction::kPruneDominated:
+      return "prune_dominated";
   }
   return "unknown";
 }

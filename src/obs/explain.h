@@ -20,10 +20,10 @@ class MetricsRegistry;
 // Decision events — what the branch-and-bound search did, per node
 // ---------------------------------------------------------------------------
 
-/// What the search decided at one point of its walk (DESIGN.md §14). The
-/// first six actions partition the fate of a branch-and-bound node; the
-/// seventh marks one successful post-search revert. Values are part of the
-/// serialized contract (schemas/explain.schema.json).
+/// What the search decided at one point of its walk (DESIGN.md §14). Every
+/// action but kRevertRefine is the fate of a branch-and-bound node;
+/// kRevertRefine marks one successful post-search revert. Values are part
+/// of the serialized contract (schemas/explain.schema.json).
 enum class ExplainAction : std::uint8_t {
   /// The node was fully evaluated (both bounds) and neither pruned nor
   /// improved the incumbent; its children were explored.
@@ -45,8 +45,12 @@ enum class ExplainAction : std::uint8_t {
   /// RevertRefine restored one adjusted attribute to its original value
   /// (the adjustment stayed feasible and got strictly cheaper).
   kRevertRefine,
+  /// X contains a set an earlier prune_lb or infeasible event cut, so X is
+  /// cut without a scan (its lower bound is no smaller). Not counted
+  /// in SearchStats::lb_prunes.
+  kPruneDominated,
 };
-inline constexpr std::size_t kExplainActionCount = 7;
+inline constexpr std::size_t kExplainActionCount = 8;
 
 /// Lower-case identifier for JSON/metrics ("expand", "prune_lb", ...).
 const char* ExplainActionName(ExplainAction action);
@@ -63,7 +67,8 @@ inline constexpr std::uint64_t kExplainNoDonor =
 ///     Proposition-5 splice donor when an upper bound exists.
 ///   prune_lb / infeasible — `lb` is the pruning bound (infinite for
 ///     infeasible).
-///   memo_hit — only `x_bits` and the incumbent are meaningful.
+///   memo_hit / prune_dominated — only `x_bits` and the incumbent are
+///     meaningful.
 ///   revert_refine — `x_bits` is the single reverted attribute (as a
 ///     one-bit mask) and `ub` the adjustment cost after the revert.
 struct ExplainEvent {

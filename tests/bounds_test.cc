@@ -6,6 +6,8 @@
 #include <memory>
 
 #include "common/random.h"
+#include "core/disc_saver.h"
+#include "distance/columnar.h"
 #include "index/index_factory.h"
 
 namespace disc {
@@ -159,6 +161,103 @@ TEST_F(BoundsFixture, DonorSpliceIsFeasibleEitherWay) {
   // The donor is reachable on X regardless of which path selected it.
   double dx = evaluator_->DistanceOn(x, outlier, inliers_[ub->donor_row]);
   EXPECT_LE(dx, constraint_.epsilon + 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Band inheritance: a pass from the parent's band equals the all-rows bounds
+// ---------------------------------------------------------------------------
+
+/// The same double, with NaN matching NaN (a NaN outlier cell under L1 or
+/// L2 makes splice costs NaN).
+void ExpectSameDouble(double got, double want) {
+  if (std::isnan(want)) {
+    EXPECT_TRUE(std::isnan(got)) << got;
+  } else {
+    EXPECT_EQ(got, want);
+  }
+}
+
+enum class NanCell { kNone, kInlier, kOutlier };
+
+/// For every X of a seeded m = 7 relation and every parent X \ {a}, the
+/// band pass from the parent's band and the donor splice over its result
+/// must reproduce LowerBoundForX / UpperBoundForX bit for bit, and the
+/// band itself must equal the all-rows band.
+void ExpectInheritanceExact(LpNorm norm, double epsilon, NanCell nan) {
+  constexpr std::size_t kDims = 7;
+  Rng rng(2027);
+  Relation r(Schema::Numeric(kDims));
+  for (std::size_t i = 0; i < 240; ++i) {
+    const double centre = i % 2 == 0 ? 0.0 : 6.0;
+    Tuple t(kDims);
+    for (std::size_t a = 0; a < kDims; ++a) {
+      t[a] = Value(rng.Gaussian(centre, 1.0));
+    }
+    r.AppendUnchecked(std::move(t));
+  }
+  if (nan == NanCell::kInlier) r[17][3] = Value(std::nan(""));
+  DistanceEvaluator ev(r.schema(), norm);
+  const DistanceConstraint constraint{epsilon, 4};
+  auto index = MakeNeighborIndex(r, ev, constraint.epsilon);
+  KthNeighborCache knn(r, *index, constraint.eta);
+  BoundsEngine engine(r, ev, *index, knn, constraint);
+  auto view = ColumnarView::Build(r, ev);
+  ASSERT_NE(view, nullptr);
+
+  Tuple outlier = Tuple::Numeric({0.2, -0.3, 7.5, 0.1, 0.4, -6.0, 0.3});
+  if (nan == NanCell::kOutlier) outlier[5] = Value(std::nan(""));
+  const SearchDistanceCache dcache(r, ev, outlier, view.get());
+
+  constexpr std::uint64_t kSets = std::uint64_t{1} << kDims;
+  std::vector<BoundsEngine::Band> all(kSets);
+  for (std::uint64_t bits = 0; bits < kSets; ++bits) {
+    engine.BandPass(dcache, AttributeSet(bits), nullptr, false, &all[bits]);
+  }
+  for (std::uint64_t bits = 1; bits < kSets; ++bits) {
+    const AttributeSet x(bits);
+    const double want_lb = engine.LowerBoundForX(outlier, x);
+    const auto want_ub = engine.UpperBoundForX(outlier, x);
+    for (std::size_t a = 0; a < kDims; ++a) {
+      if (!x.contains(a)) continue;
+      SCOPED_TRACE(testing::Message() << "X=" << bits << " parent drops " << a);
+      BoundsEngine::Band band;
+      const double lb = engine.BandPass(
+          dcache, x, &all[bits & ~(std::uint64_t{1} << a)], true, &band);
+      EXPECT_EQ(band.rows, all[bits].rows);
+      ASSERT_EQ(band.dx.size(), all[bits].dx.size());
+      for (std::size_t i = 0; i < band.dx.size(); ++i) {
+        ExpectSameDouble(band.dx[i], all[bits].dx[i]);
+      }
+      EXPECT_EQ(lb, want_lb);
+      const auto ub = engine.DonorSplice(outlier, x, dcache, band);
+      ASSERT_EQ(ub.has_value(), want_ub.has_value());
+      if (!ub.has_value()) continue;
+      ExpectSameDouble(ub->cost, want_ub->cost);
+      EXPECT_EQ(ub->donor_row, want_ub->donor_row);
+      for (std::size_t c = 0; c < kDims; ++c) {
+        EXPECT_TRUE(SameValue(ub->adjusted[c], want_ub->adjusted[c]))
+            << "cell " << c;
+      }
+    }
+  }
+}
+
+TEST(BandInheritance, ExactUnderEveryNorm) {
+  ExpectInheritanceExact(LpNorm::kL1, 7.0, NanCell::kNone);
+  ExpectInheritanceExact(LpNorm::kL2, 3.5, NanCell::kNone);
+  ExpectInheritanceExact(LpNorm::kLInf, 2.5, NanCell::kNone);
+}
+
+TEST(BandInheritance, ExactWithNanInOneInlier) {
+  ExpectInheritanceExact(LpNorm::kL1, 7.0, NanCell::kInlier);
+  ExpectInheritanceExact(LpNorm::kL2, 3.5, NanCell::kInlier);
+  ExpectInheritanceExact(LpNorm::kLInf, 2.5, NanCell::kInlier);
+}
+
+TEST(BandInheritance, ExactWithNanInTheOutlier) {
+  ExpectInheritanceExact(LpNorm::kL1, 7.0, NanCell::kOutlier);
+  ExpectInheritanceExact(LpNorm::kL2, 3.5, NanCell::kOutlier);
+  ExpectInheritanceExact(LpNorm::kLInf, 2.5, NanCell::kOutlier);
 }
 
 }  // namespace

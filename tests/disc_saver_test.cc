@@ -174,28 +174,58 @@ TEST(DiscSaver, KappaTooSmallMayBeInfeasible) {
 }
 
 TEST(DiscSaver, PruningDoesNotChangeResult) {
-  // Ablation: disabling lower-bound pruning must yield the same cost,
-  // only more visited sets.
-  Relation inliers = GaussianInliers(80, 3, 8);
-  DistanceEvaluator ev(inliers.schema());
-  DistanceConstraint c{1.2, 4};
-  DiscSaver saver(inliers, ev, c);
+  // Ablation: disabling lower-bound pruning must yield the same adjustment,
+  // only more visited sets. At m = 8 the pruned search also skips dominated
+  // supersets and evaluates children from inherited bands.
+  for (std::size_t dims : {std::size_t{3}, std::size_t{8}}) {
+    Relation inliers = GaussianInliers(dims == 3 ? 80 : 240, dims, 8);
+    DistanceEvaluator ev(inliers.schema());
+    DistanceConstraint c{dims == 3 ? 1.2 : 2.8, 4};
+    DiscSaver saver(inliers, ev, c);
 
-  Rng rng(33);
-  for (int t = 0; t < 6; ++t) {
-    Tuple outlier = Tuple::Numeric(
-        {rng.Uniform(-15, 15), rng.Uniform(-15, 15), rng.Uniform(-15, 15)});
-    SaveOptions with;
-    SaveOptions without;
-    without.use_lower_bound_pruning = false;
-    SaveResult a = saver.Save(outlier, with);
-    SaveResult b = saver.Save(outlier, without);
-    ASSERT_EQ(a.feasible, b.feasible);
-    if (a.feasible) {
-      EXPECT_NEAR(a.cost, b.cost, 1e-9);
+    Rng rng(33);
+    for (std::size_t kappa : {std::size_t{0}, std::size_t{2}}) {
+      for (int t = 0; t < 6; ++t) {
+        Tuple outlier(dims);
+        for (std::size_t d = 0; d < dims; ++d) {
+          outlier[d] = Value(d < 3 ? rng.Uniform(-15, 15)
+                                   : rng.Gaussian(0, 1.0));
+        }
+        SaveOptions with;
+        with.kappa = kappa;
+        SaveOptions without = with;
+        without.use_lower_bound_pruning = false;
+        SaveResult a = saver.Save(outlier, with);
+        SaveResult b = saver.Save(outlier, without);
+        SCOPED_TRACE(testing::Message()
+                     << "m=" << dims << " kappa=" << kappa << " t=" << t);
+        ASSERT_EQ(a.feasible, b.feasible);
+        EXPECT_EQ(a.cost, b.cost);
+        EXPECT_TRUE(a.adjusted == b.adjusted);
+        EXPECT_EQ(a.kappa_exceeded, b.kappa_exceeded);
+        EXPECT_LE(a.visited_sets, b.visited_sets);
+      }
     }
-    EXPECT_LE(a.visited_sets, b.visited_sets);
   }
+}
+
+TEST(DiscSaver, LInfNanOutlierCellSaveTerminates) {
+  // L∞ drops NaN terms, so a saved tuple may keep the outlier's NaN cell.
+  // Revert refinement must see that cell as unchanged rather than "revert"
+  // NaN to NaN forever, and the cell is not reported as adjusted.
+  const std::size_t dims = 5;
+  Relation inliers = GaussianInliers(120, dims, 21);
+  DistanceEvaluator ev(inliers.schema(), LpNorm::kLInf);
+  DiscSaver saver(inliers, ev, {1.5, 5});
+  Tuple outlier = Tuple::Numeric({0.1, 0.1, 0.1, 0.1, 20.0});
+  outlier[0] = Value(std::nan(""));
+  SaveResult res = saver.Save(outlier);
+  EXPECT_EQ(res.termination, SaveTermination::kCompleted);
+  ASSERT_TRUE(res.feasible);
+  EXPECT_LE(res.stats.revert_refines, dims);
+  EXPECT_TRUE(std::isnan(res.adjusted[0].num()));
+  EXPECT_FALSE(res.adjusted_attributes.contains(0));
+  EXPECT_TRUE(res.adjusted_attributes.contains(4));
 }
 
 TEST(DiscSaver, VisitedSetsBoundedByPowerSet) {
@@ -347,6 +377,13 @@ TEST(ChangedAttributes, DetectsDifferences) {
   AttributeSet changed = ChangedAttributes(a, b);
   EXPECT_EQ(changed.size(), 1u);
   EXPECT_TRUE(changed.contains(1));
+}
+
+TEST(ChangedAttributes, NanCellsAreTheSameValue) {
+  Tuple a = Tuple::Numeric({std::nan(""), 1.0});
+  Tuple b = Tuple::Numeric({std::nan(""), 2.0});
+  EXPECT_EQ(ChangedAttributes(a, b).bits(), AttributeSet{1}.bits());
+  EXPECT_TRUE(ChangedAttributes(a, a).empty());
 }
 
 TEST(ChangedAttributes, EmptyWhenIdentical) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -22,9 +23,12 @@
 #include "common/json_writer.h"
 #include "common/metrics.h"
 #include "common/random.h"
+#include "constraints/distance_constraint.h"
+#include "core/disc_saver.h"
 #include "core/outlier_saving.h"
 #include "data/generators.h"
 #include "distance/evaluator.h"
+#include "index/index_factory.h"
 
 namespace disc {
 namespace {
@@ -70,6 +74,8 @@ TEST(ExplainEvent, ActionNamesAreTheSerializedContract) {
   EXPECT_STREQ(ExplainActionName(ExplainAction::kMemoHit), "memo_hit");
   EXPECT_STREQ(ExplainActionName(ExplainAction::kRevertRefine),
                "revert_refine");
+  EXPECT_STREQ(ExplainActionName(ExplainAction::kPruneDominated),
+               "prune_dominated");
 }
 
 TEST(SearchExplain, RecordCapsEventsAndCountsDrops) {
@@ -523,6 +529,72 @@ TEST(ExplainEndToEnd, ExactPathRecordsAnIncumbentTrail) {
     EXPECT_DOUBLE_EQ(last, log.final_cost);
   }
   EXPECT_TRUE(feasible_seen);
+}
+
+TEST(ExplainEndToEnd, DominatedPrunesExtendEarlierCutsOnG8ShapedData) {
+  // g8 shape: six Gaussian centres in [0, 50]^8 (σ = 1), every 10th row
+  // shifted by ±6–20 on 1–3 attributes, ε = 4, η = 6. Every prune_dominated
+  // X must contain the X of an earlier prune_lb / infeasible event of the
+  // same search, and its own lower bound must reach the incumbent it was
+  // skipped against — the scan it saved would have cut it too.
+  constexpr std::size_t kDims = 8;
+  Rng rng(812);
+  std::vector<std::vector<double>> centres(6, std::vector<double>(kDims));
+  for (std::vector<double>& centre : centres) {
+    for (double& v : centre) v = rng.Uniform(0, 50);
+  }
+  Relation data(Schema::Numeric(kDims));
+  for (std::size_t i = 0; i < 600; ++i) {
+    Tuple t(kDims);
+    for (std::size_t a = 0; a < kDims; ++a) {
+      t[a] = Value(rng.Gaussian(centres[i % 6][a], 1.0));
+    }
+    if (i % 10 == 5) {
+      const std::int64_t shifted = rng.UniformInt(1, 3);
+      for (std::int64_t k = 0; k < shifted; ++k) {
+        const auto a = static_cast<std::size_t>(rng.UniformInt(0, kDims - 1));
+        const double sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
+        t[a] = Value(t[a].num() + sign * rng.Uniform(6, 20));
+      }
+    }
+    data.AppendUnchecked(std::move(t));
+  }
+  DistanceEvaluator evaluator(data.schema());
+  const DistanceConstraint constraint{4.0, 6};
+  auto index = MakeNeighborIndex(data, evaluator, constraint.epsilon);
+  const InlierOutlierSplit split =
+      SplitInliersOutliers(data, *index, constraint);
+  const Relation inliers = data.Select(split.inlier_rows);
+  std::vector<Tuple> outliers;
+  for (std::size_t row : split.outlier_rows) outliers.push_back(data[row]);
+  ASSERT_GT(outliers.size(), 20u);
+
+  DiscSaver saver(inliers, evaluator, constraint);
+  CaptureExplainSink sink;
+  saver.SaveAll(outliers, {}, nullptr, {}, nullptr, {}, &sink);
+  const std::vector<ExplainSearchLog> logs = sink.Take();
+  ASSERT_EQ(logs.size(), outliers.size());
+  std::size_t dominated = 0;
+  for (const ExplainSearchLog& log : logs) {
+    ExpectLogIdentities(log);
+    std::vector<std::uint64_t> cut;
+    for (const ExplainEvent& event : log.events) {
+      if (event.action == ExplainAction::kPruneLb ||
+          event.action == ExplainAction::kInfeasible) {
+        cut.push_back(event.x_bits);
+      }
+      if (event.action != ExplainAction::kPruneDominated) continue;
+      ++dominated;
+      EXPECT_TRUE(std::any_of(cut.begin(), cut.end(), [&](std::uint64_t s) {
+        return (s & ~event.x_bits) == 0;
+      })) << "ordinal " << log.ordinal << " X=" << event.x_bits;
+      EXPECT_GE(saver.bounds().LowerBoundForX(outliers[log.ordinal],
+                                              AttributeSet(event.x_bits)),
+                event.incumbent)
+          << "ordinal " << log.ordinal << " X=" << event.x_bits;
+    }
+  }
+  EXPECT_GT(dominated, 0u);
 }
 
 }  // namespace

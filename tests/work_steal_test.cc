@@ -30,6 +30,7 @@
 #include "core/outlier_saving.h"
 #include "data/generators.h"
 #include "index/index_factory.h"
+#include "index/kth_neighbor_cache.h"
 
 namespace disc {
 namespace {
@@ -344,6 +345,96 @@ TEST(CostOrderedSaveAll, NestedScansDeterministicOnLargeRelation) {
   const WorkStealingPool::SchedStats after = pool.stats();
   EXPECT_GT(after.nested_chunks - before.nested_chunks, 0u)
       << "nested scan path never engaged on a 20k-row relation";
+}
+
+// ---------------------------------------------------------------------------
+// Band passes on the pool: chunked results equal the single inline chunk.
+
+/// 20k uniform rows in [0, 10]^4 around an outlier at the centre, so the
+/// band of {0} is every row and the band of {0, 1} is a shorter list that
+/// is still long enough to chunk (at ε = 6 it drops the square's corners).
+struct BandFixture {
+  Relation inliers{Schema::Numeric(4)};
+  std::unique_ptr<DistanceEvaluator> evaluator;
+  std::unique_ptr<NeighborIndex> index;
+  std::unique_ptr<KthNeighborCache> knn;
+  std::unique_ptr<BoundsEngine> engine;
+  Tuple outlier = Tuple::Numeric({5.0, 5.0, 5.0, 5.0});
+
+  BandFixture() {
+    Rng rng(909);
+    for (std::size_t i = 0; i < 20000; ++i) {
+      inliers.AppendUnchecked(
+          Tuple::Numeric({rng.Uniform(0, 10), rng.Uniform(0, 10),
+                          rng.Uniform(0, 10), rng.Uniform(0, 10)}));
+    }
+    evaluator = std::make_unique<DistanceEvaluator>(inliers.schema());
+    const DistanceConstraint constraint{6.0, 6};
+    index = MakeNeighborIndex(inliers, *evaluator);  // kd-tree: cheap kNN
+    knn = std::make_unique<KthNeighborCache>(inliers, *index, constraint.eta);
+    engine = std::make_unique<BoundsEngine>(inliers, *evaluator, *index, *knn,
+                                            constraint);
+  }
+};
+
+/// Runs the band pass for `x` from `parent` and the donor splice over its
+/// band inline, then on 1-, 4- and 8-worker pools, and expects the band,
+/// the lower bound and the splice to match bit for bit. Returns the pools'
+/// nested chunk count.
+std::uint64_t ExpectPooledBandPassMatchesInline(
+    const BandFixture& f, const SearchDistanceCache& dcache,
+    const AttributeSet& x, const BoundsEngine::Band* parent) {
+  BoundsEngine::Band want;
+  const double want_lb =
+      f.engine->BandPass(dcache, x, parent, true, &want);
+  const auto want_ub = f.engine->DonorSplice(f.outlier, x, dcache, want);
+  EXPECT_TRUE(want_ub.has_value());
+  std::uint64_t chunks = 0;
+  for (std::size_t threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    WorkStealingPool pool(threads);
+    BoundsEngine::Band band;
+    const double lb =
+        f.engine->BandPass(dcache, x, parent, true, &band, nullptr, &pool);
+    EXPECT_EQ(lb, want_lb);
+    EXPECT_EQ(band.rows, want.rows);
+    EXPECT_EQ(band.dx, want.dx);
+    const auto ub =
+        f.engine->DonorSplice(f.outlier, x, dcache, band, nullptr, &pool);
+    EXPECT_EQ(ub.has_value(), want_ub.has_value());
+    if (ub.has_value() && want_ub.has_value()) {
+      EXPECT_EQ(ub->cost, want_ub->cost);
+      EXPECT_EQ(ub->donor_row, want_ub->donor_row);
+      EXPECT_TRUE(ub->adjusted == want_ub->adjusted);
+    }
+    chunks += pool.stats().nested_chunks;
+  }
+  return chunks;
+}
+
+TEST(NestedBandPass, AllRowsPassMatchesInlineAtEveryThreadCount) {
+  BandFixture f;
+  const SearchDistanceCache dcache(f.inliers, *f.evaluator, f.outlier);
+  ASSERT_GE(f.inliers.size(), 2u * 8192u);
+  EXPECT_GT(ExpectPooledBandPassMatchesInline(f, dcache, AttributeSet{0},
+                                              nullptr),
+            0u)
+      << "the chunked band pass never engaged";
+}
+
+TEST(NestedBandPass, InheritedListPassMatchesInlineAtEveryThreadCount) {
+  BandFixture f;
+  const SearchDistanceCache dcache(f.inliers, *f.evaluator, f.outlier);
+  BoundsEngine::Band first, parent;
+  f.engine->BandPass(dcache, AttributeSet{0}, nullptr, false, &first);
+  f.engine->BandPass(dcache, AttributeSet{0, 1}, &first, false, &parent);
+  ASSERT_LT(parent.rows.size(), f.inliers.size());
+  ASSERT_GE(parent.rows.size(), 2u * 8192u)
+      << "inherited list too short for the chunked path";
+  EXPECT_GT(ExpectPooledBandPassMatchesInline(f, dcache, AttributeSet{0, 1, 2},
+                                              &parent),
+            0u)
+      << "the chunked band pass never engaged";
 }
 
 }  // namespace
