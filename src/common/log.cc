@@ -1,13 +1,12 @@
 #include "common/log.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
-#include <thread>
 #include <utility>
 
+#include "common/buffers.h"
 #include "common/json_writer.h"
 #include "common/stringutil.h"
 
@@ -26,9 +25,7 @@ std::atomic<std::uint64_t> g_lines_emitted{0};
 struct SinkState {
   std::mutex mu;
   std::function<void(const std::string&)> sink;  ///< null = stderr
-  std::array<std::string, kLogRingCapacity> ring;
-  std::size_t ring_next = 0;   ///< next slot to overwrite
-  std::size_t ring_count = 0;  ///< lines stored, saturates at capacity
+  RecentRing<std::string> ring{kLogRingCapacity};
 };
 
 SinkState& Sinks() {
@@ -63,9 +60,7 @@ void EmitLine(std::string line) {
     std::fputs(line.c_str(), stderr);
     std::fputc('\n', stderr);
   }
-  s.ring[s.ring_next] = std::move(line);
-  s.ring_next = (s.ring_next + 1) % kLogRingCapacity;
-  if (s.ring_count < kLogRingCapacity) ++s.ring_count;
+  s.ring.Push(std::move(line));
 }
 
 }  // namespace
@@ -121,15 +116,11 @@ void SetLogSink(std::function<void(const std::string&)> sink) {
 std::vector<std::string> RecentLogs(std::size_t max_lines) {
   SinkState& s = Sinks();
   std::lock_guard<std::mutex> lock(s.mu);
-  const std::size_t n = std::min(max_lines, s.ring_count);
+  // The newest max_lines, oldest first.
   std::vector<std::string> out;
-  out.reserve(n);
-  // Oldest-first among the newest n: walk backwards from the write cursor.
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t slot =
-        (s.ring_next + kLogRingCapacity - n + i) % kLogRingCapacity;
-    out.push_back(s.ring[slot]);
-  }
+  s.ring.ForEach([&out](const std::string& line) { out.push_back(line); });
+  out.erase(out.begin(), out.end() - static_cast<std::ptrdiff_t>(
+                                         std::min(max_lines, out.size())));
   return out;
 }
 

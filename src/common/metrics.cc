@@ -1,8 +1,6 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <functional>
-#include <thread>
 
 #include "common/cpu_features.h"
 #include "common/json_writer.h"
@@ -13,14 +11,6 @@ namespace disc {
 namespace {
 
 std::atomic<MetricsRegistry*> g_global_metrics{nullptr};
-
-/// One shard pick per thread, computed once: hashing std::this_thread::get_id
-/// on every Add() would dominate the fetch_add itself.
-std::size_t ThisThreadShard(std::size_t shard_count) {
-  static thread_local const std::size_t hash =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return hash % shard_count;
-}
 
 /// Formats a double the way the Prometheus text format expects (`+Inf` for
 /// the unbounded bucket, shortest round-trip otherwise is overkill — %g is
@@ -56,8 +46,6 @@ std::string PromEscapeLabelValue(const std::string& s) {
   return out;
 }
 
-std::size_t Counter::ShardIndex() { return ThisThreadShard(kShards); }
-
 Histogram::Histogram(std::string name, std::vector<double> bucket_bounds)
     : name_(std::move(name)), bounds_(std::move(bucket_bounds)),
       shards_(kShards) {
@@ -68,10 +56,8 @@ Histogram::Histogram(std::string name, std::vector<double> bucket_bounds)
   exemplars_.resize(bounds_.size() + 1);  // trailing slot = +Inf bucket
 }
 
-std::size_t Histogram::ShardIndex() { return ThisThreadShard(kShards); }
-
 void Histogram::Observe(double value) {
-  Shard& shard = shards_[ShardIndex()];
+  Shard& shard = shards_[ThisThreadShard(kShards)];
   // First bound >= value; observations beyond the last bound land only in
   // the implicit +Inf bucket (count minus the cumulative last bound).
   auto it = std::lower_bound(bounds_.begin(), bounds_.end(), value);

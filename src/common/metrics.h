@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/buffers.h"
+
 namespace disc {
 
 /// Process-wide metrics for the save pipeline (DESIGN.md §8).
@@ -40,7 +42,8 @@ class Counter {
   /// Records `n` events. Thread-safe; relaxed ordering (see merge note on
   /// Value()).
   void Add(std::uint64_t n = 1) {
-    shards_[ShardIndex()].value.fetch_add(n, std::memory_order_relaxed);
+    shards_[ThisThreadShard(kShards)].value.fetch_add(
+        n, std::memory_order_relaxed);
   }
 
   /// Sum over all shards, read with acquire loads: any Add() that
@@ -66,7 +69,6 @@ class Counter {
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> value{0};
   };
-  static std::size_t ShardIndex();
 
   std::string name_;
   std::array<Shard, kShards> shards_;
@@ -133,7 +135,6 @@ class Histogram {
     std::atomic<std::uint64_t> count{0};
     std::atomic<double> sum{0};
   };
-  static std::size_t ShardIndex();
   static constexpr std::size_t kShards = 8;
 
   std::string name_;

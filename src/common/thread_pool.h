@@ -184,7 +184,7 @@ class WorkStealingPool {
 
   /// The calling thread's worker index within its owning pool, or -1 when
   /// the caller is not a pool worker. Thread-local, set once per worker at
-  /// startup; per-batch span buffers (SpanCollector) key their slot on it
+  /// startup; per-batch span buffers (PerWorkerBuffer) key their slot on it
   /// so workers record trace spans without synchronization.
   static int CurrentWorkerIndex();
 

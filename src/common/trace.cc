@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <thread>
 
 #include "common/json_writer.h"
 
@@ -23,13 +21,6 @@ std::atomic<std::uint64_t> g_batch_counter{1};
 
 std::atomic<WallPhaseProfiler*> g_wall_profiler{nullptr};
 std::atomic<TraceRecorder*> g_trace_recorder{nullptr};
-
-/// Stable per-thread shard index (same discipline as MetricsRegistry).
-std::size_t ThisThreadShard(std::size_t shards) {
-  static thread_local const std::size_t hashed =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return hashed % shards;
-}
 
 }  // namespace
 
@@ -87,35 +78,6 @@ const char* TracePhaseName(TracePhase phase) {
       return "steal_idle";
   }
   return "unknown";
-}
-
-// ---------------------------------------------------------------------------
-// SpanCollector
-// ---------------------------------------------------------------------------
-
-SpanCollector::SpanCollector(std::size_t slots)
-    : slots_(std::max<std::size_t>(1, slots)) {}
-
-void SpanCollector::Record(std::size_t slot, TraceSpan span) {
-  slots_[slot].spans.push_back(std::move(span));
-}
-
-std::vector<TraceSpan> SpanCollector::Drain() {
-  std::vector<TraceSpan> all;
-  std::size_t total = 0;
-  for (const Slot& slot : slots_) total += slot.spans.size();
-  all.reserve(total);
-  for (Slot& slot : slots_) {
-    for (TraceSpan& span : slot.spans) all.push_back(std::move(span));
-    slot.spans.clear();
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const TraceSpan& a, const TraceSpan& b) {
-                     if (a.trace_id != b.trace_id)
-                       return a.trace_id < b.trace_id;
-                     return a.span_id < b.span_id;
-                   });
-  return all;
 }
 
 // ---------------------------------------------------------------------------
@@ -212,19 +174,14 @@ void AttachGlobalWallProfiler(WallPhaseProfiler* profiler) {
 
 TraceRecorder::TraceRecorder(std::size_t recent_capacity,
                              std::uint64_t slow_threshold_ns)
-    : capacity_(std::max<std::size_t>(1, recent_capacity)),
-      slow_threshold_ns_(slow_threshold_ns),
-      epoch_ns_(TraceNowNs()) {}
+    : slow_threshold_ns_(slow_threshold_ns),
+      epoch_ns_(TraceNowNs()),
+      recent_(recent_capacity) {}
 
 void TraceRecorder::RecordFinished(const TraceSpan& span) {
   if (span.duration_ns < slow_threshold_ns_) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (recent_.size() < capacity_) {
-    recent_.push_back(span);
-  } else {
-    recent_[next_] = span;
-    next_ = (next_ + 1) % capacity_;
-  }
+  recent_.Push(span);
 }
 
 int TraceRecorder::BeginActive(const char* name, std::uint64_t trace_id,
@@ -256,17 +213,14 @@ std::string TraceRecorder::ToJson() const {
   JsonWriter json;
   json.BeginObject();
   json.Key("schema_version").Int(1);
-  json.Key("recent_capacity").Uint(capacity_);
+  json.Key("recent_capacity").Uint(recent_.capacity());
   json.Key("slow_threshold_ns").Uint(slow_threshold_ns_);
   json.Key("recent").BeginArray();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Oldest first: [next_, end) then [0, next_).
-    for (std::size_t k = 0; k < recent_.size(); ++k) {
-      const std::size_t i =
-          recent_.size() < capacity_ ? k : (next_ + k) % capacity_;
-      AppendTraceSpanJson(json, recent_[i], epoch_ns_);
-    }
+    recent_.ForEach([&](const TraceSpan& span) {
+      AppendTraceSpanJson(json, span, epoch_ns_);
+    });
   }
   json.EndArray();
   json.Key("active").BeginArray();
@@ -299,60 +253,6 @@ void AttachGlobalTraceRecorder(TraceRecorder* recorder) {
 }
 
 // ---------------------------------------------------------------------------
-// SearchTrace + PhaseScope
-// ---------------------------------------------------------------------------
-
-void SearchTrace::FlushPhaseSpans(std::size_t slot) {
-  for (std::size_t p = 0; p < kTracePhaseCount; ++p) {
-    const PhaseAcc& acc = phases[p];
-    if (acc.count == 0) continue;
-    const TracePhase phase = static_cast<TracePhase>(p);
-    if (profiler != nullptr) profiler->Add(phase, acc.ns);
-    if (collector != nullptr) {
-      TraceSpan span;
-      span.name = TracePhaseName(phase);
-      span.start_ns = acc.first_start_ns;
-      span.duration_ns = acc.ns;
-      span.trace_id = trace_id;
-      span.span_id = PhaseSpanId(phase);
-      span.parent_id = search_span_id;
-      span.Int("count", acc.count);
-      collector->Record(slot, std::move(span));
-    }
-  }
-}
-
-PhaseScope::PhaseScope(SearchTrace* trace, TracePhase phase)
-    : trace_(trace), prev_(nullptr), phase_(phase) {
-  if (trace_ == nullptr || !trace_->enabled()) {
-    trace_ = nullptr;
-    return;
-  }
-  const std::uint64_t now = TraceNowNs();
-  prev_ = static_cast<PhaseScope*>(trace_->active_scope);
-  if (prev_ != nullptr) {
-    // Pause the enclosing phase: bank its running segment.
-    prev_->banked_ns_ += now - prev_->segment_start_ns_;
-  }
-  first_start_ns_ = now;
-  segment_start_ns_ = now;
-  trace_->active_scope = this;
-}
-
-PhaseScope::~PhaseScope() {
-  if (trace_ == nullptr) return;
-  const std::uint64_t now = TraceNowNs();
-  banked_ns_ += now - segment_start_ns_;
-  SearchTrace::PhaseAcc& acc =
-      trace_->phases[static_cast<std::size_t>(phase_)];
-  acc.ns += banked_ns_;
-  acc.count += 1;
-  if (acc.first_start_ns == 0) acc.first_start_ns = first_start_ns_;
-  if (prev_ != nullptr) prev_->segment_start_ns_ = now;  // resume outer
-  trace_->active_scope = prev_;
-}
-
-// ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
 
@@ -375,44 +275,10 @@ void AppendTraceSpanJson(JsonWriter& json, const TraceSpan& span,
 }
 
 JsonlTraceSink::JsonlTraceSink(std::string path)
-    : path_(std::move(path)), epoch_ns_(TraceNowNs()) {}
-
-JsonlTraceSink::~JsonlTraceSink() { Close(); }
-
-void JsonlTraceSink::Emit(const TraceSpan& span) {
-  JsonWriter json;
-  AppendTraceSpanJson(json, span, epoch_ns_);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (closed_) return;
-  buffer_ += json.str();
-  buffer_ += '\n';
-}
-
-bool JsonlTraceSink::ok() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return !failed_;
-}
-
-Status JsonlTraceSink::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (closed_) {
-    return failed_ ? Status::Internal("trace write to " + path_ + " failed")
-                   : Status::OK();
-  }
-  closed_ = true;
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
-  if (f == nullptr) {
-    failed_ = true;
-    return Status::Internal("cannot open trace file " + path_);
-  }
-  std::size_t written = std::fwrite(buffer_.data(), 1, buffer_.size(), f);
-  std::fclose(f);
-  if (written != buffer_.size()) {
-    failed_ = true;
-    return Status::Internal("short write to trace file " + path_);
-  }
-  return Status::OK();
-}
+    : JsonlSink(std::move(path), "trace",
+                [epoch_ns = TraceNowNs()](JsonWriter& json,
+                                          const TraceSpan& span) {
+                  AppendTraceSpanJson(json, span, epoch_ns);
+                }) {}
 
 }  // namespace disc

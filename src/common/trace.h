@@ -10,11 +10,10 @@
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
+#include "common/buffers.h"
+#include "common/jsonl_sink.h"
 
 namespace disc {
-
-class JsonWriter;
 
 /// One completed span of work on the save-pipeline timeline (DESIGN.md §13).
 /// Timestamps are steady-clock nanoseconds; sinks rebase them onto their own
@@ -37,9 +36,9 @@ struct TraceSpan {
   std::uint64_t span_id = 0;
   std::uint64_t parent_id = 0;
   /// Attachments, emitted in insertion order.
-  std::vector<std::pair<std::string, std::string>> str_attrs;
-  std::vector<std::pair<std::string, std::uint64_t>> int_attrs;
-  std::vector<std::pair<std::string, double>> num_attrs;
+  std::vector<std::pair<std::string, std::string>> str_attrs{};
+  std::vector<std::pair<std::string, std::uint64_t>> int_attrs{};
+  std::vector<std::pair<std::string, double>> num_attrs{};
 
   TraceSpan& Str(std::string key, std::string value) {
     str_attrs.emplace_back(std::move(key), std::move(value));
@@ -115,50 +114,6 @@ inline constexpr std::size_t kTracePhaseCount = 6;
 
 /// Lower-case identifier, e.g. "index_query"; also the phase span name.
 const char* TracePhaseName(TracePhase phase);
-
-// ---------------------------------------------------------------------------
-// SpanCollector — lock-free per-thread span buffers for one batch
-// ---------------------------------------------------------------------------
-
-/// Per-batch span buffer: one cache-line-padded slot per pool worker plus
-/// one for the calling thread, so hot paths append with a plain (unshared)
-/// vector push and zero synchronization — the same sharding discipline as
-/// MetricsRegistry. Drain() runs after the pool joins (the RunBatch return
-/// is the synchronization point) and returns every span sorted by
-/// (trace_id, span_id), which makes the emitted JSONL order deterministic
-/// regardless of which worker recorded what.
-class SpanCollector {
- public:
-  /// `slots` buffers; use pool->size() + 1 (workers + caller).
-  explicit SpanCollector(std::size_t slots);
-
-  /// Appends `span` to buffer `slot`. Each slot must only ever be written
-  /// by one thread at a time (worker w → slot w, non-workers → last slot).
-  void Record(std::size_t slot, TraceSpan span);
-
-  /// Moves every recorded span out, sorted by (trace_id, span_id). Must be
-  /// called only when no Record() can be in flight (after the batch joins).
-  std::vector<TraceSpan> Drain();
-
-  std::size_t slots() const { return slots_.size(); }
-
- private:
-  struct alignas(64) Slot {
-    std::vector<TraceSpan> spans;
-  };
-  std::vector<Slot> slots_;
-};
-
-/// Maps a WorkStealingPool worker index (CurrentWorkerIndex(); -1 for
-/// non-workers) to a SpanCollector slot: worker w → w, everything else →
-/// the last (caller) slot.
-inline std::size_t SpanSlotForWorker(int worker_index, std::size_t slots) {
-  if (worker_index >= 0 &&
-      static_cast<std::size_t>(worker_index) + 1 < slots) {
-    return static_cast<std::size_t>(worker_index);
-  }
-  return slots - 1;
-}
 
 // ---------------------------------------------------------------------------
 // WallPhaseProfiler — always-cheap process-wide phase accumulators
@@ -252,13 +207,11 @@ class TraceRecorder {
     std::atomic<std::uint64_t> start_ns{0};
   };
 
-  const std::size_t capacity_;
   const std::uint64_t slow_threshold_ns_;
   const std::uint64_t epoch_ns_;
   std::array<ActiveSlot, kActiveSlots> active_;
   mutable std::mutex mu_;
-  std::vector<TraceSpan> recent_;  ///< ring, `next_` is the oldest entry
-  std::size_t next_ = 0;
+  RecentRing<TraceSpan> recent_;
 };
 
 /// Process-global recorder hook for the live HTTP plane (mirrors
@@ -267,87 +220,16 @@ TraceRecorder* GlobalTraceRecorder();
 void AttachGlobalTraceRecorder(TraceRecorder* recorder);
 
 // ---------------------------------------------------------------------------
-// SearchTrace + PhaseScope — per-search context propagated with BudgetGauge
-// ---------------------------------------------------------------------------
-
-/// Per-search trace context: rides on the BudgetGauge (which already flows
-/// DiscSaver → BoundsEngine → SearchDistanceCache → index queries), carrying
-/// the derived ids, the span buffers and the per-phase accumulators. Owned
-/// by exactly one thread (the search's), like the gauge itself; only the
-/// chunk bodies of nested scans touch the collector from other threads, via
-/// their own slots.
-struct SearchTrace {
-  SpanCollector* collector = nullptr;
-  WallPhaseProfiler* profiler = nullptr;
-  std::uint64_t trace_id = 0;
-  std::uint64_t root_span_id = 0;    ///< the `save_outlier` pipeline span
-  std::uint64_t search_span_id = 0;  ///< parent of every phase span
-  /// Deterministic count of chunked scans started by this search; names the
-  /// kScan id of each ParallelFor so chunk ids don't depend on scheduling.
-  std::uint64_t scan_ordinal = 0;
-
-  struct PhaseAcc {
-    std::uint64_t ns = 0;
-    std::uint64_t count = 0;
-    std::uint64_t first_start_ns = 0;
-  };
-  std::array<PhaseAcc, kTracePhaseCount> phases{};
-
-  /// Innermost live PhaseScope on the owning thread (intrusive stack).
-  void* active_scope = nullptr;
-
-  /// True when any consumer is attached; all instrumentation sites gate
-  /// their clock reads on this, so a detached search pays only the branch.
-  bool enabled() const { return collector != nullptr || profiler != nullptr; }
-
-  /// The deterministic span id of this search's `phase` span.
-  std::uint64_t PhaseSpanId(TracePhase phase) const {
-    return DeriveSpanId(search_span_id, TraceSpanKind::kPhase,
-                        static_cast<std::uint64_t>(phase));
-  }
-
-  /// Emits one aggregated span per touched phase (parented under the search
-  /// span) into collector slot `slot`, and folds the totals into the
-  /// profiler. Call once at search end from the owning thread.
-  void FlushPhaseSpans(std::size_t slot);
-};
-
-/// RAII wall-phase marker. Entering a phase pauses the enclosing one (its
-/// elapsed time is banked) and resumes it on exit, so exactly one phase is
-/// charged at any instant and each edge costs one clock read. No-op (two
-/// null checks) when the search is untraced.
-class PhaseScope {
- public:
-  PhaseScope(SearchTrace* trace, TracePhase phase);
-  ~PhaseScope();
-
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  SearchTrace* trace_;
-  PhaseScope* prev_;
-  TracePhase phase_;
-  std::uint64_t first_start_ns_ = 0;  ///< construction time
-  std::uint64_t segment_start_ns_ = 0;
-  std::uint64_t banked_ns_ = 0;  ///< finished segments (excludes children)
-};
-
-// ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
 
 /// Span consumer. Implementations must accept Emit() from any thread,
 /// concurrently: the pipeline's merge loop emits "split"/"save_outlier"
-/// spans in input order from one thread, while DiscSaver drains batched
+/// spans in input order from one thread, while the batch observation drains
 /// worker spans sorted by (trace_id, span_id). Every line is self-contained
 /// (ids + the "ordinal" attribute key it to its position), so consumers
 /// must not rely on line order across span kinds.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void Emit(const TraceSpan& span) = 0;
-};
+using TraceSink = Sink<TraceSpan>;
 
 /// Serializes one span as a JSON object (the JSONL line / /tracez entry
 /// format): span, t_ns (rebased on `epoch_ns`, clamped at 0), dur_ns,
@@ -358,28 +240,12 @@ void AppendTraceSpanJson(JsonWriter& json, const TraceSpan& span,
 /// JSON-Lines file sink: one object per span, e.g.
 ///   {"span":"search","t_ns":812,"dur_ns":51023,"trace_id":1234,
 ///    "span_id":77,"parent_id":12,"ordinal":3,...}
-/// `t_ns` is rebased to the sink's construction time. Lines are buffered and
-/// flushed on Close()/destruction; check ok()/Close() for I/O errors (the
-/// pipeline treats the trace as best-effort and never fails a save on it).
-class JsonlTraceSink : public TraceSink {
+/// `t_ns` is rebased to the sink's construction time. See JsonlSink for
+/// buffering and I/O error reporting (the pipeline treats the trace as
+/// best-effort and never fails a save on it).
+class JsonlTraceSink : public JsonlSink<TraceSpan> {
  public:
   explicit JsonlTraceSink(std::string path);
-  ~JsonlTraceSink() override;
-
-  void Emit(const TraceSpan& span) override;
-
-  /// True when the file opened and every write so far succeeded.
-  bool ok() const;
-  /// Flushes and closes; returns the first I/O error, if any. Idempotent.
-  Status Close();
-
- private:
-  mutable std::mutex mu_;
-  std::string path_;
-  std::string buffer_;
-  std::uint64_t epoch_ns_;
-  bool failed_ = false;
-  bool closed_ = false;
 };
 
 }  // namespace disc

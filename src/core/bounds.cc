@@ -7,66 +7,17 @@
 #include <stdexcept>
 
 #include "common/thread_pool.h"
-#include "common/trace.h"
+#include "core/observation.h"
 #include "distance/lp_norm.h"
-#include "obs/explain.h"
 
 namespace disc {
 
 namespace {
 
-/// The per-search trace context riding on the gauge (null when untraced).
-inline SearchTrace* TraceOf(BudgetGauge* gauge) {
-  return gauge != nullptr ? gauge->trace() : nullptr;
+/// The per-search observer riding on the gauge (null when none).
+inline SearchObserver* ObserverOf(BudgetGauge* gauge) {
+  return gauge != nullptr ? gauge->observer() : nullptr;
 }
-
-/// Marks one abandoned bound scan on the per-search decision log (no-op
-/// when explain is detached). An abandoned scan returns its safe
-/// uninformative value, so the log flags the searches whose bound-quality
-/// data is polluted by truncation.
-inline void NoteAbandonedScan(BudgetGauge* gauge) {
-  if (gauge == nullptr) return;
-  if (SearchExplain* explain = gauge->explain()) explain->NoteAbandonedScan();
-}
-
-/// Tracks one chunked bound scan for span recording: derives the scan's
-/// deterministic id from the owning phase span and the search's running
-/// scan ordinal, and records one `pool_chunk` span per executed chunk into
-/// the recording thread's own collector slot. Chunk presence depends on
-/// the nested path engaging (pool size, n) — chunk spans are therefore
-/// excluded from the cross-thread-count parity contract (DESIGN.md §13).
-struct ChunkSpanRecorder {
-  SearchTrace* trace = nullptr;
-  std::uint64_t phase_span = 0;
-  std::uint64_t scan_span = 0;
-
-  ChunkSpanRecorder(SearchTrace* search_trace, TracePhase phase) {
-    if (search_trace == nullptr || search_trace->collector == nullptr) return;
-    trace = search_trace;
-    phase_span = trace->PhaseSpanId(phase);
-    scan_span = DeriveSpanId(phase_span, TraceSpanKind::kScan,
-                             trace->scan_ordinal++);
-  }
-
-  bool enabled() const { return trace != nullptr; }
-
-  /// Call from the chunk body's thread after the chunk's work.
-  void Record(std::uint64_t chunk_start_ns, std::size_t chunk,
-              std::size_t rows) const {
-    TraceSpan span;
-    span.name = "pool_chunk";
-    span.start_ns = chunk_start_ns;
-    span.duration_ns = TraceNowNs() - chunk_start_ns;
-    span.trace_id = trace->trace_id;
-    span.span_id = DeriveSpanId(scan_span, TraceSpanKind::kChunk, chunk);
-    span.parent_id = phase_span;
-    span.Int("chunk", chunk).Int("rows", rows);
-    trace->collector->Record(
-        SpanSlotForWorker(WorkStealingPool::CurrentWorkerIndex(),
-                          trace->collector->slots()),
-        std::move(span));
-  }
-};
 
 /// Rows per nested chunk for the parallel bound scans, and the poll stride
 /// for the thread-safe hard-stop probe inside a chunk (matching the
@@ -119,29 +70,27 @@ struct ChunkPoll {
 template <class Body>
 bool RunScan(std::size_t count, BudgetGauge* gauge, WorkStealingPool* nested,
              Body&& body) {
+  bool completed = true;
   if (ScanChunks(nested, count) == 1) {
     InlinePoll poll{gauge};
-    if (body(std::size_t{0}, count, std::size_t{0}, poll)) return true;
-    NoteAbandonedScan(gauge);
-    return false;
+    completed = body(std::size_t{0}, count, std::size_t{0}, poll);
+  } else {
+    std::atomic<bool> aborted{false};
+    ObservedParallelFor(
+        *nested, count, kNestedScanGrain, ObserverOf(gauge),
+        TracePhase::kBoundsScan,
+        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+          ChunkPoll poll{gauge, &aborted};
+          return body(begin, end, chunk, poll);
+        });
+    completed = !aborted.load(std::memory_order_relaxed);
+    if (!completed) gauge->RecordHardStop();
   }
-  std::atomic<bool> aborted{false};
-  const ChunkSpanRecorder chunk_spans(TraceOf(gauge), TracePhase::kBoundsScan);
-  nested->ParallelFor(
-      0, count, kNestedScanGrain,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        const std::uint64_t chunk_start =
-            chunk_spans.enabled() ? TraceNowNs() : 0;
-        ChunkPoll poll{gauge, &aborted};
-        if (!body(begin, end, chunk, poll)) return;
-        if (chunk_spans.enabled()) {
-          chunk_spans.Record(chunk_start, chunk, end - begin);
-        }
-      });
-  if (!aborted.load(std::memory_order_relaxed)) return true;
-  gauge->RecordHardStop();
-  NoteAbandonedScan(gauge);
-  return false;
+  // The decision log counts abandoned scans: their safe values flag the
+  // searches whose bound-quality data is polluted by truncation.
+  SearchObserver* observer = ObserverOf(gauge);
+  if (!completed && observer != nullptr) ++observer->abandoned_scans;
+  return completed;
 }
 
 /// The memoized attribute rows of a SearchDistanceCache for one subset X,
@@ -235,7 +184,7 @@ double BoundsEngine::GlobalLowerBound(const Tuple& outlier,
     ++gauge->stats().index_queries;
     ++gauge->stats().index_knn_queries;
   }
-  PhaseScope phase(TraceOf(gauge), TracePhase::kIndexQuery);
+  PhaseScope phase(ObserverOf(gauge), TracePhase::kIndexQuery);
   std::vector<Neighbor> nn = index_.KNearest(outlier, needed);
   if (nn.size() < needed) return 0;
   double bound = nn.back().distance - constraint_.epsilon;
@@ -255,7 +204,7 @@ double BoundsEngine::BandPass(const SearchDistanceCache& dcache,
     ++gauge->stats().index_queries;
     ++gauge->stats().prop3_bounds;
   }
-  PhaseScope phase(TraceOf(gauge), TracePhase::kBoundsScan);
+  PhaseScope phase(ObserverOf(gauge), TracePhase::kBoundsScan);
   const SubsetRows x_rows = ResolveSubsetRows(dcache, x, evaluator_.arity());
   // Inheritance: round-to-nearest sums of non-negative terms are monotone,
   // so a row whose partial sum exceeded ε on the parent's subset exceeds it
@@ -348,7 +297,7 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::DonorSplice(
     ++gauge->stats().index_queries;
     ++gauge->stats().prop5_bounds;
   }
-  PhaseScope phase(TraceOf(gauge), TracePhase::kBoundsScan);
+  PhaseScope phase(ObserverOf(gauge), TracePhase::kBoundsScan);
 
   // Two donor candidates per X:
   //  (a) the Proposition-5 qualified donor — δ_η(t) ≤ ε − Δ(t_o[X], t[X])
@@ -445,19 +394,18 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::UpperBoundForX(
   return DonorSplice(outlier, x, *dcache, band, gauge, nested);
 }
 
-bool BoundsEngine::IsFeasible(const Tuple& candidate,
-                              BudgetGauge* gauge) const {
-  // The saved tuple itself counts toward its η total (Formula 4), so η−1
-  // inlier matches suffice.
-  std::size_t needed = constraint_.eta > 0 ? constraint_.eta - 1 : 0;
+bool CountFeasible(const NeighborIndex& index,
+                   const DistanceConstraint& constraint, const Tuple& candidate,
+                   BudgetGauge* gauge) {
+  const std::size_t needed = constraint.eta > 0 ? constraint.eta - 1 : 0;
   if (needed == 0) return true;
   if (gauge != nullptr) {
     ++gauge->stats().index_queries;
     ++gauge->stats().feasibility_checks;
     ++gauge->stats().index_count_queries;
   }
-  PhaseScope phase(TraceOf(gauge), TracePhase::kIndexQuery);
-  return index_.CountWithin(candidate, constraint_.epsilon, needed) >= needed;
+  PhaseScope phase(ObserverOf(gauge), TracePhase::kIndexQuery);
+  return index.CountWithin(candidate, constraint.epsilon, needed) >= needed;
 }
 
 }  // namespace disc

@@ -19,6 +19,14 @@ namespace disc {
 
 class WorkStealingPool;
 
+/// The feasibility check of both savers: does `candidate` have ≥ η
+/// ε-neighbors in `index`? The candidate counts toward its own η total
+/// (Formula 4), so η−1 inliers suffice. With a gauge it is metered as one
+/// logical index query and charged to the index_query wall phase.
+bool CountFeasible(const NeighborIndex& index,
+                   const DistanceConstraint& constraint, const Tuple& candidate,
+                   BudgetGauge* gauge = nullptr);
+
 /// Bound computations of §3.1 / §3.2, shared by the DISC approximation and
 /// by tests that sandwich the exact optimum.
 ///
@@ -138,14 +146,9 @@ class BoundsEngine {
       WorkStealingPool* nested = nullptr) const;
 
   /// Feasibility check: does `candidate` have ≥ η ε-neighbors in r?
-  bool IsFeasible(const Tuple& candidate, BudgetGauge* gauge = nullptr) const;
-
-  /// The constraint in force.
-  const DistanceConstraint& constraint() const { return constraint_; }
-  /// The inlier relation r.
-  const Relation& relation() const { return relation_; }
-  /// The distance evaluator.
-  const DistanceEvaluator& evaluator() const { return evaluator_; }
+  bool IsFeasible(const Tuple& candidate, BudgetGauge* gauge = nullptr) const {
+    return CountFeasible(index_, constraint_, candidate, gauge);
+  }
 
  private:
   const Relation& relation_;

@@ -8,6 +8,7 @@
 #include "common/relation.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "common/tuple.h"
 #include "constraints/distance_constraint.h"
 #include "core/bounds.h"
@@ -17,13 +18,13 @@
 #include "distance/evaluator.h"
 #include "index/kth_neighbor_cache.h"
 #include "index/neighbor_index.h"
+#include "obs/explain.h"
 
 namespace disc {
 
-class ExplainSink;
-class TraceSink;
 class SaveJournalWriter;
 struct SaveJournal;
+struct SearchObserver;
 
 /// Widest relation the savers support. Adjusted-attribute bookkeeping
 /// (ChangedAttributes, the B&B search over attribute sets X) uses
@@ -198,32 +199,20 @@ class DiscSaver {
   /// unlimited budget is bit-identical to one saved without this
   /// parameter.
   ///
-  /// Observability: when a global ProgressRegistry is attached
-  /// (AttachGlobalProgress), the batch registers a "save_all" tracker and
-  /// each worker records its outlier as it finishes, so /statusz sees live
-  /// counts. With a non-null `trace`, each worker emits one "search" span
-  /// (carrying the ordinal and the full SearchStats) directly from its own
-  /// thread as the search completes — the sink must be thread-safe
-  /// (JsonlTraceSink is); span order across workers is nondeterministic but
-  /// each line is self-contained. Neither hook touches the search itself:
-  /// results stay bit-identical with or without them. Scheduler telemetry
-  /// (task/steal/nested-chunk deltas, live queue depth) flows into the
-  /// global MetricsRegistry as disc_sched_* when one is attached.
+  /// Observability (DESIGN.md §13–§14): a BatchObservation
+  /// (core/observation.h) owns everything the batch reports: a "save_all"
+  /// /statusz tracker, a "search" span per outlier with its phase and chunk
+  /// spans (`trace` sink or global TraceRecorder), the final attempt's
+  /// decision log (`explain` sink or global ExplainRecorder; skipped and
+  /// journal-restored ordinals log nothing) and the disc_sched_* metrics,
+  /// drained at batch end in a deterministic order. Observers never touch
+  /// the search: results and logs are bit-identical at every thread count
+  /// (explain_determinism_test, trace_determinism_test).
   ///
   /// Recovery: with `recovery.journal` each definitive result is made
   /// durable as it lands; with `recovery.resume` journaled ordinals are
   /// restored instead of searched; `recovery.retry` re-runs transient
   /// failures. See BatchRecovery — the default is a strict no-op.
-  ///
-  /// Explain (DESIGN.md §14): with a non-null `explain` sink — or a global
-  /// ExplainRecorder attached — each search's final attempt captures its
-  /// full decision log (obs/explain.h) into per-worker buffers, drained at
-  /// batch end sorted by input ordinal: sink emission order, the /explainz
-  /// feed and the disc_explain_* metric flush are all deterministic.
-  /// Capture rides the BudgetGauge, so the logged events are the search's
-  /// actual decisions and the log is bit-identical for every thread count
-  /// (explain_determinism_test). Detached, every capture site is one null
-  /// check. Skipped and journal-restored ordinals emit no log.
   std::vector<SaveResult> SaveAll(const std::vector<Tuple>& outliers,
                                   const SaveOptions& options = {},
                                   WorkStealingPool* pool = nullptr,
@@ -238,17 +227,15 @@ class DiscSaver {
  private:
   struct SearchState;
   /// `nested`, when non-null, serves the chunked bound scans of this search
-  /// (results bit-identical with or without it). `strace`, when non-null,
-  /// rides on the BudgetGauge through every bound computation and records
-  /// the wall phases and span buffers of this search (common/trace.h);
-  /// tracing never changes what is computed. `sexplain` likewise rides on
-  /// the gauge and captures the decision log (obs/explain.h).
+  /// (results bit-identical with or without it). `observer`, when non-null,
+  /// rides on the BudgetGauge through every bound computation and receives
+  /// the search's decisions, wall phases and spans (core/observation.h);
+  /// observing never changes what is computed.
   SaveResult SaveImpl(const Tuple& outlier, const SaveOptions& options,
                       Deadline task_deadline,
                       const CancellationToken& batch_cancellation,
                       WorkStealingPool* nested = nullptr,
-                      SearchTrace* strace = nullptr,
-                      SearchExplain* sexplain = nullptr) const;
+                      SearchObserver* observer = nullptr) const;
   /// Scheduling cost estimate for one outlier: its η−1-NN distance in r.
   /// Cheap (one grid-accelerated kNN query), correlates with how much of
   /// the space the B&B search must cover, and runs outside any BudgetGauge

@@ -2,9 +2,9 @@
 
 #include <limits>
 
-#include "common/trace.h"
+#include "core/bounds.h"
+#include "core/observation.h"
 #include "index/index_factory.h"
-#include "obs/explain.h"
 
 namespace disc {
 
@@ -23,26 +23,10 @@ struct ExactSaver::EnumState {
   double best_cost = std::numeric_limits<double>::infinity();
   Tuple best_adjusted;
   bool found = false;
-  std::size_t checked = 0;
   /// Set when max_candidates trips (the gauge handles every other limit).
   bool candidate_cap_hit = false;
   BudgetGauge* gauge = nullptr;
 };
-
-bool ExactSaver::IsFeasible(const Tuple& candidate, BudgetGauge* gauge) const {
-  // The saved tuple counts toward its own η total (Formula 4), so η−1
-  // inlier matches suffice.
-  std::size_t needed = constraint_.eta > 0 ? constraint_.eta - 1 : 0;
-  if (needed == 0) return true;
-  if (gauge != nullptr) {
-    ++gauge->stats().index_queries;
-    ++gauge->stats().feasibility_checks;
-    ++gauge->stats().index_count_queries;
-  }
-  PhaseScope phase(gauge != nullptr ? gauge->trace() : nullptr,
-                   TracePhase::kIndexQuery);
-  return index_->CountWithin(candidate, constraint_.epsilon, needed) >= needed;
-}
 
 void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
                            Tuple* candidate, double partial_cost_raw,
@@ -50,18 +34,15 @@ void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
                            EnumState* state) const {
   if (state->candidate_cap_hit || state->gauge->stopped()) return;
   const LpNorm norm = evaluator_.norm();
-  auto raw_total = [&](double raw) {
-    // Convert the accumulated raw value into the norm's final aggregate.
-    if (norm == LpNorm::kL2) return raw;        // raw is sum of squares
-    return raw;                                  // L1: sum, LInf: max
-  };
+  // `partial_cost_raw` is the norm's running aggregate (sum of squares for
+  // L2, sum for L1, max for L∞), compared with the incumbent in that form.
   auto best_raw = [&]() {
     if (!state->found) return std::numeric_limits<double>::infinity();
     if (norm == LpNorm::kL2) return state->best_cost * state->best_cost;
     return state->best_cost;
   };
 
-  if (raw_total(partial_cost_raw) >= best_raw()) {
+  if (partial_cost_raw >= best_raw()) {
     return;  // cannot beat the incumbent no matter what follows
   }
 
@@ -69,24 +50,23 @@ void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
     // One fully assembled candidate = one budget unit: fire the fault hook,
     // poll deadline/cancellation, and count toward the visit budget. The
     // incumbent only ever holds candidates that passed a complete
-    // feasibility check, so stopping here is always safe.
-    ++state->checked;
-    if (!state->gauge->OnNodeExpanded(state->checked)) {
-      if (SearchExplain* ex = state->gauge->explain()) {
-        ExplainEvent event;
-        event.action = ExplainAction::kPruneBudget;
-        event.x_bits = ChangedAttributes(outlier, *candidate).bits();
-        event.incumbent = state->best_cost;
-        ex->Record(event);
-      }
+    // feasibility check, so stopping here is always safe. The gauge's
+    // nodes_expanded counts the candidates.
+    BudgetGauge* gauge = state->gauge;
+    if (!gauge->OnNodeExpanded(gauge->nodes_expanded() + 1)) {
+      ExplainEvent event;
+      event.action = ExplainAction::kPruneBudget;
+      event.x_bits = ChangedAttributes(outlier, *candidate).bits();
+      event.incumbent = state->best_cost;
+      gauge->RecordDecision(event);
       return;
     }
     if (options.max_candidates != 0 &&
-        state->checked > options.max_candidates) {
+        gauge->nodes_expanded() > options.max_candidates) {
       state->candidate_cap_hit = true;
       return;
     }
-    if (IsFeasible(*candidate, state->gauge)) {
+    if (CountFeasible(*index_, constraint_, *candidate, gauge)) {
       // Early exit past the incumbent: a candidate strictly costlier than
       // best_cost comes back as +infinity and fails the `<` identically.
       double cost =
@@ -95,14 +75,12 @@ void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
         state->best_cost = cost;
         state->best_adjusted = *candidate;
         state->found = true;
-        if (SearchExplain* ex = state->gauge->explain()) {
-          ExplainEvent event;
-          event.action = ExplainAction::kIncumbentUpdate;
-          event.x_bits = ChangedAttributes(outlier, *candidate).bits();
-          event.ub = cost;
-          event.incumbent = cost;
-          ex->Record(event);
-        }
+        ExplainEvent event;
+        event.action = ExplainAction::kIncumbentUpdate;
+        event.x_bits = ChangedAttributes(outlier, *candidate).bits();
+        event.ub = cost;
+        event.incumbent = cost;
+        gauge->RecordDecision(event);
       }
     }
     return;
@@ -129,20 +107,18 @@ void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
   }
 }
 
-ExactResult ExactSaver::Save(const Tuple& outlier, const ExactOptions& options,
-                             Deadline extra_deadline,
-                             const CancellationToken& extra_cancellation) const {
+SaveResult ExactSaver::Save(const Tuple& outlier, const ExactOptions& options,
+                            Deadline extra_deadline,
+                            const CancellationToken& extra_cancellation) const {
   const std::uint64_t start_ns = TraceNowNs();
   BudgetGauge gauge(&options.budget, extra_deadline, extra_cancellation);
-  gauge.set_trace(options.trace);
-  gauge.set_explain(options.explain);
+  gauge.set_observer(options.observer);
   EnumState state;
   state.gauge = &gauge;
   Tuple candidate = outlier;
   Enumerate(outlier, 0, &candidate, 0.0, options, &state);
 
-  ExactResult result;
-  result.candidates_checked = state.checked;
+  SaveResult result;
   result.index_queries = gauge.query_count();
   result.stats = gauge.stats();
   result.stats.start_ns = start_ns;

@@ -31,37 +31,13 @@ struct ExactOptions {
   /// termination recording why — the result may then be suboptimal, but it
   /// is still a fully verified feasible adjustment (or the untouched input).
   SearchBudget budget;
-  /// Optional trace context. When set, feasibility-check index queries are
-  /// charged to the index_query wall phase (the exact enumerator has no
-  /// bound scans, so that is its only phased work). Not owned.
-  SearchTrace* trace = nullptr;
-  /// Optional decision-capture context (obs/explain.h). The exact
-  /// enumerator has no bounds, so it records only incumbent_update events
-  /// (x_bits = the candidate's *changed*-attribute mask, ub = its cost) and
-  /// a prune_budget event when the budget layer stops it. Not owned.
-  SearchExplain* explain = nullptr;
-};
-
-/// Outcome of an exact save.
-struct ExactResult {
-  bool feasible = false;
-  /// How the enumeration ended. kCompleted means the full cross-product was
-  /// covered and `adjusted` is optimal; kInfeasible means it was covered and
-  /// no feasible adjustment exists; any other value means truncation
-  /// (candidate cap, deadline, cancellation) and `adjusted` is the best
-  /// fully verified candidate found so far, or the unmodified input.
-  SaveTermination termination = SaveTermination::kCompleted;
-  Tuple adjusted;
-  double cost = 0;
-  AttributeSet adjusted_attributes;
-  /// Number of candidate tuples whose feasibility was checked.
-  std::size_t candidates_checked = 0;
-  /// Logical neighbor-index queries spent on feasibility checks.
-  std::size_t index_queries = 0;
-  /// Full per-search work counters (nodes_expanded counts fully assembled
-  /// candidates here; the legacy mirrors above stay equal to their stats
-  /// fields).
-  SearchStats stats;
+  /// Optional observer (core/observation.h). Feasibility-check index
+  /// queries are charged to the index_query wall phase (the enumerator has
+  /// no bound scans, so that is its only phased work). The enumerator has
+  /// no bounds either, so its decisions are incumbent_update events (x_bits
+  /// = the candidate's *changed*-attribute mask, ub = its cost) and a
+  /// prune_budget event when the budget layer stops it. Not owned.
+  SearchObserver* observer = nullptr;
 };
 
 /// The straightforward exact algorithm of §2.3: enumerate, per attribute,
@@ -83,18 +59,27 @@ class ExactSaver {
   /// cross-product of attribute domains. `extra_deadline` and
   /// `extra_cancellation` are intersected with options.budget — batch
   /// drivers use them to impose per-task slices without mutating the shared
-  /// options (see DiscSaver::SaveAll for the slicing policy).
-  ExactResult Save(const Tuple& outlier, const ExactOptions& options = {},
-                   Deadline extra_deadline = Deadline::Infinite(),
-                   const CancellationToken& extra_cancellation =
-                       CancellationToken()) const;
+  /// options (see BatchBudget::TaskDeadline for the slicing policy).
+  ///
+  /// The result has the DISC saver's shape. Termination kCompleted means
+  /// the full cross-product was covered and `adjusted` is optimal;
+  /// kInfeasible means it was covered and no feasible adjustment exists;
+  /// any other value means truncation (candidate cap, deadline,
+  /// cancellation) and `adjusted` is the best fully verified candidate so
+  /// far, or the unmodified input. `stats.nodes_expanded` counts the
+  /// candidates whose feasibility was checked; the DISC-only fields
+  /// (`lower_bound`, `visited_sets`, `pruned_sets`, `kappa_exceeded`) stay
+  /// zero.
+  SaveResult Save(const Tuple& outlier, const ExactOptions& options = {},
+                  Deadline extra_deadline = Deadline::Infinite(),
+                  const CancellationToken& extra_cancellation =
+                      CancellationToken()) const;
 
  private:
   struct EnumState;
   void Enumerate(const Tuple& outlier, std::size_t attr, Tuple* candidate,
                  double partial_cost_sq, const ExactOptions& options,
                  EnumState* state) const;
-  bool IsFeasible(const Tuple& candidate, BudgetGauge* gauge) const;
 
   const Relation& inliers_;
   const DistanceEvaluator& evaluator_;

@@ -6,17 +6,15 @@
 #include <utility>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/fault.h"
 #include "common/log.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "core/observation.h"
 #include "core/save_journal.h"
 #include "core/search_stats.h"
 #include "index/index_factory.h"
-#include "obs/explain.h"
-#include "obs/progress.h"
 
 namespace disc {
 
@@ -127,17 +125,18 @@ void FlushBatchMetrics(MetricsRegistry* metrics, const SavedDataset& out) {
   if (Counter* c = metrics->GetCounter("disc_split_index_queries_total")) {
     if (out.split_index_queries > 0) c->Add(out.split_index_queries);
   }
+  // Per-disposition and per-termination tallies (empty ones unregistered).
+  auto tally = [metrics](const std::string& name, std::size_t n) {
+    if (n == 0) return;
+    if (Counter* c = metrics->GetCounter(name)) c->Add(n);
+  };
   constexpr OutlierDisposition kDispositions[] = {
       OutlierDisposition::kSaved, OutlierDisposition::kNaturalOutlier,
       OutlierDisposition::kInfeasible};
   for (OutlierDisposition d : kDispositions) {
-    const std::size_t n = out.CountDisposition(d);
-    if (n == 0) continue;
-    if (Counter* c = metrics->GetCounter(
-            std::string("disc_save_disposition_") + OutlierDispositionName(d) +
-            "_total")) {
-      c->Add(n);
-    }
+    tally(std::string("disc_save_disposition_") + OutlierDispositionName(d) +
+              "_total",
+          out.CountDisposition(d));
   }
   constexpr SaveTermination kTerminations[] = {
       SaveTermination::kCompleted,   SaveTermination::kVisitBudget,
@@ -145,13 +144,9 @@ void FlushBatchMetrics(MetricsRegistry* metrics, const SavedDataset& out) {
       SaveTermination::kCancelled,   SaveTermination::kInfeasible,
       SaveTermination::kFault};
   for (SaveTermination t : kTerminations) {
-    const std::size_t n = out.CountTermination(t);
-    if (n == 0) continue;
-    if (Counter* c = metrics->GetCounter(
-            std::string("disc_save_termination_") + SaveTerminationName(t) +
-            "_total")) {
-      c->Add(n);
-    }
+    tally(std::string("disc_save_termination_") + SaveTerminationName(t) +
+              "_total",
+          out.CountTermination(t));
   }
   if (Histogram* h = metrics->GetHistogram(
           "disc_save_search_wall_seconds",
@@ -163,6 +158,43 @@ void FlushBatchMetrics(MetricsRegistry* metrics, const SavedDataset& out) {
                              rec.trace_id);
     }
   }
+}
+
+/// Saves every outlier with the exact enumerator, in input order, under the
+/// fair slicing of DiscSaver::SaveAll with one worker, draining-and-skipping
+/// once the budget is gone. The same BatchObservation as the DISC batch
+/// observes it, so exact saves carry trace ids, spans and decision logs.
+std::vector<SaveResult> SaveExactBatch(const Relation& inliers,
+                                       const DistanceEvaluator& evaluator,
+                                       const std::vector<Tuple>& outliers,
+                                       const OutlierSavingOptions& options,
+                                       const BatchBudget& batch) {
+  const ExactSaver saver(inliers, evaluator, options.constraint);
+  const std::size_t n = outliers.size();
+  std::vector<SaveResult> results(n);
+  BatchObservation observation(/*exact=*/true, n, batch.deadline,
+                               options.trace, options.explain, nullptr);
+  for (std::size_t i = 0; i < n; ++i) {
+    BatchObservation::Search search(&observation, i);
+    SaveResult& result = results[i];
+    result.adjusted = outliers[i];
+    if (batch.cancellation.cancelled()) {
+      result.termination = SaveTermination::kCancelled;
+    } else if (batch.deadline.expired()) {
+      result.termination = SaveTermination::kDeadline;
+    } else {
+      ExactOptions exact_options;
+      exact_options.max_candidates = options.exact_max_candidates;
+      exact_options.budget = options.save.budget;
+      exact_options.observer = search.Attempt(1);
+      result = saver.Save(outliers[i], exact_options,
+                          batch.TaskDeadline(/*workers=*/1, n - i),
+                          batch.cancellation);
+    }
+    search.Finish(&result);
+  }
+  observation.Finish();
+  return results;
 }
 
 }  // namespace
@@ -260,11 +292,6 @@ SavedDataset SaveOutliers(const Relation& data,
   // Build the saver once; save each outlier against the fixed inlier set.
   DiscSaver disc_saver(inliers, evaluator, effective.constraint,
                        effective.use_columnar_fast_path);
-  std::unique_ptr<ExactSaver> exact_saver;
-  if (options.use_exact) {
-    exact_saver =
-        std::make_unique<ExactSaver>(inliers, evaluator, options.constraint);
-  }
 
   BatchBudget batch;
   batch.deadline = batch_deadline;
@@ -274,19 +301,21 @@ SavedDataset SaveOutliers(const Relation& data,
   }
   batch.cancellation = options.cancellation;
 
-  // Batch-save the DISC path. Each outlier's search is independent against
-  // the fixed inlier set, so the batch fans out across a work-stealing pool
-  // (cost-ordered, hardest searches first — see DiscSaver::SaveAll); the
-  // merge below walks `split.outlier_rows` in input order either way, so
-  // the records are bit-identical for every thread count.
-  std::vector<SaveResult> disc_results;
-  if (!effective.use_exact) {
-    std::vector<Tuple> outlier_tuples;
-    outlier_tuples.reserve(split.outlier_rows.size());
-    for (std::size_t row : split.outlier_rows) {
-      outlier_tuples.push_back(data[row]);
-    }
-
+  // Each outlier's search is independent against the fixed inlier set.
+  // The DISC batch fans out across a work-stealing pool (cost-ordered,
+  // hardest searches first — see DiscSaver::SaveAll); the merge below walks
+  // `split.outlier_rows` in input order either way, so the records are
+  // bit-identical for every thread count.
+  std::vector<Tuple> outlier_tuples;
+  outlier_tuples.reserve(split.outlier_rows.size());
+  for (std::size_t row : split.outlier_rows) {
+    outlier_tuples.push_back(data[row]);
+  }
+  std::vector<SaveResult> results;
+  if (effective.use_exact) {
+    results = SaveExactBatch(inliers, evaluator, outlier_tuples, effective,
+                             batch);
+  } else {
     // Crash-safety plumbing (DESIGN.md §11): optionally restore journaled
     // verdicts from a previous interrupted run, then append this run's
     // definitive results to the same journal. All-default BatchRecovery
@@ -350,113 +379,27 @@ SavedDataset SaveOutliers(const Relation& data,
     if (threads > 1 && outlier_tuples.size() > 1) {
       pool = std::make_unique<WorkStealingPool>(threads);
     }
-    disc_results = disc_saver.SaveAll(outlier_tuples, effective.save,
-                                      pool.get(), batch, options.trace,
-                                      recovery, options.explain);
+    results = disc_saver.SaveAll(outlier_tuples, effective.save, pool.get(),
+                                 batch, options.trace, recovery,
+                                 options.explain);
   }
 
-  const std::size_t total_outliers = split.outlier_rows.size();
-
-  // Explain on the exact path (the DISC path captures inside SaveAll): the
-  // enumerations run sequentially in the merge loop below, so logs are
-  // captured, emitted and flushed here, already in input order.
-  ExplainRecorder* explain_recorder = GlobalExplainRecorder();
-  const bool exact_explaining =
-      effective.use_exact &&
-      (options.explain != nullptr || explain_recorder != nullptr);
-  std::vector<ExplainSearchLog> exact_explain_logs;
-
-  // The exact path saves sequentially in the merge loop below, so it gets
-  // its own tracker here (the DISC path registers "save_all" inside
-  // SaveAll); /statusz then always has a live batch to show.
-  std::shared_ptr<BatchProgressTracker> exact_progress;
-  if (effective.use_exact) {
-    if (ProgressRegistry* registry = GlobalProgress()) {
-      exact_progress =
-          registry->StartBatch("save_exact", total_outliers, batch.deadline);
-    }
-  }
-
-  out.records.reserve(total_outliers);
-  for (std::size_t i = 0; i < total_outliers; ++i) {
+  out.records.reserve(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
     const std::size_t row = split.outlier_rows[i];
-    const Tuple& outlier = data[row];
+    SaveResult& res = results[i];
     OutlierRecord rec;
     rec.row = row;
-
-    bool feasible = false;
-    bool kappa_exceeded = false;
-    if (effective.use_exact) {
-      // Sequential fair slicing, same policy as DiscSaver::SaveAll with one
-      // worker: remaining batch time ÷ outliers left, intersected with the
-      // per-outlier cap; drain-and-skip once the budget is gone.
-      if (batch.cancellation.cancelled()) {
-        rec.termination = SaveTermination::kCancelled;
-        rec.adjusted = outlier;
-      } else if (batch.deadline.expired()) {
-        rec.termination = SaveTermination::kDeadline;
-        rec.adjusted = outlier;
-      } else {
-        Deadline task_deadline = batch.deadline;
-        if (!batch.deadline.is_infinite()) {
-          const auto left = static_cast<std::int64_t>(total_outliers - i);
-          task_deadline = Deadline::Min(
-              batch.deadline, Deadline::After(batch.deadline.remaining() / left));
-        }
-        if (batch.per_outlier_limit.count() > 0) {
-          task_deadline = Deadline::Min(
-              task_deadline, Deadline::After(batch.per_outlier_limit));
-        }
-        ExactOptions exact_options;
-        exact_options.max_candidates = effective.exact_max_candidates;
-        exact_options.budget = effective.save.budget;
-        SearchExplain sexplain;
-        if (exact_explaining) exact_options.explain = &sexplain;
-        ExactResult res = exact_saver->Save(outlier, exact_options,
-                                            task_deadline, batch.cancellation);
-        feasible = res.feasible;
-        rec.termination = res.termination;
-        rec.index_queries = res.index_queries;
-        rec.stats = res.stats;
-        rec.adjusted = res.adjusted;
-        rec.cost = res.cost;
-        rec.adjusted_attributes = res.adjusted_attributes;
-        if (exact_explaining) {
-          ExplainSearchLog log;
-          log.ordinal = i;
-          log.algo = "exact";
-          log.termination = SaveTerminationName(res.termination);
-          log.feasible = res.feasible;
-          if (res.feasible) log.final_cost = res.cost;
-          log.wall_nanos = res.stats.wall_nanos;
-          log.visited_sets = res.stats.visited_sets;
-          log.lb_prunes = res.stats.lb_prunes;
-          log.nodes_expanded = res.stats.nodes_expanded;
-          log.revert_refines = res.stats.revert_refines;
-          log.abandoned_scans = sexplain.abandoned_scans;
-          log.dropped_events = sexplain.dropped_events;
-          log.events = std::move(sexplain.events);
-          if (explain_recorder != nullptr) explain_recorder->RecordSearch(log);
-          if (options.explain != nullptr) options.explain->Emit(log);
-          exact_explain_logs.push_back(std::move(log));
-        }
-      }
-    } else {
-      SaveResult& res = disc_results[i];
-      feasible = res.feasible;
-      kappa_exceeded = res.kappa_exceeded;
-      rec.termination = res.termination;
-      rec.index_queries = res.index_queries;
-      rec.stats = res.stats;
-      rec.adjusted = std::move(res.adjusted);
-      rec.cost = res.cost;
-      rec.adjusted_attributes = res.adjusted_attributes;
-      rec.lower_bound = res.lower_bound;
-      rec.trace_id = res.trace_id;
-    }
-    if (exact_progress != nullptr) {
-      exact_progress->RecordOutlier(rec.termination, rec.stats.wall_nanos);
-    }
+    bool feasible = res.feasible;
+    bool kappa_exceeded = res.kappa_exceeded;
+    rec.termination = res.termination;
+    rec.index_queries = res.index_queries;
+    rec.stats = res.stats;
+    rec.adjusted = std::move(res.adjusted);
+    rec.cost = res.cost;
+    rec.adjusted_attributes = res.adjusted_attributes;
+    rec.lower_bound = res.lower_bound;
+    rec.trace_id = res.trace_id;
 
     if (feasible && effective.natural_attribute_threshold != 0 &&
         rec.adjusted_attributes.size() >
@@ -475,7 +418,7 @@ SavedDataset SaveOutliers(const Relation& data,
       rec.disposition = kappa_exceeded
                             ? OutlierDisposition::kNaturalOutlier
                             : OutlierDisposition::kInfeasible;
-      rec.adjusted = outlier;
+      rec.adjusted = data[row];
       rec.cost = 0;
       rec.adjusted_attributes = AttributeSet();
     }
@@ -483,7 +426,7 @@ SavedDataset SaveOutliers(const Relation& data,
     if (options.trace != nullptr ||
         (recorder != nullptr && rec.trace_id != 0)) {
       // The root of the outlier's span tree: the per-attempt search spans
-      // and their phase/chunk children (emitted by SaveAll's drain) parent
+      // and their phase/chunk children (emitted by the batch drain) parent
       // up to this span via DeriveSpanId(trace_id, kRoot, 0).
       TraceSpan span;
       span.name = "save_outlier";
@@ -507,10 +450,6 @@ SavedDataset SaveOutliers(const Relation& data,
     }
     out.records.push_back(std::move(rec));
   }
-  if (exact_progress != nullptr) exact_progress->MarkDone();
-  // Same registry the DISC path's in-SaveAll flush uses, so disc_explain_*
-  // series aggregate identically across both algorithms.
-  FlushExplainMetrics(GlobalMetrics(), exact_explain_logs);
   FlushBatchMetrics(options.metrics, out);
   DISC_LOG(INFO)
       .Uint("saved", out.CountDisposition(OutlierDisposition::kSaved))

@@ -16,9 +16,7 @@
 
 namespace disc {
 
-class ExplainSink;
 class MetricsRegistry;
-class TraceSink;
 
 /// Dataset-level outlier-saving options (paper §2.2 / §1.2).
 struct OutlierSavingOptions {
@@ -69,9 +67,9 @@ struct OutlierSavingOptions {
   /// registry must outlive the call. See DESIGN.md §8 for the metric names.
   MetricsRegistry* metrics = nullptr;
   /// Optional trace sink (null = tracing disabled, the default). Receives
-  /// one "split" span plus one "save_outlier" span per outlier, emitted
-  /// from the sequential merge loop in input order, each carrying the full
-  /// SearchStats as attributes. Must outlive the call.
+  /// one "split" span and, on the DISC and the exact path alike, each
+  /// save's span tree: the "save_outlier" root, its "search" child and
+  /// their phase/chunk spans. Must outlive the call.
   TraceSink* trace = nullptr;
   /// Optional explain sink (null = explain disabled, the default). Receives
   /// one decision log per searched outlier (obs/explain.h) in input order —
@@ -129,8 +127,8 @@ struct OutlierRecord {
   /// `stats.index_queries`). Bit-identical across thread counts except for
   /// the timing fields — see SearchStats::SameWork.
   SearchStats stats;
-  /// Trace id of this outlier's span tree (0 when tracing was off, the
-  /// record was restored from a journal, or the exact path ran). Links the
+  /// Trace id of this outlier's span tree (0 when tracing and explain were
+  /// off, or the record was restored from a journal). Links the
   /// record to its spans in the trace sink, the /tracez ring, and the
   /// wall-time histogram exemplars. Excluded from work parity.
   std::uint64_t trace_id = 0;

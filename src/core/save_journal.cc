@@ -298,32 +298,6 @@ bool GetString(const JsonValue& obj, const std::string& key,
   return true;
 }
 
-struct StatsField {
-  const char* name;
-  std::uint64_t SearchStats::* member;
-};
-
-// Journal-side mirror of the SearchStats fields, including the timing pair
-// (a resumed outlier reports the wall clock of the run that computed it).
-constexpr StatsField kStatsFields[] = {
-    {"nodes_expanded", &SearchStats::nodes_expanded},
-    {"visited_sets", &SearchStats::visited_sets},
-    {"lb_prunes", &SearchStats::lb_prunes},
-    {"prop3_bounds", &SearchStats::prop3_bounds},
-    {"prop5_bounds", &SearchStats::prop5_bounds},
-    {"feasibility_checks", &SearchStats::feasibility_checks},
-    {"dcache_hits", &SearchStats::dcache_hits},
-    {"dcache_misses", &SearchStats::dcache_misses},
-    {"index_range_queries", &SearchStats::index_range_queries},
-    {"index_count_queries", &SearchStats::index_count_queries},
-    {"index_knn_queries", &SearchStats::index_knn_queries},
-    {"index_queries", &SearchStats::index_queries},
-    {"revert_refines", &SearchStats::revert_refines},
-    {"retries", &SearchStats::retries},
-    {"wall_nanos", &SearchStats::wall_nanos},
-    {"start_ns", &SearchStats::start_ns},
-};
-
 std::string RenderEntry(std::uint64_t ordinal, const SaveResult& r) {
   JsonWriter json;
   json.BeginObject();
@@ -348,9 +322,13 @@ std::string RenderEntry(std::uint64_t ordinal, const SaveResult& r) {
   }
   json.EndArray();
   json.Key("stats").BeginObject();
-  for (const StatsField& field : kStatsFields) {
+  for (const SearchStatsField& field : kSearchStatsWorkFields) {
     json.Key(field.name).Uint(r.stats.*field.member);
   }
+  // The timing pair too: a resumed outlier reports the wall clock of the
+  // run that computed it.
+  json.Key("wall_nanos").Uint(r.stats.wall_nanos);
+  json.Key("start_ns").Uint(r.stats.start_ns);
   json.EndObject();
   json.EndObject();
   return json.str();
@@ -401,8 +379,12 @@ bool ParseEntry(const JsonValue& obj, SaveJournalEntry* out) {
   if (stats == nullptr || stats->kind != JsonValue::Kind::kObject) {
     return false;
   }
-  for (const StatsField& field : kStatsFields) {
+  for (const SearchStatsField& field : kSearchStatsWorkFields) {
     if (!GetUint(*stats, field.name, &(r.stats.*field.member))) return false;
+  }
+  if (!GetUint(*stats, "wall_nanos", &r.stats.wall_nanos) ||
+      !GetUint(*stats, "start_ns", &r.stats.start_ns)) {
+    return false;
   }
   // The legacy mirrors are derived, not stored: keep the invariant that
   // they always equal the corresponding stats fields.

@@ -1,6 +1,9 @@
 #include "core/search_budget.h"
 
+#include <algorithm>
 #include <string>
+
+#include "core/observation.h"
 
 namespace disc {
 
@@ -53,6 +56,27 @@ Status SaveTerminationStatus(SaveTermination t) {
   return Status::Internal("unknown termination");
 }
 
+Deadline BatchBudget::TaskDeadline(std::size_t workers,
+                                  std::size_t left) const {
+  Deadline task = deadline;
+  if (!deadline.is_infinite()) {
+    left = std::max<std::size_t>(1, left);
+    const auto rem = deadline.remaining();
+    // The clamp skips the multiply for absurdly long deadlines (overflow
+    // safety).
+    auto slice = rem;
+    if (rem < std::chrono::hours(1)) {
+      slice = rem * static_cast<std::int64_t>(std::min(workers, left)) /
+              static_cast<std::int64_t>(left);
+    }
+    task = Deadline::Min(deadline, Deadline::After(slice));
+  }
+  if (per_outlier_limit.count() > 0) {
+    task = Deadline::Min(task, Deadline::After(per_outlier_limit));
+  }
+  return task;
+}
+
 std::chrono::milliseconds RetryPolicy::BackoffFor(
     std::size_t retry_index) const {
   double ms = static_cast<double>(initial_backoff.count());
@@ -86,18 +110,23 @@ bool BudgetGauge::Stop(SaveTermination why) {
   return false;
 }
 
-bool BudgetGauge::OnNodeExpanded(std::size_t visited_sets) {
-  ++nodes_;
-  ++stats_.nodes_expanded;
-  if (stopped_) return false;
-  if (fault_node_ != nullptr && !fault_node_->Hit().ok()) {
+bool BudgetGauge::Cancelled() const {
+  return (budget_ != nullptr && budget_->cancellation.cancelled()) ||
+         extra_cancellation_.cancelled();
+}
+
+bool BudgetGauge::Poll(FaultInjector::Site* fault) {
+  if (fault != nullptr && !fault->Hit().ok()) {
     return Stop(SaveTermination::kFault);
   }
-  if ((budget_ != nullptr && budget_->cancellation.cancelled()) ||
-      extra_cancellation_.cancelled()) {
-    return Stop(SaveTermination::kCancelled);
-  }
+  if (Cancelled()) return Stop(SaveTermination::kCancelled);
   if (deadline_.expired()) return Stop(SaveTermination::kDeadline);
+  return true;
+}
+
+bool BudgetGauge::OnNodeExpanded(std::size_t visited_sets) {
+  ++stats_.nodes_expanded;
+  if (stopped_ || !Poll(fault_node_)) return false;
   if (budget_ != nullptr && budget_->max_visited_sets != 0 &&
       visited_sets > budget_->max_visited_sets) {
     return Stop(SaveTermination::kVisitBudget);
@@ -112,33 +141,25 @@ bool BudgetGauge::OnNodeExpanded(std::size_t visited_sets) {
 bool BudgetGauge::KeepScanning() {
   if (stopped_) return false;
   if ((++scan_polls_ % kScanPollStride) != 0) return true;
-  if (fault_scan_ != nullptr && !fault_scan_->Hit().ok()) {
-    return Stop(SaveTermination::kFault);
-  }
-  if ((budget_ != nullptr && budget_->cancellation.cancelled()) ||
-      extra_cancellation_.cancelled()) {
-    return Stop(SaveTermination::kCancelled);
-  }
-  if (deadline_.expired()) return Stop(SaveTermination::kDeadline);
-  return true;
+  return Poll(fault_scan_);
 }
 
 bool BudgetGauge::HardStopRequested() const {
-  if ((budget_ != nullptr && budget_->cancellation.cancelled()) ||
-      extra_cancellation_.cancelled()) {
-    return true;
-  }
-  return deadline_.expired();
+  return Cancelled() || deadline_.expired();
 }
 
 void BudgetGauge::RecordHardStop() {
-  if (stopped_) return;
-  if ((budget_ != nullptr && budget_->cancellation.cancelled()) ||
-      extra_cancellation_.cancelled()) {
-    Stop(SaveTermination::kCancelled);
-    return;
+  Stop(Cancelled() ? SaveTermination::kCancelled : SaveTermination::kDeadline);
+}
+
+void BudgetGauge::RecordDecision(const ExplainEvent& event) {
+  if (event.action == ExplainAction::kPruneLb ||
+      event.action == ExplainAction::kInfeasible) {
+    ++stats_.lb_prunes;
+  } else if (event.action == ExplainAction::kRevertRefine) {
+    ++stats_.revert_refines;
   }
-  Stop(SaveTermination::kDeadline);
+  if (observer_ != nullptr) observer_->Capture(event);
 }
 
 bool BudgetGauge::ContinueRefinement() {
@@ -147,16 +168,7 @@ bool BudgetGauge::ContinueRefinement() {
                    reason_ == SaveTermination::kFault)) {
     return false;
   }
-  if ((budget_ != nullptr && budget_->cancellation.cancelled()) ||
-      extra_cancellation_.cancelled()) {
-    Stop(SaveTermination::kCancelled);
-    return false;
-  }
-  if (deadline_.expired()) {
-    Stop(SaveTermination::kDeadline);
-    return false;
-  }
-  return true;
+  return Poll(nullptr);
 }
 
 }  // namespace disc

@@ -13,8 +13,8 @@
 
 namespace disc {
 
-struct SearchExplain;
-struct SearchTrace;
+struct ExplainEvent;
+struct SearchObserver;
 
 /// Why a per-outlier save ended. The minimum-cost adjustment problem is
 /// NP-hard (Theorem 1) and the search is *anytime*: a feasible incumbent
@@ -100,6 +100,13 @@ struct BatchBudget {
     return deadline.is_infinite() && per_outlier_limit.count() == 0 &&
            !cancellation.can_be_cancelled();
   }
+
+  /// The deadline of a task starting now while `left` outliers (this one
+  /// included) have yet to start on `workers` workers: the fair share
+  /// remaining × min(workers, left) ÷ left of the batch clock, intersected
+  /// with per_outlier_limit. A task finishing under its share leaves the
+  /// rest to later ones.
+  Deadline TaskDeadline(std::size_t workers, std::size_t left) const;
 };
 
 /// Retry policy for transient per-outlier failures inside SaveAll
@@ -193,20 +200,22 @@ class BudgetGauge {
   }
 
   /// Node expansions so far.
-  std::size_t nodes_expanded() const { return nodes_; }
+  std::size_t nodes_expanded() const {
+    return static_cast<std::size_t>(stats_.nodes_expanded);
+  }
 
-  /// Per-search trace context (common/trace.h), riding on the gauge because
-  /// the gauge already flows DiscSaver → BoundsEngine → SearchDistanceCache
-  /// → index queries — exactly the propagation path the spans need. Null
-  /// (the default) = untraced; owned by the caller, like the budget.
-  SearchTrace* trace() const { return trace_; }
-  void set_trace(SearchTrace* trace) { trace_ = trace; }
+  /// The observer of this search (core/observation.h), riding on the gauge
+  /// because the gauge already reaches every decision site, bound scan,
+  /// cache fill and index query. Null (the default) = nothing observes;
+  /// owned by the caller, like the budget.
+  SearchObserver* observer() const { return observer_; }
+  void set_observer(SearchObserver* observer) { observer_ = observer; }
 
-  /// Per-search decision-capture context (obs/explain.h), riding on the
-  /// gauge for the same reason as the trace: the gauge already reaches
-  /// every decision site. Null (the default) = explain detached.
-  SearchExplain* explain() const { return explain_; }
-  void set_explain(SearchExplain* explain) { explain_ = explain; }
+  /// Records one decision of the search (DESIGN.md §14) — the one call per
+  /// settled node, seed adoption or revert. Always counts it into stats():
+  /// prune_lb and infeasible into lb_prunes, revert_refine into
+  /// revert_refines. The observer stores the event when capture is on.
+  void RecordDecision(const ExplainEvent& event);
 
   /// True once any limit tripped; search loops must unwind promptly.
   bool stopped() const { return stopped_; }
@@ -215,6 +224,11 @@ class BudgetGauge {
 
  private:
   bool Stop(SaveTermination why);
+  /// True when the budget's or the batch's cancellation token fired.
+  bool Cancelled() const;
+  /// Hits `fault` (when armed), then checks cancellation and the deadline,
+  /// in that order; records the first stop and returns false on one.
+  bool Poll(FaultInjector::Site* fault);
 
   const SearchBudget* budget_;  ///< may be null (unlimited)
   Deadline deadline_;           ///< effective: min(budget, batch slice)
@@ -224,10 +238,8 @@ class BudgetGauge {
   /// strided scan poll.
   FaultInjector::Site* fault_node_ = nullptr;
   FaultInjector::Site* fault_scan_ = nullptr;
-  SearchTrace* trace_ = nullptr;
-  SearchExplain* explain_ = nullptr;
+  SearchObserver* observer_ = nullptr;
   SearchStats stats_;
-  std::size_t nodes_ = 0;
   std::size_t scan_polls_ = 0;
   bool stopped_ = false;
   SaveTermination reason_ = SaveTermination::kCompleted;

@@ -13,7 +13,7 @@
 
 namespace disc {
 
-struct SearchTrace;
+struct SearchObserver;
 
 /// Per-outlier-search distance cache for the branch-and-bound hot loops.
 ///
@@ -52,15 +52,15 @@ class SearchDistanceCache {
   /// eager full-distance fill — each row's entry is independent, so chunked
   /// writes produce the identical vector; the lazy attribute rows stay
   /// single-threaded (they mutate under const and must only ever be touched
-  /// by the owning search thread). `trace` (optional) charges the eager and
-  /// lazy fills to the dcache_fill wall phase and records per-chunk spans
-  /// of the parallel fill.
+  /// by the owning search thread). `observer` (optional) charges the eager
+  /// and lazy fills to the dcache_fill wall phase and records per-chunk
+  /// spans of the parallel fill.
   SearchDistanceCache(const Relation& relation,
                       const DistanceEvaluator& evaluator, const Tuple& outlier,
                       const ColumnarView* view = nullptr,
                       SearchStats* stats = nullptr,
                       WorkStealingPool* pool = nullptr,
-                      SearchTrace* trace = nullptr);
+                      SearchObserver* observer = nullptr);
 
   /// Number of inlier rows n.
   std::size_t rows() const { return full_.size(); }
@@ -107,7 +107,7 @@ class SearchDistanceCache {
   const DistanceEvaluator& evaluator_;
   const Tuple& outlier_;
   SearchStats* stats_;  ///< optional; owned by the same single search
-  SearchTrace* trace_ = nullptr;  ///< optional; same ownership as stats_
+  SearchObserver* observer_;  ///< optional; same ownership as stats_
   std::size_t arity_;
   std::optional<FlatKernel> kernel_;
   std::vector<double> full_;                           ///< eager, n entries

@@ -1,43 +1,13 @@
 #include "core/search_stats.h"
 
-#include <algorithm>
-
 #include "common/json_writer.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 
 namespace disc {
 
-namespace {
-
-/// One row per counter keeps the merge/compare/export paths in lockstep: a
-/// field added here is merged, compared, exported and flushed everywhere.
-struct FieldSpec {
-  const char* name;
-  std::uint64_t SearchStats::* member;
-};
-
-constexpr FieldSpec kWorkFields[] = {
-    {"nodes_expanded", &SearchStats::nodes_expanded},
-    {"visited_sets", &SearchStats::visited_sets},
-    {"lb_prunes", &SearchStats::lb_prunes},
-    {"prop3_bounds", &SearchStats::prop3_bounds},
-    {"prop5_bounds", &SearchStats::prop5_bounds},
-    {"feasibility_checks", &SearchStats::feasibility_checks},
-    {"dcache_hits", &SearchStats::dcache_hits},
-    {"dcache_misses", &SearchStats::dcache_misses},
-    {"index_range_queries", &SearchStats::index_range_queries},
-    {"index_count_queries", &SearchStats::index_count_queries},
-    {"index_knn_queries", &SearchStats::index_knn_queries},
-    {"index_queries", &SearchStats::index_queries},
-    {"revert_refines", &SearchStats::revert_refines},
-    {"retries", &SearchStats::retries},
-};
-
-}  // namespace
-
 void SearchStats::MergeFrom(const SearchStats& other) {
-  for (const FieldSpec& field : kWorkFields) {
+  for (const SearchStatsField& field : kSearchStatsWorkFields) {
     this->*field.member += other.*field.member;
   }
   wall_nanos += other.wall_nanos;
@@ -48,28 +18,28 @@ void SearchStats::MergeFrom(const SearchStats& other) {
 }
 
 bool SearchStats::SameWork(const SearchStats& other) const {
-  for (const FieldSpec& field : kWorkFields) {
+  for (const SearchStatsField& field : kSearchStatsWorkFields) {
     if (this->*field.member != other.*field.member) return false;
   }
   return true;
 }
 
 void SearchStats::AppendJson(JsonWriter* json) const {
-  for (const FieldSpec& field : kWorkFields) {
+  for (const SearchStatsField& field : kSearchStatsWorkFields) {
     json->Key(field.name).Uint(this->*field.member);
   }
   json->Key("wall_nanos").Uint(wall_nanos);
 }
 
 void SearchStats::AttachTo(TraceSpan* span) const {
-  for (const FieldSpec& field : kWorkFields) {
+  for (const SearchStatsField& field : kSearchStatsWorkFields) {
     span->Int(field.name, this->*field.member);
   }
 }
 
 void SearchStats::FlushTo(MetricsRegistry* registry) const {
   if (registry == nullptr) return;
-  for (const FieldSpec& field : kWorkFields) {
+  for (const SearchStatsField& field : kSearchStatsWorkFields) {
     const std::uint64_t value = this->*field.member;
     if (value == 0) continue;
     Counter* counter = registry->GetCounter(

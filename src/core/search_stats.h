@@ -92,6 +92,33 @@ struct SearchStats {
   void FlushTo(MetricsRegistry* registry) const;
 };
 
+/// One SearchStats counter: its export name and member. Table-driven code
+/// (merge, compare, JSON, span attributes, metrics, the save journal) walks
+/// kSearchStatsWorkFields, so a counter added there reaches all of it.
+struct SearchStatsField {
+  const char* name;
+  std::uint64_t SearchStats::* member;
+};
+
+/// Every work counter, in export order: all fields but the timing pair
+/// (`wall_nanos`, `start_ns`).
+inline constexpr SearchStatsField kSearchStatsWorkFields[] = {
+    {"nodes_expanded", &SearchStats::nodes_expanded},
+    {"visited_sets", &SearchStats::visited_sets},
+    {"lb_prunes", &SearchStats::lb_prunes},
+    {"prop3_bounds", &SearchStats::prop3_bounds},
+    {"prop5_bounds", &SearchStats::prop5_bounds},
+    {"feasibility_checks", &SearchStats::feasibility_checks},
+    {"dcache_hits", &SearchStats::dcache_hits},
+    {"dcache_misses", &SearchStats::dcache_misses},
+    {"index_range_queries", &SearchStats::index_range_queries},
+    {"index_count_queries", &SearchStats::index_count_queries},
+    {"index_knn_queries", &SearchStats::index_knn_queries},
+    {"index_queries", &SearchStats::index_queries},
+    {"revert_refines", &SearchStats::revert_refines},
+    {"retries", &SearchStats::retries},
+};
+
 /// Decorator that meters every query against a wrapped NeighborIndex into a
 /// SearchStats (both the per-kind counters and the logical
 /// `index_queries` total — one per call, exactly the unit the old

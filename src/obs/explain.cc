@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "common/json_writer.h"
@@ -21,16 +21,6 @@ constexpr ExplainAction kAllActions[] = {
     ExplainAction::kIncumbentUpdate, ExplainAction::kMemoHit,
     ExplainAction::kRevertRefine,    ExplainAction::kPruneDominated,
 };
-
-/// The size of the attribute set encoded in `bits` (the node's B&B depth).
-std::uint64_t PopCount(std::uint64_t bits) {
-  std::uint64_t n = 0;
-  while (bits != 0) {
-    bits &= bits - 1;
-    ++n;
-  }
-  return n;
-}
 
 void AppendEventJson(JsonWriter& json, const ExplainEvent& event) {
   json.BeginObject();
@@ -162,7 +152,8 @@ ExplainSummary Summarize(const ExplainSearchLog& log) {
     const ExplainEvent& event = log.events[i];
     ++summary.action_counts[static_cast<std::size_t>(event.action)];
     if (event.action == ExplainAction::kIncumbentUpdate) {
-      const std::uint64_t depth = PopCount(event.x_bits);
+      // |X|, the node's B&B depth.
+      const std::uint64_t depth = std::popcount(event.x_bits);
       if (summary.first_feasible_depth < 0) {
         summary.first_feasible_depth = static_cast<std::int64_t>(depth);
       }
@@ -203,35 +194,6 @@ ExplainSummary Summarize(const ExplainSearchLog& log) {
 }
 
 // ---------------------------------------------------------------------------
-// ExplainCollector
-// ---------------------------------------------------------------------------
-
-ExplainCollector::ExplainCollector(std::size_t slots)
-    : slots_(slots > 0 ? slots : 1) {}
-
-void ExplainCollector::Record(std::size_t slot, ExplainSearchLog log) {
-  slots_[slot < slots_.size() ? slot : slots_.size() - 1].logs.push_back(
-      std::move(log));
-}
-
-std::vector<ExplainSearchLog> ExplainCollector::Drain() {
-  std::vector<ExplainSearchLog> all;
-  std::size_t total = 0;
-  for (const Slot& slot : slots_) total += slot.logs.size();
-  all.reserve(total);
-  for (Slot& slot : slots_) {
-    for (ExplainSearchLog& log : slot.logs) all.push_back(std::move(log));
-    slot.logs.clear();
-  }
-  std::sort(all.begin(), all.end(),
-            [](const ExplainSearchLog& a, const ExplainSearchLog& b) {
-              if (a.ordinal != b.ordinal) return a.ordinal < b.ordinal;
-              return a.attempt < b.attempt;
-            });
-  return all;
-}
-
-// ---------------------------------------------------------------------------
 // JSONL serialization + sink
 // ---------------------------------------------------------------------------
 
@@ -261,50 +223,11 @@ void AppendExplainSearchJson(JsonWriter& json, const ExplainSearchLog& log) {
   json.EndObject();
 }
 
-ExplainJsonlSink::ExplainJsonlSink(std::string path)
-    : path_(std::move(path)) {}
-
-ExplainJsonlSink::~ExplainJsonlSink() { Close(); }
-
-void ExplainJsonlSink::Emit(const ExplainSearchLog& log) {
-  JsonWriter json;
-  AppendExplainSearchJson(json, log);
-
-  std::lock_guard<std::mutex> lock(mu_);
-  if (closed_) return;
-  buffer_ += json.str();
-  buffer_ += '\n';
-}
-
-bool ExplainJsonlSink::ok() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return !failed_;
-}
-
-Status ExplainJsonlSink::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (closed_) {
-    return failed_ ? Status::Internal("explain write to " + path_ + " failed")
-                   : Status::OK();
-  }
-  closed_ = true;
-  if (path_.empty() || path_ == "-") {
-    std::fwrite(buffer_.data(), 1, buffer_.size(), stdout);
-    return Status::OK();
-  }
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
-  if (f == nullptr) {
-    failed_ = true;
-    return Status::Internal("cannot open explain file " + path_);
-  }
-  std::size_t written = std::fwrite(buffer_.data(), 1, buffer_.size(), f);
-  std::fclose(f);
-  if (written != buffer_.size()) {
-    failed_ = true;
-    return Status::Internal("short write to explain file " + path_);
-  }
-  return Status::OK();
-}
+ExplainJsonlSink::ExplainJsonlSink(const std::string& path)
+    : JsonlSink(path == "-" ? "" : path, "explain",
+                [](JsonWriter& json, const ExplainSearchLog& log) {
+                  AppendExplainSearchJson(json, log);
+                }) {}
 
 // ---------------------------------------------------------------------------
 // ExplainRecorder
@@ -312,8 +235,8 @@ Status ExplainJsonlSink::Close() {
 
 ExplainRecorder::ExplainRecorder(std::size_t recent_capacity,
                                  std::size_t slowest_capacity)
-    : recent_capacity_(recent_capacity > 0 ? recent_capacity : 1),
-      slowest_capacity_(slowest_capacity > 0 ? slowest_capacity : 1) {}
+    : slowest_capacity_(slowest_capacity > 0 ? slowest_capacity : 1),
+      recent_(recent_capacity) {}
 
 void ExplainRecorder::RecordSearch(const ExplainSearchLog& log) {
   ExplainSummary summary = Summarize(log);
@@ -326,12 +249,7 @@ void ExplainRecorder::RecordSearch(const ExplainSearchLog& log) {
   for (std::size_t a = 0; a < kExplainActionCount; ++a) {
     action_totals_[a] += summary.action_counts[a];
   }
-  if (recent_.size() < recent_capacity_) {
-    recent_.push_back(summary);
-  } else {
-    recent_[next_] = summary;
-    next_ = (next_ + 1) % recent_capacity_;
-  }
+  recent_.Push(summary);
   // Slowest table: insert sorted by wall time, descending; ties keep the
   // earlier entry (stable for repeated scrapes).
   auto pos = std::upper_bound(
@@ -362,13 +280,9 @@ std::string ExplainRecorder::ToJson() const {
   }
   json.EndObject();
   json.Key("recent").BeginArray();
-  // Oldest first: the ring's oldest entry sits at next_.
-  const std::size_t count = recent_.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t idx =
-        count < recent_capacity_ ? i : (next_ + i) % recent_capacity_;
-    AppendRecorderEntryJson(json, recent_[idx]);
-  }
+  recent_.ForEach([&](const ExplainSummary& summary) {
+    AppendRecorderEntryJson(json, summary);
+  });
   json.EndArray();
   json.Key("slowest").BeginArray();
   for (const ExplainSummary& summary : slowest_) {
@@ -386,8 +300,7 @@ void ExplainRecorder::Reset() {
   dropped_events_ = 0;
   abandoned_scans_ = 0;
   action_totals_.fill(0);
-  recent_.clear();
-  next_ = 0;
+  recent_.Clear();
   slowest_.clear();
 }
 

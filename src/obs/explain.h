@@ -9,11 +9,11 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
+#include "common/buffers.h"
+#include "common/jsonl_sink.h"
 
 namespace disc {
 
-class JsonWriter;
 class MetricsRegistry;
 
 // ---------------------------------------------------------------------------
@@ -101,38 +101,12 @@ struct ExplainEvent {
 inline constexpr std::size_t kExplainMaxEventsPerSearch = 65536;
 
 // ---------------------------------------------------------------------------
-// SearchExplain — per-search capture context riding on the BudgetGauge
-// ---------------------------------------------------------------------------
-
-/// Decision-capture context of one search. Like SearchTrace it rides on the
-/// BudgetGauge (which already flows DiscSaver → BoundsEngine → index
-/// queries), is owned by exactly one thread, and is null on the gauge when
-/// explain is detached — every capture site is then a single pointer check.
-struct SearchExplain {
-  std::vector<ExplainEvent> events;
-  /// Events beyond kExplainMaxEventsPerSearch (counted, not stored).
-  std::uint64_t dropped_events = 0;
-  /// Bound scans cut short by the budget layer (the scan returned its safe
-  /// uninformative value). Recorded by BoundsEngine; a high count flags
-  /// bound-quality data polluted by truncation.
-  std::uint64_t abandoned_scans = 0;
-
-  void Record(const ExplainEvent& event) {
-    if (events.size() >= kExplainMaxEventsPerSearch) {
-      ++dropped_events;
-      return;
-    }
-    events.push_back(event);
-  }
-  void NoteAbandonedScan() { ++abandoned_scans; }
-};
-
-// ---------------------------------------------------------------------------
 // ExplainSearchLog — the finished per-search decision log
 // ---------------------------------------------------------------------------
 
-/// The decision log of one finished search, assembled by the batch driver
-/// from the final attempt's SearchExplain plus the search verdict. This is
+/// The decision log of one finished search, assembled by the batch
+/// observation from the final attempt's SearchObserver plus the search
+/// verdict. This is
 /// the unit emitted to sinks (one JSONL line) and fed to the recorder.
 struct ExplainSearchLog {
   /// Input position of the outlier in its batch — the deterministic
@@ -228,77 +202,26 @@ inline constexpr std::size_t kExplainTimelineCap = 32;
 ExplainSummary Summarize(const ExplainSearchLog& log);
 
 // ---------------------------------------------------------------------------
-// ExplainCollector — per-worker lock-free log buffers for one batch
-// ---------------------------------------------------------------------------
-
-/// Per-batch log buffer with the SpanCollector discipline: one cache-line-
-/// padded slot per pool worker plus one for the caller, plain vector pushes
-/// on the hot path, Drain() only after the batch joins. Drained logs come
-/// back sorted by (ordinal, attempt), so sink emission order is
-/// deterministic regardless of worker scheduling.
-class ExplainCollector {
- public:
-  /// `slots` buffers; use pool->size() + 1 (workers + caller).
-  explicit ExplainCollector(std::size_t slots);
-
-  /// Appends `log` to buffer `slot`. Each slot must only ever be written by
-  /// one thread at a time (worker w → slot w, non-workers → last slot).
-  void Record(std::size_t slot, ExplainSearchLog log);
-
-  /// Moves every recorded log out, sorted by (ordinal, attempt). Call only
-  /// when no Record() can be in flight.
-  std::vector<ExplainSearchLog> Drain();
-
-  std::size_t slots() const { return slots_.size(); }
-
- private:
-  struct alignas(64) Slot {
-    std::vector<ExplainSearchLog> logs;
-  };
-  std::vector<Slot> slots_;
-};
-
-// ---------------------------------------------------------------------------
 // Sinks
 // ---------------------------------------------------------------------------
 
 /// Consumer of finished decision logs. Emit() must accept calls from any
-/// thread (the exact path emits from the merge loop; the DISC path emits
-/// from the batch-end drain).
-class ExplainSink {
- public:
-  virtual ~ExplainSink() = default;
-  virtual void Emit(const ExplainSearchLog& log) = 0;
-};
+/// thread; the batch observation emits from its batch-end drain, in input
+/// order.
+using ExplainSink = Sink<ExplainSearchLog>;
 
 /// Serializes one log as a JSON object (the JSONL line format of
 /// schemas/explain.schema.json): verdict fields, the event array, and the
 /// derived summary. Non-finite numbers are omitted rather than emitted.
 void AppendExplainSearchJson(JsonWriter& json, const ExplainSearchLog& log);
 
-/// JSON-Lines file sink behind `disc_cli --explain=PATH`: one object per
-/// search. Lines are buffered and flushed on Close()/destruction; check
-/// ok()/Close() for I/O errors (explain is best-effort — a failed write
-/// never fails a save). An empty path or "-" flushes to stdout instead of
-/// a file (the `--explain` no-argument form).
-class ExplainJsonlSink : public ExplainSink {
+/// JSON-Lines sink behind `disc_cli --explain=PATH`: one object per search.
+/// An empty path or "-" writes to stdout instead of a file (the `--explain`
+/// no-argument form). See JsonlSink for buffering and I/O error reporting
+/// (explain is best-effort: a failed write never fails a save).
+class ExplainJsonlSink : public JsonlSink<ExplainSearchLog> {
  public:
-  explicit ExplainJsonlSink(std::string path);
-  ~ExplainJsonlSink() override;
-
-  void Emit(const ExplainSearchLog& log) override;
-
-  /// True when the file opened and every write so far succeeded.
-  bool ok() const;
-  /// Flushes and closes; returns the first I/O error, if any. Idempotent.
-  Status Close();
-
- private:
-  mutable std::mutex mu_;
-  std::string path_;
-  std::string buffer_;
-  bool failed_ = false;
-  bool closed_ = false;
+  explicit ExplainJsonlSink(const std::string& path);
 };
 
 // ---------------------------------------------------------------------------
@@ -330,7 +253,6 @@ class ExplainRecorder {
   void Reset();
 
  private:
-  const std::size_t recent_capacity_;
   const std::size_t slowest_capacity_;
   mutable std::mutex mu_;
   std::uint64_t searches_ = 0;
@@ -338,8 +260,7 @@ class ExplainRecorder {
   std::uint64_t dropped_events_ = 0;
   std::uint64_t abandoned_scans_ = 0;
   std::array<std::uint64_t, kExplainActionCount> action_totals_{};
-  std::vector<ExplainSummary> recent_;  ///< ring, `next_` is the oldest
-  std::size_t next_ = 0;
+  RecentRing<ExplainSummary> recent_;
   std::vector<ExplainSummary> slowest_;  ///< sorted by wall time, desc
 };
 

@@ -1,9 +1,9 @@
 #include "obs/progress.h"
 
 #include <algorithm>
-#include <thread>
 #include <vector>
 
+#include "common/buffers.h"
 #include "common/json_writer.h"
 #include "common/trace.h"
 
@@ -12,12 +12,6 @@ namespace disc {
 namespace {
 
 std::atomic<ProgressRegistry*> g_global_progress{nullptr};
-
-std::size_t ThisThreadShard(std::size_t shard_count) {
-  static thread_local const std::size_t hash =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return hash % shard_count;
-}
 
 /// Nearest-rank percentile over an ascending-sorted sample vector.
 double Percentile(const std::vector<std::uint64_t>& sorted, double q) {

@@ -17,10 +17,10 @@ namespace disc {
 class JsonWriter;
 
 /// Live view of one in-flight save batch (DESIGN.md §8, "Live observability
-/// plane"). DiscSaver::SaveAll / the exact path of SaveOutliers register a
-/// tracker with the global ProgressRegistry when one is attached; worker
-/// threads record each finished outlier; `/statusz` snapshots the tracker
-/// while the batch runs.
+/// plane"). The batch observation of both savers (core/observation.h)
+/// registers a tracker with the global ProgressRegistry when one is
+/// attached; worker threads record each finished outlier; `/statusz`
+/// snapshots the tracker while the batch runs.
 ///
 /// Write path (RecordOutlier) follows the per-thread shard pattern of
 /// common/metrics: each worker bumps relaxed atomics on its own
@@ -96,7 +96,6 @@ class BatchProgressTracker {
   };
   Snapshot Snap() const;
 
-  std::uint64_t id() const { return id_; }
   bool done() const { return done_.load(std::memory_order_acquire); }
 
   /// Newest per-search wall-time samples retained for the percentiles.

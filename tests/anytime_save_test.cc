@@ -174,18 +174,18 @@ TEST(AnytimeSave, ExactCancellationSweepEveryCandidateIsSound) {
   ExactSaver saver(inliers, ev, {1.5, 3});
   const Tuple outlier = Tuple::Numeric({7, 7});
 
-  ExactResult full = saver.Save(outlier);
+  SaveResult full = saver.Save(outlier);
   ASSERT_TRUE(full.termination == SaveTermination::kCompleted ||
               full.termination == SaveTermination::kInfeasible);
-  ASSERT_GT(full.candidates_checked, 2u);
+  ASSERT_GT(full.stats.nodes_expanded, 2u);
 
-  for (std::size_t k = 0; k < full.candidates_checked; ++k) {
+  for (std::size_t k = 0; k < full.stats.nodes_expanded; ++k) {
     FaultInjector injector;
     injector.Add(CancelAtNode(k));
     AttachGlobalFaultInjector(&injector);
     ExactOptions opts;
     opts.budget.cancellation = injector.token();
-    ExactResult res = saver.Save(outlier, opts);
+    SaveResult res = saver.Save(outlier, opts);
     AttachGlobalFaultInjector(nullptr);
     EXPECT_EQ(res.termination, SaveTermination::kCancelled) << "leaf " << k;
     if (res.feasible) {

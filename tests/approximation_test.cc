@@ -55,7 +55,7 @@ TEST_P(Proposition6Test, FactorBoundHolds) {
   if (factor_c <= 1.0) GTEST_SKIP() << "Proposition 6 requires c > 1";
 
   SaveResult a = approx.Save(outlier);
-  ExactResult e = exact.Save(outlier);
+  SaveResult e = exact.Save(outlier);
   ASSERT_EQ(a.feasible, e.feasible);
   if (!a.feasible || e.cost <= 0) return;
 
@@ -112,7 +112,7 @@ TEST_P(Proposition7Test, IntegerDistanceFactorBound) {
   for (const char* s : outliers) {
     Tuple outlier{Value(s)};
     SaveResult a = approx.Save(outlier);
-    ExactResult e = exact.Save(outlier);
+    SaveResult e = exact.Save(outlier);
     ASSERT_EQ(a.feasible, e.feasible) << s;
     if (!a.feasible || e.cost <= 0) continue;
     EXPECT_LE(a.cost / e.cost, static_cast<double>(epsilon) + 1.0 + 1e-9)
@@ -144,7 +144,7 @@ TEST(ApproximationSandwich, RandomInstances) {
     Tuple outlier = Tuple::Numeric(
         {rng.Uniform(-15, 15 + side), rng.Uniform(-15, 15 + side)});
     SaveResult a = approx.Save(outlier);
-    ExactResult e = exact.Save(outlier);
+    SaveResult e = exact.Save(outlier);
     ASSERT_EQ(a.feasible, e.feasible) << "trial " << trial;
     if (!a.feasible) continue;
     EXPECT_GE(e.cost, a.lower_bound - 1e-9) << "trial " << trial;
@@ -163,7 +163,7 @@ TEST(ApproximationSandwich, LowerBoundCertifiesQuality) {
 
   Tuple outlier = Tuple::Numeric({18, 3});
   SaveResult a = approx.Save(outlier);
-  ExactResult e = exact.Save(outlier);
+  SaveResult e = exact.Save(outlier);
   ASSERT_TRUE(a.feasible);
   ASSERT_GT(a.lower_bound, 0.0);
   double certified = a.cost / a.lower_bound;

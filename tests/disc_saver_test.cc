@@ -131,7 +131,7 @@ TEST(DiscSaver, MatchesOrBeatsExactCostNever) {
     Tuple outlier =
         Tuple::Numeric({rng.Uniform(8, 20), rng.Uniform(8, 20)});
     SaveResult approx = saver.Save(outlier);
-    ExactResult best = exact.Save(outlier);
+    SaveResult best = exact.Save(outlier);
     ASSERT_EQ(approx.feasible, best.feasible);
     if (approx.feasible) {
       EXPECT_GE(approx.cost, best.cost - 1e-9);

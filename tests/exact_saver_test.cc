@@ -24,7 +24,7 @@ TEST(ExactSaver, FindsZeroCostForFeasibleInput) {
   DistanceEvaluator ev(inliers.schema());
   ExactSaver saver(inliers, ev, {1.5, 4});
   // (2,2) is a lattice point: it already has plenty of neighbors.
-  ExactResult res = saver.Save(Tuple::Numeric({2, 2}));
+  SaveResult res = saver.Save(Tuple::Numeric({2, 2}));
   ASSERT_TRUE(res.feasible);
   EXPECT_DOUBLE_EQ(res.cost, 0.0);
   EXPECT_TRUE(res.adjusted_attributes.empty());
@@ -36,7 +36,7 @@ TEST(ExactSaver, OptimalSingleAttributeFix) {
   ExactSaver saver(inliers, ev, {1.5, 4});
   // (2, 50): only the y attribute is broken; the optimum snaps y back into
   // the lattice while keeping x = 2.
-  ExactResult res = saver.Save(Tuple::Numeric({2, 50}));
+  SaveResult res = saver.Save(Tuple::Numeric({2, 50}));
   ASSERT_TRUE(res.feasible);
   EXPECT_DOUBLE_EQ(res.adjusted[0].num(), 2.0);
   EXPECT_LE(res.adjusted[1].num(), 4.0);
@@ -55,7 +55,7 @@ TEST(ExactSaver, ExhaustiveMatchesBruteForceOnTinyInstance) {
   ExactSaver saver(inliers, ev, c);
 
   Tuple outlier = Tuple::Numeric({7.3, -2.1});
-  ExactResult res = saver.Save(outlier);
+  SaveResult res = saver.Save(outlier);
 
   // Brute force over (domain ∪ original)².
   std::vector<double> dom = {0, 1, 2};
@@ -85,7 +85,7 @@ TEST(ExactSaver, InfeasibleWhenNoInliersReachable) {
   Relation inliers = LatticeInliers(2);  // 4 points
   DistanceEvaluator ev(inliers.schema());
   ExactSaver saver(inliers, ev, {0.5, 10});
-  ExactResult res = saver.Save(Tuple::Numeric({9, 9}));
+  SaveResult res = saver.Save(Tuple::Numeric({9, 9}));
   EXPECT_FALSE(res.feasible);
   EXPECT_EQ(res.adjusted, Tuple::Numeric({9, 9}));
 }
@@ -96,16 +96,16 @@ TEST(ExactSaver, BudgetCapReported) {
   ExactSaver saver(inliers, ev, {1.5, 4});
   ExactOptions opts;
   opts.max_candidates = 3;
-  ExactResult res = saver.Save(Tuple::Numeric({10, 10}), opts);
+  SaveResult res = saver.Save(Tuple::Numeric({10, 10}), opts);
   EXPECT_EQ(res.termination, SaveTermination::kVisitBudget);
-  EXPECT_LE(res.candidates_checked, 4u);
+  EXPECT_LE(res.stats.nodes_expanded, 4u);
 }
 
 TEST(ExactSaver, CompletedSearchReportsDefinitiveTermination) {
   Relation inliers = LatticeInliers(4);
   DistanceEvaluator ev(inliers.schema());
   ExactSaver saver(inliers, ev, {1.5, 3});
-  ExactResult res = saver.Save(Tuple::Numeric({8, 8}));
+  SaveResult res = saver.Save(Tuple::Numeric({8, 8}));
   EXPECT_TRUE(res.termination == SaveTermination::kCompleted ||
               res.termination == SaveTermination::kInfeasible);
   EXPECT_EQ(res.termination == SaveTermination::kCompleted, res.feasible);
@@ -119,9 +119,9 @@ TEST(ExactSaver, CandidatesCheckedGrowsWithDomain) {
   ExactSaver s_small(small, ev2, {1.5, 3});
   ExactSaver s_large(large, ev2, {1.5, 3});
   Tuple outlier = Tuple::Numeric({30, 30});
-  ExactResult a = s_small.Save(outlier);
-  ExactResult b = s_large.Save(outlier);
-  EXPECT_LT(a.candidates_checked, b.candidates_checked);
+  SaveResult a = s_small.Save(outlier);
+  SaveResult b = s_large.Save(outlier);
+  EXPECT_LT(a.stats.nodes_expanded, b.stats.nodes_expanded);
 }
 
 TEST(ExactSaver, EtaOneReturnsOriginal) {
@@ -129,7 +129,7 @@ TEST(ExactSaver, EtaOneReturnsOriginal) {
   DistanceEvaluator ev(inliers.schema());
   ExactSaver saver(inliers, ev, {1.0, 1});
   // η = 1: self-count satisfies the constraint; zero-cost result.
-  ExactResult res = saver.Save(Tuple::Numeric({100, 100}));
+  SaveResult res = saver.Save(Tuple::Numeric({100, 100}));
   ASSERT_TRUE(res.feasible);
   EXPECT_DOUBLE_EQ(res.cost, 0.0);
 }

@@ -1,8 +1,9 @@
-// The explain layer (DESIGN.md §14): event gap semantics, per-search
-// summaries, the per-worker collector, the JSONL sink, the /explainz
-// recorder, the batch metrics flush — and the end-to-end contract that the
-// event stream of a real save re-derives the search's own SearchStats
-// counters on both the DISC and the exact path.
+// The explain layer (DESIGN.md §14): event gap semantics, the decision
+// call and its capture cap, per-search summaries, the per-worker buffer,
+// the JSONL sink, the /explainz recorder, the batch metrics flush — and the
+// end-to-end contract that the event stream of a real save re-derives the
+// search's own SearchStats counters on both the DISC and the exact path,
+// and joins its spans on one trace id.
 
 #include "obs/explain.h"
 
@@ -23,9 +24,12 @@
 #include "common/json_writer.h"
 #include "common/metrics.h"
 #include "common/random.h"
+#include "common/trace.h"
 #include "constraints/distance_constraint.h"
 #include "core/disc_saver.h"
+#include "core/observation.h"
 #include "core/outlier_saving.h"
+#include "core/search_budget.h"
 #include "data/generators.h"
 #include "distance/evaluator.h"
 #include "index/index_factory.h"
@@ -78,15 +82,36 @@ TEST(ExplainEvent, ActionNamesAreTheSerializedContract) {
                "prune_dominated");
 }
 
-TEST(SearchExplain, RecordCapsEventsAndCountsDrops) {
-  SearchExplain explain;
+TEST(RecordDecision, CountsEveryDecisionAndCapsStoredEvents) {
+  SearchObserver observer;
+  observer.capture = true;
+  BudgetGauge gauge(nullptr);
+  gauge.set_observer(&observer);
   for (std::size_t i = 0; i < kExplainMaxEventsPerSearch + 3; ++i) {
-    explain.Record(MakeEvent(i, ExplainAction::kExpand));
+    gauge.RecordDecision(MakeEvent(i, ExplainAction::kExpand));
   }
-  EXPECT_EQ(explain.events.size(), kExplainMaxEventsPerSearch);
-  EXPECT_EQ(explain.dropped_events, 3u);
+  EXPECT_EQ(observer.events.size(), kExplainMaxEventsPerSearch);
+  EXPECT_EQ(observer.dropped_events, 3u);
   // The stored prefix is the chronological prefix, not a sample.
-  EXPECT_EQ(explain.events.back().x_bits, kExplainMaxEventsPerSearch - 1);
+  EXPECT_EQ(observer.events.back().x_bits, kExplainMaxEventsPerSearch - 1);
+
+  // The stats count every decision: past the cap, with capture off, and
+  // with no observer at all.
+  SearchObserver timing_only;  // spans/profiler only: nothing is stored
+  BudgetGauge untraced(nullptr);
+  untraced.set_observer(&timing_only);
+  BudgetGauge bare(nullptr);
+  for (BudgetGauge* g : {&gauge, &untraced, &bare}) {
+    g->RecordDecision(MakeEvent(1, ExplainAction::kPruneLb, 2.0));
+    g->RecordDecision(MakeEvent(2, ExplainAction::kInfeasible, kInf));
+    g->RecordDecision(MakeEvent(3, ExplainAction::kPruneDominated));
+    g->RecordDecision(MakeEvent(4, ExplainAction::kRevertRefine));
+    EXPECT_EQ(g->stats().lb_prunes, 2u);
+    EXPECT_EQ(g->stats().revert_refines, 1u);
+  }
+  EXPECT_EQ(observer.dropped_events, 7u);
+  EXPECT_TRUE(timing_only.events.empty());
+  EXPECT_EQ(timing_only.dropped_events, 0u);
 }
 
 /// A small feasible search log touching every derived-summary feature:
@@ -198,8 +223,13 @@ TEST(Summarize, TimelineCapKeepsEarliestAdoptionsPlusTheFinalOne) {
   EXPECT_DOUBLE_EQ(summary.timeline.back().cost, 1.0);
 }
 
-TEST(ExplainCollector, DrainSortsByOrdinalThenAttemptAndClamps) {
-  ExplainCollector collector(3);
+bool LogLess(const ExplainSearchLog& a, const ExplainSearchLog& b) {
+  if (a.ordinal != b.ordinal) return a.ordinal < b.ordinal;
+  return a.attempt < b.attempt;
+}
+
+TEST(PerWorkerBufferTest, DrainSortsLogsByOrdinalThenAttemptAndClamps) {
+  PerWorkerBuffer<ExplainSearchLog> collector(3);
   auto log = [](std::uint64_t ordinal, std::uint64_t attempt) {
     ExplainSearchLog l;
     l.ordinal = ordinal;
@@ -211,7 +241,7 @@ TEST(ExplainCollector, DrainSortsByOrdinalThenAttemptAndClamps) {
   collector.Record(1, log(1, 1));
   collector.Record(99, log(3, 1));  // out-of-range slot clamps to the last
 
-  std::vector<ExplainSearchLog> drained = collector.Drain();
+  std::vector<ExplainSearchLog> drained = collector.Drain(LogLess);
   ASSERT_EQ(drained.size(), 4u);
   EXPECT_EQ(drained[0].ordinal, 1u);
   EXPECT_EQ(drained[0].attempt, 1u);
@@ -219,7 +249,8 @@ TEST(ExplainCollector, DrainSortsByOrdinalThenAttemptAndClamps) {
   EXPECT_EQ(drained[1].attempt, 2u);
   EXPECT_EQ(drained[2].ordinal, 3u);
   EXPECT_EQ(drained[3].ordinal, 5u);
-  EXPECT_TRUE(collector.Drain().empty());  // drain moves, nothing remains
+  // drain moves, nothing remains
+  EXPECT_TRUE(collector.Drain(LogLess).empty());
 }
 
 TEST(AppendExplainSearchJson, OmitsNonFiniteAndFlagsInfeasibleLb) {
@@ -243,11 +274,12 @@ TEST(AppendExplainSearchJson, OmitsNonFiniteAndFlagsInfeasibleLb) {
   EXPECT_NE(out.find("\"summary\":"), std::string::npos) << out;
 }
 
-TEST(ExplainJsonlSink, WritesOneLinePerLogAndCloseIsIdempotent) {
+TEST(JsonlSinkTest, WritesOneLinePerLogAndCloseIsIdempotent) {
   const std::string path =
       ::testing::TempDir() + "disc_explain_sink_test.jsonl";
   {
-    ExplainJsonlSink sink(path);
+    ExplainJsonlSink explain_sink(path);
+    JsonlSink<ExplainSearchLog>& sink = explain_sink;
     ExplainSearchLog first = MakeRichLog();
     first.ordinal = 0;
     ExplainSearchLog second = MakeRichLog();
@@ -274,7 +306,7 @@ TEST(ExplainJsonlSink, WritesOneLinePerLogAndCloseIsIdempotent) {
   std::remove(path.c_str());
 }
 
-TEST(ExplainJsonlSink, UnopenablePathSurfacesOnClose) {
+TEST(JsonlSinkTest, UnopenablePathSurfacesOnClose) {
   ExplainJsonlSink sink("/nonexistent-dir-disc-explain/out.jsonl");
   sink.Emit(MakeRichLog());
   EXPECT_TRUE(sink.ok());  // buffered writes cannot fail yet
@@ -400,6 +432,23 @@ class CaptureExplainSink : public ExplainSink {
   std::vector<ExplainSearchLog> logs_;
 };
 
+/// Thread-safe span capture, to join decision logs to their span trees.
+class CaptureTraceSink : public TraceSink {
+ public:
+  void Emit(const TraceSpan& span) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    spans_.push_back(span);
+  }
+  std::vector<TraceSpan> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::move(spans_);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<TraceSpan> spans_;
+};
+
 /// Two well-separated 2-d clusters with three planted outliers — small
 /// enough for the exact saver, rich enough to exercise pruning.
 Relation MakeSmallScenario(std::uint64_t seed = 44) {
@@ -494,21 +543,49 @@ TEST(ExplainEndToEnd, ExactPathRecordsAnIncumbentTrail) {
   Relation data = MakeSmallScenario();
   DistanceEvaluator evaluator(data.schema());
   CaptureExplainSink sink;
+  CaptureTraceSink trace;
 
   OutlierSavingOptions opts;
   opts.constraint = {1.5, 5};
   opts.use_exact = true;
   opts.exact_max_candidates = 2000000;
   opts.explain = &sink;
+  opts.trace = &trace;
   SavedDataset saved = SaveOutliers(data, evaluator, opts);
   ASSERT_TRUE(saved.status.ok()) << saved.status.ToString();
 
+  // The exact saves join their span trees on the same trace id as the DISC
+  // path: a save_outlier root, a search child under it, and the search's
+  // index_query phase under that.
+  const std::vector<TraceSpan> spans = trace.Take();
+  auto find = [&spans](const char* name, std::uint64_t trace_id,
+                       std::uint64_t parent_id) -> const TraceSpan* {
+    for (const TraceSpan& span : spans) {
+      if (span.name == name && span.trace_id == trace_id &&
+          span.parent_id == parent_id) {
+        return &span;
+      }
+    }
+    return nullptr;
+  };
+
   std::vector<ExplainSearchLog> logs = sink.Take();
   ASSERT_FALSE(logs.empty());
+  EXPECT_EQ(logs.size(), saved.records.size());
   bool feasible_seen = false;
   for (const ExplainSearchLog& log : logs) {
     EXPECT_EQ(log.algo, "exact");
     ExpectLogIdentities(log);
+    ASSERT_NE(log.trace_id, 0u) << "ordinal " << log.ordinal;
+    EXPECT_EQ(saved.records[log.ordinal].trace_id, log.trace_id);
+    const TraceSpan* root = find("save_outlier", log.trace_id, 0);
+    ASSERT_NE(root, nullptr) << "ordinal " << log.ordinal;
+    EXPECT_EQ(root->span_id,
+              DeriveSpanId(log.trace_id, TraceSpanKind::kRoot, 0));
+    const TraceSpan* search = find("search", log.trace_id, root->span_id);
+    ASSERT_NE(search, nullptr) << "ordinal " << log.ordinal;
+    EXPECT_NE(find("index_query", log.trace_id, search->span_id), nullptr)
+        << "ordinal " << log.ordinal;
     // The exact enumeration narrates only incumbent adoptions and budget
     // stops — never bound prunes or memo hits.
     for (const ExplainEvent& event : log.events) {

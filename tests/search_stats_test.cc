@@ -4,8 +4,11 @@
 // for every node expansion and index query bit-identically whether the
 // batch ran on 1, 4 or 8 threads.
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/trace.h"
@@ -356,20 +360,28 @@ TEST(SearchStatsPipeline, StatsAggregateEqualsSplitPlusRecords) {
   EXPECT_EQ(manual.wall_nanos, saved.stats().wall_nanos);
 }
 
-TEST(JsonlTraceSinkTest, RebasesTimestampsAndReportsIoErrors) {
+TraceSpan UnitSpan() {
+  TraceSpan span;
+  span.name = "unit";
+  span.start_ns = TraceNowNs();
+  span.duration_ns = 42;
+  span.Int("k", 7).Str("s", "v").Num("x", 1.5);
+  return span;
+}
+
+TEST(JsonlSinkTest, RebasesTimestampsAndReportsIoErrors) {
   const std::string path = ::testing::TempDir() + "/disc_trace_rebase.jsonl";
   {
-    JsonlTraceSink sink(path);
-    TraceSpan span;
-    span.name = "unit";
-    span.start_ns = TraceNowNs();
-    span.duration_ns = 42;
-    span.Int("k", 7).Str("s", "v").Num("x", 1.5);
-    sink.Emit(span);
+    JsonlTraceSink trace_sink(path);
+    JsonlSink<TraceSpan>& sink = trace_sink;
+    sink.Emit(UnitSpan());
     ASSERT_TRUE(sink.ok());
     ASSERT_TRUE(sink.Close().ok());
+    ASSERT_TRUE(sink.Close().ok());  // idempotent
+    sink.Emit(UnitSpan());           // after Close: dropped, not appended
   }
   const std::string line = Slurp(path);
+  EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1) << line;
   EXPECT_NE(line.find("\"span\":\"unit\""), std::string::npos) << line;
   EXPECT_NE(line.find("\"dur_ns\":42"), std::string::npos) << line;
   EXPECT_NE(line.find("\"k\":7"), std::string::npos) << line;
@@ -378,11 +390,44 @@ TEST(JsonlTraceSinkTest, RebasesTimestampsAndReportsIoErrors) {
   EXPECT_LT(JsonUint(line, "t_ns"), 10'000'000'000ull) << line;
   std::remove(path.c_str());
 
-  JsonlTraceSink bad("/nonexistent-dir/trace.jsonl");
-  TraceSpan span;
-  span.name = "unit";
-  bad.Emit(span);
-  EXPECT_FALSE(bad.Close().ok());
+  JsonlTraceSink unopenable("/nonexistent-dir/trace.jsonl");
+  unopenable.Emit(UnitSpan());
+  EXPECT_TRUE(unopenable.ok());  // buffered writes cannot fail yet
+  EXPECT_FALSE(unopenable.Close().ok());
+  EXPECT_FALSE(unopenable.ok());
+  EXPECT_FALSE(unopenable.Close().ok());  // the error sticks
+
+  // One span fits the stdio buffer, so the write fails only at the flush or
+  // the close of the file.
+  JsonlTraceSink full("/dev/full");
+  full.Emit(UnitSpan());
+  EXPECT_FALSE(full.Close().ok());
+  EXPECT_FALSE(full.ok());
+
+  // The stdout form (an empty path) checks its write and flush the same
+  // way. Point fd 1 at /dev/full for the write, then restore it.
+  std::fflush(stdout);
+  const int saved_stdout = ::dup(1);
+  ASSERT_GE(saved_stdout, 0);
+  const int dev_full = ::open("/dev/full", O_WRONLY);
+  ASSERT_GE(dev_full, 0);
+  ASSERT_GE(::dup2(dev_full, 1), 0);
+  ::close(dev_full);
+  Status status;
+  {
+    JsonlSink<TraceSpan> to_stdout(
+        "", "trace", [](JsonWriter& json, const TraceSpan& span) {
+          AppendTraceSpanJson(json, span, 0);
+        });
+    to_stdout.Emit(UnitSpan());
+    status = to_stdout.Close();
+  }
+  ::dup2(saved_stdout, 1);
+  ::close(saved_stdout);
+  std::clearerr(stdout);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("stdout"), std::string::npos)
+      << status.ToString();
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Unit tests for the hierarchical tracing primitives (DESIGN.md §13):
-// deterministic id derivation, the PhaseScope pause/resume discipline,
-// SpanCollector drain ordering, the WallPhaseProfiler accumulators, and the
-// TraceRecorder ring behind /tracez. The span-set parity of a full pipeline
-// run lives in trace_determinism_test.cc.
+// deterministic id derivation, the PhaseScope pause/resume discipline on a
+// SearchObserver, PerWorkerBuffer drain ordering, the WallPhaseProfiler
+// accumulators, and the RecentRing / TraceRecorder behind /tracez. The
+// span-set parity of a full pipeline run lives in trace_determinism_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/buffers.h"
 #include "common/trace.h"
+#include "core/observation.h"
 
 namespace disc {
 namespace {
@@ -58,17 +60,23 @@ void SpinFor(std::uint64_t ns) {
   }
 }
 
+/// Orders spans the way the batch drain does: by (trace_id, span_id).
+bool SpanLess(const TraceSpan& a, const TraceSpan& b) {
+  if (a.trace_id != b.trace_id) return a.trace_id < b.trace_id;
+  return a.span_id < b.span_id;
+}
+
 TEST(PhaseScopeTest, NestedScopePausesTheOuterPhase) {
-  SpanCollector collector(1);
+  PerWorkerBuffer<TraceSpan> collector(1);
   WallPhaseProfiler profiler;
-  SearchTrace trace;
-  trace.collector = &collector;
+  SearchObserver trace;
+  trace.spans = &collector;
   trace.profiler = &profiler;
   trace.trace_id = DeriveTraceId(1, 0);
-  trace.root_span_id = DeriveSpanId(trace.trace_id, TraceSpanKind::kRoot, 0);
-  trace.search_span_id =
-      DeriveSpanId(trace.root_span_id, TraceSpanKind::kSearch, 0);
-  ASSERT_TRUE(trace.enabled());
+  trace.search_span_id = DeriveSpanId(
+      DeriveSpanId(trace.trace_id, TraceSpanKind::kRoot, 0),
+      TraceSpanKind::kSearch, 0);
+  ASSERT_TRUE(trace.timed());
 
   const std::uint64_t start = TraceNowNs();
   {
@@ -94,8 +102,8 @@ TEST(PhaseScopeTest, NestedScopePausesTheOuterPhase) {
   // the outer one, so the per-phase total stays <= the real elapsed wall.
   EXPECT_LE(bounds.ns + index.ns, elapsed);
 
-  trace.FlushPhaseSpans(0);
-  std::vector<TraceSpan> spans = collector.Drain();
+  trace.FlushPhases();
+  std::vector<TraceSpan> spans = collector.Drain(SpanLess);
   ASSERT_EQ(spans.size(), 2u);
   for (const TraceSpan& span : spans) {
     EXPECT_EQ(span.trace_id, trace.trace_id);
@@ -115,8 +123,9 @@ TEST(PhaseScopeTest, NestedScopePausesTheOuterPhase) {
 }
 
 TEST(PhaseScopeTest, DetachedTraceIsANoOp) {
-  SearchTrace trace;  // no collector, no profiler
-  EXPECT_FALSE(trace.enabled());
+  SearchObserver trace;  // no span buffer, no profiler
+  trace.capture = true;  // decision capture alone reads no clock
+  EXPECT_FALSE(trace.timed());
   {
     PhaseScope scope(&trace, TracePhase::kVerdict);
     PhaseScope null_scope(nullptr, TracePhase::kVerdict);
@@ -127,8 +136,8 @@ TEST(PhaseScopeTest, DetachedTraceIsANoOp) {
   }
 }
 
-TEST(SpanCollectorTest, DrainSortsByTraceThenSpanIdAndEmpties) {
-  SpanCollector collector(3);
+TEST(PerWorkerBufferTest, DrainSortsByTraceThenSpanIdAndEmpties) {
+  PerWorkerBuffer<TraceSpan> collector(3);
   auto make = [](std::uint64_t trace_id, std::uint64_t span_id) {
     TraceSpan span;
     span.name = "search";
@@ -140,25 +149,50 @@ TEST(SpanCollectorTest, DrainSortsByTraceThenSpanIdAndEmpties) {
   collector.Record(0, make(1, 9));
   collector.Record(1, make(1, 3));
   collector.Record(0, make(2, 0));
+  collector.Record(99, make(0, 5));  // out-of-range slot clamps to the last
+  // The calling thread is no pool worker: its own slot is the last one.
+  collector.Record(make(3, 0));
 
-  std::vector<TraceSpan> spans = collector.Drain();
-  ASSERT_EQ(spans.size(), 4u);
+  std::vector<TraceSpan> spans = collector.Drain(SpanLess);
+  ASSERT_EQ(spans.size(), 6u);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> order;
   for (const TraceSpan& span : spans) {
     order.emplace_back(span.trace_id, span.span_id);
   }
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> want = {
-      {1, 3}, {1, 9}, {2, 0}, {2, 1}};
+      {0, 5}, {1, 3}, {1, 9}, {2, 0}, {2, 1}, {3, 0}};
   EXPECT_EQ(order, want);
-  EXPECT_TRUE(collector.Drain().empty());
+  EXPECT_TRUE(collector.Drain(SpanLess).empty());
 }
 
-TEST(SpanCollectorTest, SlotForWorkerMapsWorkersAndCallers) {
-  EXPECT_EQ(SpanSlotForWorker(-1, 4), 3u);  // non-worker -> caller slot
-  EXPECT_EQ(SpanSlotForWorker(0, 4), 0u);
-  EXPECT_EQ(SpanSlotForWorker(2, 4), 2u);
-  EXPECT_EQ(SpanSlotForWorker(3, 4), 3u);  // out-of-range worker -> caller
-  EXPECT_EQ(SpanSlotForWorker(-1, 1), 0u);
+TEST(PerWorkerBufferTest, SlotForWorkerMapsWorkersAndCallers) {
+  EXPECT_EQ(SlotForWorker(-1, 4), 3u);  // non-worker -> caller slot
+  EXPECT_EQ(SlotForWorker(0, 4), 0u);
+  EXPECT_EQ(SlotForWorker(2, 4), 2u);
+  EXPECT_EQ(SlotForWorker(3, 4), 3u);  // out-of-range worker -> caller
+  EXPECT_EQ(SlotForWorker(-1, 1), 0u);
+}
+
+TEST(RecentRingTest, KeepsTheNewestOldestFirst) {
+  RecentRing<int> ring(3);
+  EXPECT_EQ(ring.capacity(), 3u);
+  auto contents = [&ring] {
+    std::vector<int> out;
+    ring.ForEach([&out](int v) { out.push_back(v); });
+    return out;
+  };
+  EXPECT_TRUE(contents().empty());
+  ring.Push(1);
+  ring.Push(2);
+  EXPECT_EQ(contents(), (std::vector<int>{1, 2}));  // below capacity
+  for (int v = 3; v <= 7; ++v) ring.Push(v);
+  EXPECT_EQ(contents().size(), 3u);
+  EXPECT_EQ(contents(), (std::vector<int>{5, 6, 7}));  // wrapped twice
+  ring.Clear();
+  EXPECT_TRUE(contents().empty());
+  ring.Push(8);
+  EXPECT_EQ(contents(), (std::vector<int>{8}));
+  EXPECT_EQ(RecentRing<int>(0).capacity(), 1u);  // never zero-sized
 }
 
 TEST(WallPhaseProfilerTest, ResetIsLosslessAndJsonCarriesFoldedStacks) {
