@@ -48,7 +48,7 @@ AblationOutcome RunVariant(const PaperDataset& ds,
   double cost_sum = 0;
   for (std::size_t row : split.outlier_rows) {
     SaveResult res = saver.Save(ds.dirty[row], save);
-    out.visited += res.visited_sets;
+    out.visited += res.stats.visited_sets;
     if (!res.feasible) continue;
     repaired[row] = res.adjusted;
     ++out.saved;

@@ -82,7 +82,7 @@ void BM_DiscSave(benchmark::State& state) {
   std::size_t visited = 0;
   for (auto _ : state) {
     SaveResult res = saver.Save(outlier, opts);
-    visited = res.visited_sets;
+    visited = res.stats.visited_sets;
     benchmark::DoNotOptimize(res.cost);
   }
   state.counters["visited_sets"] = static_cast<double>(visited);

@@ -109,7 +109,6 @@ bool SameResults(const std::vector<SaveResult>& a,
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].feasible != b[i].feasible || a[i].adjusted != b[i].adjusted ||
         a[i].cost != b[i].cost || a[i].termination != b[i].termination ||
-        a[i].index_queries != b[i].index_queries ||
         !a[i].stats.SameWork(b[i].stats) ||
         !(a[i].adjusted_attributes == b[i].adjusted_attributes)) {
       return false;

@@ -36,7 +36,7 @@ int main() {
   // are trusted (errors hit one sensor at a time); the rest are flagged.
   OutlierSavingOptions options;
   options.constraint = ds.suggested;
-  options.natural_attribute_threshold = 2;
+  options.save.kappa = 2;
   SavedDataset saved = SaveOutliers(ds.dirty, evaluator, options);
 
   std::printf("saving   : %zu flagged, %zu saved, %zu left as natural, "

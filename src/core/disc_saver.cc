@@ -369,7 +369,6 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
 
   SaveResult result;
   result.lower_bound = bounds_->GlobalLowerBound(outlier, &gauge);
-  result.visited_sets = state.visited.size();
 
   // Collect candidates: the search incumbent (kappa-qualified when
   // restricted) and, in restricted mode, the reverted substitution seed —
@@ -432,10 +431,8 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
   }
   // The termination/accounting fields, now that the verdict fields
   // (feasible, kappa_exceeded) are final.
-  result.index_queries = gauge.query_count();
   result.stats = gauge.stats();
   result.stats.visited_sets = state.visited.size();
-  result.pruned_sets = result.stats.lb_prunes;
   result.stats.start_ns = start_ns;
   result.stats.wall_nanos = TraceNowNs() - start_ns;
   if (gauge.stopped()) {

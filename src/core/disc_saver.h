@@ -82,21 +82,16 @@ struct SaveResult {
   /// `cost` this certifies the approximation quality of this answer:
   /// cost / max(lower_bound, optimal) bounds the ratio of Proposition 6.
   double lower_bound = 0;
-  /// Number of distinct unadjusted-attribute sets X explored.
-  std::size_t visited_sets = 0;
-  /// Number of subtrees cut by the lower-bound pruning rule.
-  std::size_t pruned_sets = 0;
-  /// Logical neighbor-index queries spent (bound scans, kNN, feasibility
-  /// checks) — the unit metered by SearchBudget::max_index_queries.
-  std::size_t index_queries = 0;
   /// True when no adjustment within the κ attribute budget was found but a
   /// feasible adjustment touching more attributes exists — the signature of
   /// a natural outlier under §1.2's reading.
   bool kappa_exceeded = false;
-  /// Full per-search work counters (node expansions, typed bound
-  /// computations, feasibility checks, cache traffic, wall time). The
-  /// legacy mirrors above (`visited_sets`, `pruned_sets`, `index_queries`)
-  /// always equal the corresponding stats fields.
+  /// Full per-search work counters: distinct unadjusted-attribute sets X
+  /// explored (`visited_sets`), subtrees cut by the lower-bound rule
+  /// (`lb_prunes`), logical neighbor-index queries (`index_queries`, the
+  /// unit metered by SearchBudget::max_index_queries), node expansions,
+  /// typed bound computations, feasibility checks, cache traffic and wall
+  /// time.
   SearchStats stats;
   /// Trace identity of this save when the batch was traced or explained (0
   /// otherwise, including journal-restored results). Derived from the batch

@@ -119,7 +119,6 @@ SaveResult ExactSaver::Save(const Tuple& outlier, const ExactOptions& options,
   Enumerate(outlier, 0, &candidate, 0.0, options, &state);
 
   SaveResult result;
-  result.index_queries = gauge.query_count();
   result.stats = gauge.stats();
   result.stats.start_ns = start_ns;
   result.stats.wall_nanos = TraceNowNs() - start_ns;

@@ -68,8 +68,9 @@ class ExactSaver {
   /// cancellation) and `adjusted` is the best fully verified candidate so
   /// far, or the unmodified input. `stats.nodes_expanded` counts the
   /// candidates whose feasibility was checked; the DISC-only fields
-  /// (`lower_bound`, `visited_sets`, `pruned_sets`, `kappa_exceeded`) stay
-  /// zero.
+  /// (`lower_bound`, `stats.visited_sets`, `stats.lb_prunes`,
+  /// `kappa_exceeded`) stay zero. (SaveOutliers applies κ to the result
+  /// afterwards — see OutlierSavingOptions::save.)
   SaveResult Save(const Tuple& outlier, const ExactOptions& options = {},
                   Deadline extra_deadline = Deadline::Infinite(),
                   const CancellationToken& extra_cancellation =

@@ -123,7 +123,9 @@ void FlushBatchMetrics(MetricsRegistry* metrics, const SavedDataset& out) {
     if (!out.records.empty()) c->Add(out.records.size());
   }
   if (Counter* c = metrics->GetCounter("disc_split_index_queries_total")) {
-    if (out.split_index_queries > 0) c->Add(out.split_index_queries);
+    if (out.split_stats.index_queries > 0) {
+      c->Add(out.split_stats.index_queries);
+    }
   }
   // Per-disposition and per-termination tallies (empty ones unregistered).
   auto tally = [metrics](const std::string& name, std::size_t n) {
@@ -164,6 +166,11 @@ void FlushBatchMetrics(MetricsRegistry* metrics, const SavedDataset& out) {
 /// fair slicing of DiscSaver::SaveAll with one worker, draining-and-skipping
 /// once the budget is gone. The same BatchObservation as the DISC batch
 /// observes it, so exact saves carry trace ids, spans and decision logs.
+/// κ (`options.save.kappa`) applies to each result before the search is
+/// observed: a feasible optimum changing more than κ attributes becomes
+/// `kappa_exceeded` and keeps the untouched tuple — the DISC verdict for an
+/// outlier whose only feasible adjustments exceed the budget — so the
+/// decision log, the search span and the record agree.
 std::vector<SaveResult> SaveExactBatch(const Relation& inliers,
                                        const DistanceEvaluator& evaluator,
                                        const std::vector<Tuple>& outliers,
@@ -190,6 +197,15 @@ std::vector<SaveResult> SaveExactBatch(const Relation& inliers,
       result = saver.Save(outliers[i], exact_options,
                           batch.TaskDeadline(/*workers=*/1, n - i),
                           batch.cancellation);
+      const std::size_t kappa = options.save.kappa;
+      if (result.feasible && kappa != 0 &&
+          result.adjusted_attributes.size() > kappa) {
+        result.feasible = false;
+        result.kappa_exceeded = true;
+        result.adjusted = outliers[i];
+        result.cost = 0;
+        result.adjusted_attributes = AttributeSet();
+      }
     }
     search.Finish(&result);
   }
@@ -252,8 +268,6 @@ SavedDataset SaveOutliers(const Relation& data,
       SplitInliersOutliers(data, counted_index, options.constraint);
   out.split_stats.start_ns = split_start_ns;
   out.split_stats.wall_nanos = TraceNowNs() - split_start_ns;
-  out.split_index_queries =
-      static_cast<std::size_t>(out.split_stats.index_queries);
   out.inlier_rows = split.inlier_rows;
   out.outlier_rows = split.outlier_rows;
   if (options.trace != nullptr) {
@@ -269,7 +283,7 @@ SavedDataset SaveOutliers(const Relation& data,
   DISC_LOG(INFO)
       .Uint("inliers", out.inlier_rows.size())
       .Uint("outliers", out.outlier_rows.size())
-      .Uint("index_queries", out.split_index_queries)
+      .Uint("index_queries", out.split_stats.index_queries)
       << "inlier/outlier split done";
   if (split.outlier_rows.empty()) {
     FlushBatchMetrics(options.metrics, out);
@@ -278,20 +292,9 @@ SavedDataset SaveOutliers(const Relation& data,
 
   Relation inliers = data.Select(split.inlier_rows);
 
-  // Unify the two attribute-budget knobs: the natural-outlier threshold is
-  // exactly the κ of §3.3.3 — "only return adjustments on no more than κ
-  // attributes". Folding it into the save options lets the search optimize
-  // *within* the budget (the cheapest unrestricted adjustment — often a
-  // near-substitution — would otherwise mask a valid few-attribute repair).
-  OutlierSavingOptions effective = options;
-  if (effective.natural_attribute_threshold != 0 &&
-      effective.save.kappa == 0) {
-    effective.save.kappa = effective.natural_attribute_threshold;
-  }
-
   // Build the saver once; save each outlier against the fixed inlier set.
-  DiscSaver disc_saver(inliers, evaluator, effective.constraint,
-                       effective.use_columnar_fast_path);
+  DiscSaver disc_saver(inliers, evaluator, options.constraint,
+                       options.use_columnar_fast_path);
 
   BatchBudget batch;
   batch.deadline = batch_deadline;
@@ -312,32 +315,32 @@ SavedDataset SaveOutliers(const Relation& data,
     outlier_tuples.push_back(data[row]);
   }
   std::vector<SaveResult> results;
-  if (effective.use_exact) {
-    results = SaveExactBatch(inliers, evaluator, outlier_tuples, effective,
-                             batch);
+  if (options.use_exact) {
+    results =
+        SaveExactBatch(inliers, evaluator, outlier_tuples, options, batch);
   } else {
     // Crash-safety plumbing (DESIGN.md §11): optionally restore journaled
     // verdicts from a previous interrupted run, then append this run's
     // definitive results to the same journal. All-default BatchRecovery
     // (no journal path) keeps SaveAll on its strict no-op path.
     BatchRecovery recovery;
-    recovery.retry = effective.retry;
+    recovery.retry = options.retry;
     SaveJournal resume_journal;
     SaveJournalWriter journal_writer;
-    if (!effective.journal_path.empty()) {
+    if (!options.journal_path.empty()) {
       SaveJournalHeader header;
       header.n_outliers = outlier_tuples.size();
       header.arity = data.arity();
-      header.epsilon = effective.constraint.epsilon;
-      header.eta = effective.constraint.eta;
-      header.kappa = effective.save.kappa;
+      header.epsilon = options.constraint.epsilon;
+      header.eta = options.constraint.eta;
+      header.kappa = options.save.kappa;
       bool have_resume = false;
-      if (effective.resume_from_journal) {
-        Result<SaveJournal> loaded = ReadSaveJournal(effective.journal_path);
+      if (options.resume_from_journal) {
+        Result<SaveJournal> loaded = ReadSaveJournal(options.journal_path);
         if (loaded.ok()) {
-          out.status = loaded.value().Matches(
-              outlier_tuples.size(), data.arity(), effective.constraint,
-              effective.save.kappa);
+          out.status =
+              loaded.value().Matches(outlier_tuples.size(), data.arity(),
+                                     options.constraint, options.save.kappa);
           if (!out.status.ok()) {
             DISC_LOG(ERROR).Str("status", out.status.ToString())
                 << "save journal does not match this batch";
@@ -354,9 +357,8 @@ SavedDataset SaveOutliers(const Relation& data,
         // NotFound: no previous run to resume — start fresh.
       }
       out.status = have_resume
-                       ? journal_writer.OpenAppend(effective.journal_path,
-                                                   header)
-                       : journal_writer.Open(effective.journal_path, header);
+                       ? journal_writer.OpenAppend(options.journal_path, header)
+                       : journal_writer.Open(options.journal_path, header);
       if (!out.status.ok()) {
         DISC_LOG(ERROR).Str("status", out.status.ToString())
             << "save journal could not be opened";
@@ -366,22 +368,22 @@ SavedDataset SaveOutliers(const Relation& data,
       if (have_resume) {
         recovery.resume = &resume_journal;
         DISC_LOG(INFO)
-            .Str("journal", effective.journal_path)
+            .Str("journal", options.journal_path)
             .Uint("restored", resume_journal.entries.size())
             << "resuming batch from save journal";
       }
     }
 
-    std::size_t threads = effective.num_threads == 0
+    std::size_t threads = options.num_threads == 0
                               ? WorkStealingPool::DefaultThreadCount()
-                              : effective.num_threads;
+                              : options.num_threads;
     std::unique_ptr<WorkStealingPool> pool;
     if (threads > 1 && outlier_tuples.size() > 1) {
       pool = std::make_unique<WorkStealingPool>(threads);
     }
-    results = disc_saver.SaveAll(outlier_tuples, effective.save, pool.get(),
-                                 batch, options.trace, recovery,
-                                 options.explain);
+    results =
+        disc_saver.SaveAll(outlier_tuples, options.save, pool.get(), batch,
+                           options.trace, recovery, options.explain);
   }
 
   out.records.reserve(results.size());
@@ -390,10 +392,7 @@ SavedDataset SaveOutliers(const Relation& data,
     SaveResult& res = results[i];
     OutlierRecord rec;
     rec.row = row;
-    bool feasible = res.feasible;
-    bool kappa_exceeded = res.kappa_exceeded;
     rec.termination = res.termination;
-    rec.index_queries = res.index_queries;
     rec.stats = res.stats;
     rec.adjusted = std::move(res.adjusted);
     rec.cost = res.cost;
@@ -401,23 +400,14 @@ SavedDataset SaveOutliers(const Relation& data,
     rec.lower_bound = res.lower_bound;
     rec.trace_id = res.trace_id;
 
-    if (feasible && effective.natural_attribute_threshold != 0 &&
-        rec.adjusted_attributes.size() >
-            effective.natural_attribute_threshold) {
-      // The exact path can still report a too-wide adjustment.
-      feasible = false;
-      kappa_exceeded = true;
-    }
-
-    if (feasible) {
+    if (res.feasible) {
       rec.disposition = OutlierDisposition::kSaved;
       out.repaired[row] = rec.adjusted;
     } else {
       // A feasible adjustment needing more attributes than trusted marks a
       // natural outlier (paper §1.2 — flag rather than over-adjust).
-      rec.disposition = kappa_exceeded
-                            ? OutlierDisposition::kNaturalOutlier
-                            : OutlierDisposition::kInfeasible;
+      rec.disposition = res.kappa_exceeded ? OutlierDisposition::kNaturalOutlier
+                                           : OutlierDisposition::kInfeasible;
       rec.adjusted = data[row];
       rec.cost = 0;
       rec.adjusted_attributes = AttributeSet();

@@ -22,13 +22,15 @@ class MetricsRegistry;
 struct OutlierSavingOptions {
   /// The distance constraint (ε, η).
   DistanceConstraint constraint;
-  /// Per-outlier search options (κ restriction, pruning, budget).
+  /// Per-outlier search options (pruning, budget, and κ). `save.kappa` is
+  /// the one attribute budget of the pipeline: an outlier whose only
+  /// feasible adjustments change more than κ attributes is deemed a
+  /// natural outlier and left unchanged (0 = unrestricted). Errors are
+  /// expected to touch only a few attributes (§1.2); natural outliers are
+  /// separable in many. The DISC search optimizes within the budget
+  /// (§3.3.3); the exact path keeps its unrestricted optimum when it fits
+  /// the budget and flags the outlier otherwise.
   SaveOptions save;
-  /// Natural-outlier guard: an outlier whose best adjustment changes more
-  /// than this many attributes is deemed a natural outlier and left
-  /// unchanged (0 = disabled). Errors are expected to touch only a few
-  /// attributes (§1.2); natural outliers are separable in many.
-  std::size_t natural_attribute_threshold = 0;
   /// Columnar backing of the DISC search's per-search distance cache (see
   /// DESIGN.md, "Two-tier distance architecture"). Engages only when the
   /// data qualifies (all-numeric schema, scaled-absolute-difference
@@ -121,11 +123,9 @@ struct OutlierRecord {
   double cost = 0;
   AttributeSet adjusted_attributes;
   double lower_bound = 0;
-  /// Logical neighbor-index queries this outlier's search spent.
-  std::size_t index_queries = 0;
-  /// Full per-search work counters (`index_queries` above always equals
-  /// `stats.index_queries`). Bit-identical across thread counts except for
-  /// the timing fields — see SearchStats::SameWork.
+  /// Full per-search work counters (`stats.index_queries` is the logical
+  /// neighbor-index queries the search spent). Bit-identical across thread
+  /// counts except for the timing fields — see SearchStats::SameWork.
   SearchStats stats;
   /// Trace id of this outlier's span tree (0 when tracing and explain were
   /// off, or the record was restored from a journal). Links the
@@ -149,9 +149,6 @@ struct SavedDataset {
   std::vector<std::size_t> inlier_rows;
   /// One record per outlier row, in the same order as `outlier_rows`.
   std::vector<OutlierRecord> records;
-  /// Neighbor-index queries spent on the inlier/outlier split phase
-  /// (always equals `split_stats.index_queries`).
-  std::size_t split_index_queries = 0;
   /// Work counters of the split phase (index traffic plus wall time).
   SearchStats split_stats;
 

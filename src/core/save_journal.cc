@@ -309,7 +309,7 @@ std::string RenderEntry(std::uint64_t ordinal, const SaveResult& r) {
   json.Key("lower_bound").String(HexDouble(r.lower_bound));
   json.Key("kappa_exceeded").Bool(r.kappa_exceeded);
   json.Key("adjusted_attributes").Uint(r.adjusted_attributes.bits());
-  json.Key("pruned_sets").Uint(r.pruned_sets);
+  json.Key("pruned_sets").Uint(r.stats.lb_prunes);
   json.Key("adjusted").BeginArray();
   for (const Value& v : r.adjusted) {
     json.BeginObject();
@@ -346,6 +346,8 @@ bool ParseEntry(const JsonValue& obj, SaveJournalEntry* out) {
       !GetBool(obj, "kappa_exceeded", &r.kappa_exceeded)) {
     return false;
   }
+  // `pruned_sets` repeats stats.lb_prunes (read below). It stays in the
+  // line format — written and required — so journals keep one shape.
   std::uint64_t bits = 0;
   std::uint64_t pruned = 0;
   if (!GetUint(obj, "adjusted_attributes", &bits) ||
@@ -353,7 +355,6 @@ bool ParseEntry(const JsonValue& obj, SaveJournalEntry* out) {
     return false;
   }
   r.adjusted_attributes = AttributeSet(bits);
-  r.pruned_sets = static_cast<std::size_t>(pruned);
   const JsonValue* adjusted = obj.Find("adjusted");
   if (adjusted == nullptr || adjusted->kind != JsonValue::Kind::kArray) {
     return false;
@@ -386,10 +387,6 @@ bool ParseEntry(const JsonValue& obj, SaveJournalEntry* out) {
       !GetUint(*stats, "start_ns", &r.stats.start_ns)) {
     return false;
   }
-  // The legacy mirrors are derived, not stored: keep the invariant that
-  // they always equal the corresponding stats fields.
-  r.visited_sets = static_cast<std::size_t>(r.stats.visited_sets);
-  r.index_queries = static_cast<std::size_t>(r.stats.index_queries);
   return true;
 }
 

@@ -221,7 +221,7 @@ TEST(AnytimeSave, QueryBudgetTruncatesSoundly) {
   ExpectSoundResult(saver, ev, outlier, res);
 
   SaveResult unbudgeted = saver.Save(outlier);
-  EXPECT_GT(unbudgeted.index_queries, 5u)
+  EXPECT_GT(unbudgeted.stats.index_queries, 5u)
       << "scenario must actually exceed the query budget";
 }
 
@@ -256,7 +256,8 @@ TEST(AnytimeSave, UnlimitedBatchBudgetBitIdenticalToPlainSaveAll) {
     EXPECT_EQ(plain[i].adjusted, budgeted[i].adjusted) << i;
     EXPECT_EQ(plain[i].cost, budgeted[i].cost) << i;  // bit-identical
     EXPECT_EQ(plain[i].termination, budgeted[i].termination) << i;
-    EXPECT_EQ(plain[i].index_queries, budgeted[i].index_queries) << i;
+    EXPECT_EQ(plain[i].stats.index_queries, budgeted[i].stats.index_queries)
+        << i;
   }
 }
 
@@ -371,7 +372,7 @@ TEST(AnytimeSave, SaveOutliersCancellationDegradesWithStatus) {
   for (std::size_t row = 0; row < data.size(); ++row) {
     EXPECT_EQ(saved.repaired[row], data[row]);
   }
-  EXPECT_GT(saved.split_index_queries, 0u);
+  EXPECT_GT(saved.split_stats.index_queries, 0u);
 }
 
 TEST(AnytimeSave, SaveOutliersExactPathHonorsBatchCancellation) {

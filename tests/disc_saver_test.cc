@@ -203,7 +203,7 @@ TEST(DiscSaver, PruningDoesNotChangeResult) {
         EXPECT_EQ(a.cost, b.cost);
         EXPECT_TRUE(a.adjusted == b.adjusted);
         EXPECT_EQ(a.kappa_exceeded, b.kappa_exceeded);
-        EXPECT_LE(a.visited_sets, b.visited_sets);
+        EXPECT_LE(a.stats.visited_sets, b.stats.visited_sets);
       }
     }
   }
@@ -233,7 +233,7 @@ TEST(DiscSaver, VisitedSetsBoundedByPowerSet) {
   DistanceEvaluator ev(inliers.schema());
   DiscSaver saver(inliers, ev, {1.0, 4});
   SaveResult res = saver.Save(Tuple::Numeric({10, 10, 10}));
-  EXPECT_LE(res.visited_sets, 8u);  // 2^3
+  EXPECT_LE(res.stats.visited_sets, 8u);  // 2^3
 }
 
 TEST(DiscSaver, BudgetCapRespected) {
@@ -243,7 +243,7 @@ TEST(DiscSaver, BudgetCapRespected) {
   SaveOptions opts;
   opts.budget.max_visited_sets = 5;
   SaveResult res = saver.Save(Tuple::Numeric({9, 9, 9, 9, 9, 9}), opts);
-  EXPECT_LE(res.visited_sets, 6u);  // cap + the set that tripped it
+  EXPECT_LE(res.stats.visited_sets, 6u);  // cap + the set that tripped it
 }
 
 // Regression: a budget-capped search must be distinguishable from a

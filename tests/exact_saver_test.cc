@@ -109,7 +109,7 @@ TEST(ExactSaver, CompletedSearchReportsDefinitiveTermination) {
   EXPECT_TRUE(res.termination == SaveTermination::kCompleted ||
               res.termination == SaveTermination::kInfeasible);
   EXPECT_EQ(res.termination == SaveTermination::kCompleted, res.feasible);
-  EXPECT_GT(res.index_queries, 0u);
+  EXPECT_GT(res.stats.index_queries, 0u);
 }
 
 TEST(ExactSaver, CandidatesCheckedGrowsWithDomain) {

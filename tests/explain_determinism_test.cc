@@ -76,7 +76,6 @@ std::vector<ExplainSearchLog> RunExplained(const Relation& data,
   OutlierSavingOptions opts;
   opts.constraint = {1.6, 5};
   opts.save.kappa = 2;
-  opts.natural_attribute_threshold = 2;
   opts.num_threads = threads;
   opts.explain = &sink;
   SavedDataset saved = SaveOutliers(data, evaluator, opts);

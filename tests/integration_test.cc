@@ -39,7 +39,7 @@ TEST_F(EndToEndTest, DiscImprovesDbscanOverRaw) {
   // §1.2: trust repairs touching few attributes; leave natural outliers
   // (distant in every attribute) unchanged instead of forcing them into a
   // cluster — adjusting them would create wrong pairs and hurt accuracy.
-  opts.natural_attribute_threshold = 2;
+  opts.save.kappa = 2;
   SavedDataset saved = SaveOutliers(ds_.dirty, *evaluator_, opts);
   double disc_f1 = DbscanF1(saved.repaired);
 

@@ -101,13 +101,27 @@ TEST(SaveOutliers, DirtyOutliersSavedWithOneAttribute) {
 TEST(SaveOutliers, NaturalThresholdLeavesNaturalUnchanged) {
   Scenario s = MakeScenario();
   DistanceEvaluator ev(s.data.schema());
-  OutlierSavingOptions opts = DefaultOptions();
-  opts.natural_attribute_threshold = 1;  // trust only 1-attribute repairs
-  SavedDataset out = SaveOutliers(s.data, ev, opts);
-  for (const OutlierRecord& rec : out.records) {
-    if (rec.row == s.natural_row) {
-      EXPECT_EQ(rec.disposition, OutlierDisposition::kNaturalOutlier);
-      EXPECT_EQ(out.repaired[rec.row], s.data[rec.row]);
+  // κ is the one attribute budget of both paths: the DISC search optimizes
+  // within it, the exact path flags an optimum that exceeds it.
+  for (bool exact : {false, true}) {
+    SCOPED_TRACE(exact ? "exact" : "disc");
+    OutlierSavingOptions opts = DefaultOptions();
+    opts.save.kappa = 1;  // trust only 1-attribute repairs
+    opts.use_exact = exact;
+    opts.exact_max_candidates = 2000000;
+    SavedDataset out = SaveOutliers(s.data, ev, opts);
+    ASSERT_FALSE(out.records.empty());
+    for (const OutlierRecord& rec : out.records) {
+      EXPECT_LE(rec.adjusted_attributes.size(), 1u) << "row " << rec.row;
+      std::size_t differing = 0;
+      for (std::size_t a = 0; a < s.data.arity(); ++a) {
+        if (!(out.repaired[rec.row][a] == s.data[rec.row][a])) ++differing;
+      }
+      EXPECT_LE(differing, 1u) << "row " << rec.row;
+      if (rec.row == s.natural_row) {
+        EXPECT_EQ(rec.disposition, OutlierDisposition::kNaturalOutlier);
+        EXPECT_EQ(out.repaired[rec.row], s.data[rec.row]);
+      }
     }
   }
 }

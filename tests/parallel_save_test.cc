@@ -48,7 +48,6 @@ OutlierSavingOptions BaseOptions() {
   OutlierSavingOptions opts;
   opts.constraint = {1.6, 5};
   opts.save.kappa = 2;
-  opts.natural_attribute_threshold = 2;
   return opts;
 }
 
@@ -64,7 +63,7 @@ void ExpectIdenticalRecords(const SavedDataset& a, const SavedDataset& b) {
     EXPECT_EQ(ra.adjusted_attributes.bits(), rb.adjusted_attributes.bits());
     EXPECT_EQ(ra.lower_bound, rb.lower_bound);
     EXPECT_EQ(ra.termination, rb.termination) << "record " << i;
-    EXPECT_EQ(ra.index_queries, rb.index_queries) << "record " << i;
+    EXPECT_EQ(ra.stats.index_queries, rb.stats.index_queries) << "record " << i;
   }
   ASSERT_EQ(a.repaired.size(), b.repaired.size());
   for (std::size_t row = 0; row < a.repaired.size(); ++row) {

@@ -178,7 +178,8 @@ TEST(ProgressTracking, SaveOutliersBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(a.adjusted, b.adjusted) << "threads=" << threads;
       EXPECT_EQ(a.cost, b.cost) << "threads=" << threads;  // bit-identical
       EXPECT_EQ(a.adjusted_attributes.bits(), b.adjusted_attributes.bits());
-      EXPECT_EQ(a.index_queries, b.index_queries) << "threads=" << threads;
+      EXPECT_EQ(a.stats.index_queries, b.stats.index_queries)
+          << "threads=" << threads;
     }
   }
   AttachGlobalProgress(nullptr);

@@ -56,7 +56,6 @@ OutlierSavingOptions BaseOptions() {
   OutlierSavingOptions opts;
   opts.constraint = {1.6, 5};
   opts.save.kappa = 2;
-  opts.natural_attribute_threshold = 2;
   return opts;
 }
 
@@ -139,16 +138,12 @@ TEST(SearchStatsPipeline, RecordStatsIdenticalAcross148Threads) {
   }
 }
 
-TEST(SearchStatsPipeline, LegacyMirrorsEqualStatsFields) {
+TEST(SearchStatsPipeline, SplitAndSearchesAreFullyAccounted) {
   Relation data = MakeNoisyDataset(/*seed=*/97);
   SavedDataset saved = RunPipeline(data, 1);
   ASSERT_TRUE(saved.status.ok());
-  EXPECT_EQ(saved.split_index_queries,
-            static_cast<std::size_t>(saved.split_stats.index_queries));
-  EXPECT_GT(saved.split_index_queries, 0u);
+  EXPECT_GT(saved.split_stats.index_queries, 0u);
   for (const OutlierRecord& rec : saved.records) {
-    EXPECT_EQ(rec.index_queries,
-              static_cast<std::size_t>(rec.stats.index_queries));
     // Every search did real, fully-accounted work.
     EXPECT_GT(rec.stats.nodes_expanded, 0u);
     EXPECT_EQ(rec.stats.visited_sets, rec.stats.nodes_expanded);
@@ -175,7 +170,7 @@ TEST(SearchStatsPipeline, RegistryCountersMatchRecordAggregates) {
   EXPECT_EQ(registry.GetCounter("disc_save_outliers_total")->Value(),
             saved.records.size());
   EXPECT_EQ(registry.GetCounter("disc_split_index_queries_total")->Value(),
-            saved.split_index_queries);
+            saved.split_stats.index_queries);
 
   // CountTermination(t) must equal the flushed per-termination counter for
   // every termination, and the per-disposition counters must tally the

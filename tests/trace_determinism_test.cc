@@ -83,7 +83,6 @@ std::vector<TraceSpan> RunTraced(const Relation& data, std::size_t threads) {
   OutlierSavingOptions opts;
   opts.constraint = {1.6, 5};
   opts.save.kappa = 2;
-  opts.natural_attribute_threshold = 2;
   opts.num_threads = threads;
   opts.trace = &sink;
   SavedDataset saved = SaveOutliers(data, evaluator, opts);

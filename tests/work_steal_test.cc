@@ -240,7 +240,8 @@ void ExpectBitIdentical(const std::vector<SaveResult>& a,
     EXPECT_EQ(a[i].lower_bound, b[i].lower_bound) << "outlier " << i;
     EXPECT_EQ(a[i].adjusted_attributes.bits(), b[i].adjusted_attributes.bits());
     EXPECT_EQ(a[i].kappa_exceeded, b[i].kappa_exceeded) << "outlier " << i;
-    EXPECT_EQ(a[i].index_queries, b[i].index_queries) << "outlier " << i;
+    EXPECT_EQ(a[i].stats.index_queries, b[i].stats.index_queries)
+        << "outlier " << i;
     EXPECT_TRUE(a[i].stats.SameWork(b[i].stats))
         << "outlier " << i << " did schedule-dependent work";
   }
