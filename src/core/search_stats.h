@@ -55,8 +55,7 @@ struct SearchStats {
   /// Logical index queries — the unit metered by
   /// SearchBudget::max_index_queries: one per bound computation, kNN and
   /// feasibility check. Kept bit-identical to the pre-telemetry
-  /// QueryCounter tally (this is the field `split_index_queries` and
-  /// OutlierRecord::index_queries are fed from).
+  /// QueryCounter tally.
   std::uint64_t index_queries = 0;
   /// Attributes restored to their original value by the RevertRefine
   /// post-pass (each revert kept the adjustment feasible and strictly
