@@ -3,7 +3,7 @@
 //  (2) revert refinement on/off — adjustment quality (attribute Jaccard,
 //      #attrs, cost) and downstream DBSCAN F1;
 //  (3) kappa restriction versus the full O(2^m n) traversal;
-//  (4) KD-tree / grid index versus brute-force scans inside DBSCAN.
+//  (4) KD-tree index versus brute-force scans inside DBSCAN.
 
 #include "clustering/dbscan.h"
 #include "core/disc_saver.h"
@@ -145,7 +145,7 @@ int main() {
       Timer t;
       Labels labels = Dbscan(gps.dirty, gps_eval,
                              {gps.suggested.epsilon, gps.suggested.eta});
-      PrintRow({"grid/kdtree", Fmt(t.Seconds(), 4),
+      PrintRow({"kdtree", Fmt(t.Seconds(), 4),
                 Fmt(PairCounting(labels, gps.labels).f1)},
                14);
     }

@@ -1,7 +1,7 @@
 #include "clustering/dbscan.h"
 
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "index/index_factory.h"
 
@@ -16,42 +16,47 @@ Labels Dbscan(const Relation& relation, const DistanceEvaluator& evaluator,
   std::unique_ptr<NeighborIndex> index =
       MakeNeighborIndex(relation, evaluator, params.epsilon);
 
-  std::vector<bool> visited(n, false);
-  int next_cluster = 0;
-
-  for (std::size_t seed = 0; seed < n; ++seed) {
-    if (visited[seed]) continue;
-    visited[seed] = true;
-
-    std::vector<Neighbor> seed_neighbors =
-        index->RangeQuery(relation[seed], params.epsilon);
-    if (seed_neighbors.size() < params.min_pts) {
-      continue;  // not a core point; may later become a border point
+  // Each row's ε-neighbourhood is visited at most once (`queried`). A row
+  // is claimed — labelled, for good — by the first cluster with a core row
+  // within ε of it, and queued then if its own neighbourhood is still
+  // unvisited, so every row is queued at most once. A cluster therefore
+  // holds its density-connected core rows plus every row still unclaimed
+  // within ε of one of them, a set no expansion order changes; seeds run
+  // in row order, so clusters are numbered by their first core row.
+  std::vector<bool> queried(n, false);
+  std::vector<std::size_t> unclaimed;  // the last visit's unclaimed hits
+  std::vector<std::size_t> queue;
+  // Visits p's neighbourhood; true when p is a core row, with its still
+  // unclaimed neighbours in `unclaimed`.
+  auto visit_core = [&](std::size_t p) {
+    queried[p] = true;
+    unclaimed.clear();
+    std::size_t count = 0;
+    index->ForEachWithin(relation[p], params.epsilon,
+                         [&](std::size_t row, double /*distance*/) {
+                           ++count;
+                           if (labels[row] == kNoise) unclaimed.push_back(row);
+                         });
+    return count >= params.min_pts;
+  };
+  auto claim = [&](int cluster) {
+    for (std::size_t row : unclaimed) {
+      if (labels[row] != kNoise) continue;
+      labels[row] = cluster;
+      if (!queried[row]) queue.push_back(row);
     }
+  };
 
+  int next_cluster = 0;
+  for (std::size_t seed = 0; seed < n; ++seed) {
+    // A claimed row was queued when claimed, so it has been visited too.
+    if (queried[seed] || !visit_core(seed)) continue;
     const int cluster = next_cluster++;
     labels[seed] = cluster;
-
-    // Expand the cluster breadth-first through density-reachable points.
-    std::deque<std::size_t> frontier;
-    for (const Neighbor& nb : seed_neighbors) frontier.push_back(nb.row);
-
-    while (!frontier.empty()) {
-      std::size_t p = frontier.front();
-      frontier.pop_front();
-      if (labels[p] == kNoise) {
-        labels[p] = cluster;  // border or core — joins this cluster
-      }
-      if (visited[p]) continue;
-      visited[p] = true;
-      std::vector<Neighbor> nn = index->RangeQuery(relation[p], params.epsilon);
-      if (nn.size() >= params.min_pts) {
-        for (const Neighbor& nb : nn) {
-          if (!visited[nb.row] || labels[nb.row] == kNoise) {
-            frontier.push_back(nb.row);
-          }
-        }
-      }
+    queue.clear();
+    claim(cluster);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      if (visit_core(queue[head])) claim(cluster);
     }
   }
   return labels;

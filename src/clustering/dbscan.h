@@ -18,8 +18,10 @@ struct DbscanParams {
 };
 
 /// Density-based clustering (Ester et al., KDD'96). Core points expand
-/// clusters through density-reachability; border points join the first core
-/// point that reaches them; everything else is labeled kNoise.
+/// clusters through density-reachability; a border point joins the
+/// lowest-numbered cluster with a core point within ε of it; everything
+/// else is labeled kNoise. Clusters are numbered in order of their
+/// lowest-row core point, so labels do not depend on expansion order.
 ///
 /// Works on any schema supported by the evaluator (strings included).
 Labels Dbscan(const Relation& relation, const DistanceEvaluator& evaluator,

@@ -232,7 +232,7 @@ class DiscSaver {
                       WorkStealingPool* nested = nullptr,
                       SearchObserver* observer = nullptr) const;
   /// Scheduling cost estimate for one outlier: its η−1-NN distance in r.
-  /// Cheap (one grid-accelerated kNN query), correlates with how much of
+  /// Cheap (one kd-tree kNN query), correlates with how much of
   /// the space the B&B search must cover, and runs outside any BudgetGauge
   /// so per-search stats stay schedule-independent.
   double EstimateSearchCost(const Tuple& outlier) const;

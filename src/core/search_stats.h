@@ -136,11 +136,12 @@ class StatsNeighborIndex : public NeighborIndex {
   const char* Name() const override { return base_.Name(); }
   std::size_t size() const override { return base_.size(); }
 
-  std::vector<Neighbor> RangeQuery(const Tuple& query,
-                                   double epsilon) const override {
+  /// Counts one range query per visit — RangeQuery runs exactly one.
+  void ForEachWithin(const Tuple& query, double epsilon,
+                     NeighborVisitor visit) const override {
     ++stats_->index_range_queries;
     ++stats_->index_queries;
-    return base_.RangeQuery(query, epsilon);
+    base_.ForEachWithin(query, epsilon, visit);
   }
 
   std::size_t CountWithin(const Tuple& query, double epsilon,

@@ -32,9 +32,10 @@ inline std::uint64_t MaskedBits(const AttributeSet& x, std::size_t arity) {
 }
 
 /// Scalar reference scan over rows [begin, end), invoking `hit` for each
-/// accept. The norm is a template parameter and the threshold constants
-/// are hoisted outside the row loop, so each norm compiles to one tight
-/// scan over the columns. Work totals accumulate into `delta`.
+/// accept and stopping after the row whose hit returns false. The norm is
+/// a template parameter and the threshold constants are hoisted outside
+/// the row loop, so each norm compiles to one tight scan over the columns.
+/// Work totals accumulate into `delta`.
 template <LpNorm N>
 void ScalarScanRange(const ColumnarView& v, const double* q, double epsilon,
                      std::size_t begin, std::size_t end, simd::HitFn hit,
@@ -44,11 +45,13 @@ void ScalarScanRange(const ColumnarView& v, const double* q, double epsilon,
   const double raw = P::Raw(epsilon);
   const double reject = P::Reject(epsilon);
   std::uint64_t cr = 0;
-  for (std::size_t i = begin; i < end; ++i) {
+  bool go = true;
+  std::size_t i = begin;
+  for (; go && i < end; ++i) {
     double d = RowWithin<N>(v, q, i, raw, reject, unit, &cr);
-    if (d <= epsilon) hit(ctx, i, d);
+    if (d <= epsilon) go = hit(ctx, i, d);
   }
-  delta->rows_scanned += end - begin;
+  delta->rows_scanned += i - begin;
   delta->certain_rejects += cr;
 }
 
@@ -60,42 +63,16 @@ struct CollectCtx {
   std::vector<double>* distances;
 };
 
-void CollectHit(void* ctx, std::size_t row, double d) {
+bool CollectHit(void* ctx, std::size_t row, double d) {
   auto* c = static_cast<CollectCtx*>(ctx);
   c->rows->push_back(row);
   c->distances->push_back(d);
+  return true;
 }
 
-void CountHit(void* ctx, std::size_t /*row*/, double /*d*/) {
+bool CountHit(void* ctx, std::size_t /*row*/, double /*d*/) {
   ++*static_cast<std::size_t*>(ctx);
-}
-
-/// One range scan: the view's SIMD tier if it has a kernel, the scalar
-/// reference otherwise. Either way verdicts, distances and output order
-/// are identical (DESIGN.md §12).
-inline void ScanRange(const ColumnarView& v, const double* q, double epsilon,
-                      std::size_t begin, std::size_t end, simd::HitFn hit,
-                      void* ctx, simd::ScanDelta* delta) {
-  if (simd::ScanWithin(v.simd_tier(), v, q, epsilon, begin, end, hit, ctx,
-                       delta)) {
-    return;
-  }
-  WithNorm(v.norm(), [&](auto norm) {
-    ScalarScanRange<decltype(norm)::value>(v, q, epsilon, begin, end, hit, ctx,
-                                           delta);
-  });
-}
-
-/// Flushes a batch's work totals to the view's counters (no-op when
-/// metrics are disabled). Called once per batch call or per parallel
-/// chunk — Counter::Add is wait-free and sharded, so chunk-level flushes
-/// from pool workers don't contend.
-inline void FlushScan(const ColumnarView& v, const simd::ScanDelta& delta) {
-  const ColumnarView::ScanCounters& c = v.scan_counters();
-  if (c.rows_scanned != nullptr) c.rows_scanned->Add(delta.rows_scanned);
-  if (c.certain_rejects != nullptr) {
-    c.certain_rejects->Add(delta.certain_rejects);
-  }
+  return true;
 }
 
 /// Rows per nested chunk for the parallel batch scans. A 6-attribute L2
@@ -128,15 +105,29 @@ bool ColumnarView::Eligible(const Relation& relation,
 std::unique_ptr<ColumnarView> ColumnarView::Build(
     const Relation& relation, const DistanceEvaluator& evaluator) {
   if (!Eligible(relation, evaluator)) return nullptr;
+  std::vector<double> scales;
+  evaluator.AllScaledAbsoluteDifference(&scales);
+  return Assemble(relation, evaluator.norm(), std::move(scales), {});
+}
+
+std::unique_ptr<ColumnarView> ColumnarView::BuildOrdered(
+    const Relation& relation, LpNorm norm, std::span<const std::size_t> order) {
+  return Assemble(relation, norm, std::vector<double>(relation.arity(), 1.0),
+                  order);
+}
+
+std::unique_ptr<ColumnarView> ColumnarView::Assemble(
+    const Relation& relation, LpNorm norm, std::vector<double> scales,
+    std::span<const std::size_t> order) {
   auto view = std::unique_ptr<ColumnarView>(new ColumnarView());
   const std::size_t n = relation.size();
   const std::size_t m = relation.arity();
   view->rows_ = n;
   view->padded_rows_ = (n + kLanePad - 1) / kLanePad * kLanePad;
   view->arity_ = m;
-  view->norm_ = evaluator.norm();
+  view->norm_ = norm;
   view->simd_tier_ = ActiveSimdTier();
-  evaluator.AllScaledAbsoluteDifference(&view->scales_);
+  view->scales_ = std::move(scales);
   view->unit_scales_ = std::all_of(view->scales_.begin(), view->scales_.end(),
                                    [](double s) { return s == 1.0; });
   if (MetricsRegistry* registry = GlobalMetrics()) {
@@ -155,7 +146,7 @@ std::unique_ptr<ColumnarView> ColumnarView::Build(
   const std::size_t stride = view->padded_rows_;
   view->data_.assign(stride * m, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    const Tuple& t = relation[i];
+    const Tuple& t = relation[order.empty() ? i : order[i]];
     for (std::size_t a = 0; a < m; ++a) {
       view->data_[a * stride + i] = t[a].num();
     }
@@ -205,6 +196,15 @@ void ColumnarView::set_simd_tier(SimdTier tier) {
   simd_tier_ = std::min(tier, DetectedSimdTier());
 }
 
+void ColumnarView::FlushScan(const simd::ScanDelta& delta) const {
+  if (counters_.rows_scanned != nullptr) {
+    counters_.rows_scanned->Add(delta.rows_scanned);
+  }
+  if (counters_.certain_rejects != nullptr) {
+    counters_.certain_rejects->Add(delta.certain_rejects);
+  }
+}
+
 std::vector<double> ColumnarView::QueryCoords(const Tuple& query) const {
   std::vector<double> q(arity_);
   for (std::size_t a = 0; a < arity_; ++a) q[a] = query[a].num();
@@ -248,21 +248,36 @@ double FlatKernel::DistanceWithin(std::size_t row, double threshold) const {
   });
 }
 
+void FlatKernel::VisitWithin(double epsilon, std::size_t begin,
+                             std::size_t end, simd::HitFn hit, void* ctx,
+                             simd::ScanDelta* delta) const {
+  // The view's SIMD tier if it has a kernel, the scalar reference
+  // otherwise; either way verdicts, distances and order are identical
+  // (DESIGN.md §12).
+  const ColumnarView& v = *view_;
+  if (simd::ScanWithin(v.simd_tier(), v, q_.data(), epsilon, begin, end, hit,
+                       ctx, delta)) {
+    return;
+  }
+  WithNorm(v.norm(), [&](auto norm) {
+    ScalarScanRange<decltype(norm)::value>(v, q_.data(), epsilon, begin, end,
+                                           hit, ctx, delta);
+  });
+}
+
 void FlatKernel::CollectWithin(double epsilon, std::vector<std::size_t>* rows,
                                std::vector<double>* distances) const {
   CollectCtx ctx{rows, distances};
   simd::ScanDelta delta;
-  ScanRange(*view_, q_.data(), epsilon, 0, view_->rows(), &CollectHit, &ctx,
-            &delta);
-  FlushScan(*view_, delta);
+  VisitWithin(epsilon, 0, view_->rows(), &CollectHit, &ctx, &delta);
+  view_->FlushScan(delta);
 }
 
 std::size_t FlatKernel::CountWithin(double epsilon) const {
   std::size_t count = 0;
   simd::ScanDelta delta;
-  ScanRange(*view_, q_.data(), epsilon, 0, view_->rows(), &CountHit, &count,
-            &delta);
-  FlushScan(*view_, delta);
+  VisitWithin(epsilon, 0, view_->rows(), &CountHit, &count, &delta);
+  view_->FlushScan(delta);
   return count;
 }
 
@@ -283,9 +298,8 @@ void FlatKernel::CollectWithin(double epsilon, std::vector<std::size_t>* rows,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         CollectCtx ctx{&chunk_rows[chunk], &chunk_dists[chunk]};
         simd::ScanDelta delta;
-        ScanRange(*view_, q_.data(), epsilon, begin, end, &CollectHit, &ctx,
-                  &delta);
-        FlushScan(*view_, delta);
+        VisitWithin(epsilon, begin, end, &CollectHit, &ctx, &delta);
+        view_->FlushScan(delta);
       });
   // Chunks cover [0, n) in order, so concatenation preserves the ascending
   // row order of the sequential scan exactly.
@@ -308,9 +322,8 @@ std::size_t FlatKernel::CountWithin(double epsilon,
       [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         std::size_t count = 0;
         simd::ScanDelta delta;
-        ScanRange(*view_, q_.data(), epsilon, begin, end, &CountHit, &count,
-                  &delta);
-        FlushScan(*view_, delta);
+        VisitWithin(epsilon, begin, end, &CountHit, &count, &delta);
+        view_->FlushScan(delta);
         chunk_counts[chunk] = count;
       });
   std::size_t total = 0;
@@ -369,7 +382,7 @@ void FlatKernel::FillDistances(double* out, std::size_t begin,
   }
   simd::ScanDelta delta;
   delta.rows_scanned = end - begin;
-  FlushScan(v, delta);
+  v.FlushScan(delta);
 }
 
 void FlatKernel::FillAttributeDistances(std::size_t a, double* out) const {

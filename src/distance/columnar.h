@@ -10,6 +10,7 @@
 #include "common/cpu_features.h"
 #include "common/relation.h"
 #include "common/tuple.h"
+#include "distance/columnar_simd.h"
 #include "distance/evaluator.h"
 #include "distance/lp_norm.h"
 
@@ -75,6 +76,15 @@ class ColumnarView {
   static std::unique_ptr<ColumnarView> Build(
       const Relation& relation, const DistanceEvaluator& evaluator);
 
+  /// Builds a unit-scale view under `norm` whose row i holds
+  /// relation[order[i]] — the kd-tree's leaf storage, read straight from
+  /// the relation. `relation` must be all-numeric with arity in
+  /// [1, AttributeSet::kCapacity]; `order` must be a permutation of its
+  /// rows.
+  static std::unique_ptr<ColumnarView> BuildOrdered(
+      const Relation& relation, LpNorm norm,
+      std::span<const std::size_t> order);
+
   /// Number of rows n.
   std::size_t rows() const { return rows_; }
   /// Column stride: n rounded up to kLanePad. Rows [n, padded_rows()) of
@@ -121,12 +131,22 @@ class ColumnarView {
   /// disabled).
   const ScanCounters& scan_counters() const { return counters_; }
 
+  /// Adds a batch's work totals to the counters (no-op when metrics are
+  /// disabled). Call once per query or pooled chunk, never per row.
+  void FlushScan(const simd::ScanDelta& delta) const;
+
   /// Extracts a query tuple's coordinates (must be all-numeric and of
   /// matching arity — guaranteed for tuples over an eligible schema).
   std::vector<double> QueryCoords(const Tuple& query) const;
 
  private:
   ColumnarView() = default;
+
+  /// Shared body of Build and BuildOrdered: row i reads
+  /// relation[order[i]], or relation[i] when `order` is empty.
+  static std::unique_ptr<ColumnarView> Assemble(
+      const Relation& relation, LpNorm norm, std::vector<double> scales,
+      std::span<const std::size_t> order);
 
   std::size_t rows_ = 0;
   std::size_t padded_rows_ = 0;
@@ -174,13 +194,23 @@ class FlatKernel {
   double DistanceOnWithin(const AttributeSet& x, std::size_t row,
                           double threshold) const;
 
+  /// Batch ε-visit over rows [begin, end): reports every row with
+  /// Δ(q, t_row) ≤ epsilon to `hit`, in ascending row order, with its
+  /// distance. Verdicts and distances are bit-identical to calling
+  /// DistanceWithin(row, epsilon) per row; the batch form keeps the row
+  /// loop inside the kernel so the threshold constants and norm dispatch
+  /// are hoisted out of the per-row path — and is where the SIMD tier
+  /// engages. A `hit` that returns false stops the visit at the end of the
+  /// current lane block (simd::HitFn). The one scan body behind
+  /// CollectWithin, CountWithin and the kd-tree's leaf scans. Rows scanned
+  /// accumulate into `delta`; the caller flushes it (ColumnarView::
+  /// FlushScan) once per query.
+  void VisitWithin(double epsilon, std::size_t begin, std::size_t end,
+                   simd::HitFn hit, void* ctx, simd::ScanDelta* delta) const;
+
   /// Batch range scan over all n rows: appends every row with
   /// Δ(q, t_row) ≤ epsilon to `rows` and its distance to `distances`
-  /// (parallel arrays, ascending row order). Verdicts and distances are
-  /// bit-identical to calling DistanceWithin(row, epsilon) per row; the
-  /// batch form keeps the O(n) loop inside the kernel so the threshold
-  /// constants and norm dispatch are hoisted out of the per-row path — and
-  /// is where the SIMD tier engages.
+  /// (parallel arrays, ascending row order) — VisitWithin over [0, n).
   void CollectWithin(double epsilon, std::vector<std::size_t>* rows,
                      std::vector<double>* distances) const;
 

@@ -1,5 +1,6 @@
 #include "distance/columnar_simd.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -139,27 +140,30 @@ inline __m128d Total128(__m128d acc) {
 // order-independent) and recomputed by the canonical scalar recurrence for
 // the sums, so reported rows and distances are bit-identical to the scalar
 // path (pad lanes beyond n hold zeros: always load-safe, masked out of
-// verdicts and counts). SSE2 is the x86-64 baseline, so its body needs no
-// target attribute and adds with a separate multiply (also safe under the
-// slack argument).
+// verdicts and counts). A hit sink that returns false stops the scan after
+// the block that reported it; the body returns how many rows it scanned.
+// SSE2 is the x86-64 baseline, so its body needs no target attribute and
+// adds with a separate multiply (also safe under the slack argument).
 
 template <LpNorm N>
-DISC_AVX2 void ScanAvx2(const ColumnarView& v, const double* q, double epsilon,
-                        std::size_t begin, std::size_t end, HitFn hit,
-                        void* ctx, std::uint64_t* cr) {
+DISC_AVX2 std::size_t ScanAvx2(const ColumnarView& v, const double* q,
+                               double epsilon, std::size_t begin,
+                               std::size_t end, HitFn hit, void* ctx,
+                               std::uint64_t* cr) {
   using P = ci::NormPolicy<N>;
   const bool unit = v.unit_scales();
   const double raw = P::Raw(epsilon);
   const double reject = P::Reject(epsilon);
+  bool go = true;
   std::size_t i = begin;
-  for (; i < end && (i & 3) != 0; ++i) {
+  for (; go && i < end && (i & 3) != 0; ++i) {
     double d = ci::RowWithin<N>(v, q, i, raw, reject, unit, cr);
-    if (d <= epsilon) hit(ctx, i, d);
+    if (d <= epsilon) go = hit(ctx, i, d);
   }
   const std::span<const std::size_t> order = v.scan_order();
   const std::size_t m = v.arity();
   const __m256d vreject = _mm256_set1_pd(reject);
-  for (; i < end; i += 4) {
+  for (; go && i < end; i += 4) {
     const unsigned valid = ValidMask(i, end, 4);
     __m256d acc = _mm256_setzero_pd();
     __m256d rejected = _mm256_setzero_pd();
@@ -187,28 +191,30 @@ DISC_AVX2 void ScanAvx2(const ColumnarView& v, const double* q, double epsilon,
       const double d = P::kExactReject
                            ? lanes[l]
                            : ci::CanonicalWithin<N>(v, q, i + l, raw, unit);
-      if (d <= epsilon) hit(ctx, i + l, d);
+      if (d <= epsilon) go = hit(ctx, i + l, d) && go;
     }
   }
+  return std::min(i, end) - begin;
 }
 
 template <LpNorm N>
-void ScanSse2(const ColumnarView& v, const double* q, double epsilon,
-              std::size_t begin, std::size_t end, HitFn hit, void* ctx,
-              std::uint64_t* cr) {
+std::size_t ScanSse2(const ColumnarView& v, const double* q, double epsilon,
+                     std::size_t begin, std::size_t end, HitFn hit, void* ctx,
+                     std::uint64_t* cr) {
   using P = ci::NormPolicy<N>;
   const bool unit = v.unit_scales();
   const double raw = P::Raw(epsilon);
   const double reject = P::Reject(epsilon);
+  bool go = true;
   std::size_t i = begin;
-  for (; i < end && (i & 1) != 0; ++i) {
+  for (; go && i < end && (i & 1) != 0; ++i) {
     double d = ci::RowWithin<N>(v, q, i, raw, reject, unit, cr);
-    if (d <= epsilon) hit(ctx, i, d);
+    if (d <= epsilon) go = hit(ctx, i, d);
   }
   const std::span<const std::size_t> order = v.scan_order();
   const std::size_t m = v.arity();
   const __m128d vreject = _mm_set1_pd(reject);
-  for (; i < end; i += 2) {
+  for (; go && i < end; i += 2) {
     const unsigned valid = ValidMask(i, end, 2);
     __m128d acc = _mm_setzero_pd();
     __m128d rejected = _mm_setzero_pd();
@@ -234,9 +240,10 @@ void ScanSse2(const ColumnarView& v, const double* q, double epsilon,
       const double d = P::kExactReject
                            ? lanes[l]
                            : ci::CanonicalWithin<N>(v, q, i + l, raw, unit);
-      if (d <= epsilon) hit(ctx, i + l, d);
+      if (d <= epsilon) go = hit(ctx, i + l, d) && go;
     }
   }
+  return std::min(i, end) - begin;
 }
 
 // ---------------------------------------------- full-distance batch fills
@@ -337,15 +344,14 @@ void FillAttrSse2(const double* col, double q, double scale, std::size_t n,
 
 // ------------------------------------------------ single-row pre-passes
 //
-// One row, many attributes: lanes span attributes — via i64 gathers over
-// the precomputed column offsets (a · padded_rows) for a column view, via
-// plain loads for a row-major point. Full 4-attribute blocks run
-// vectorized and the final < 4 attributes scalar; the sums' pre-pass is
-// order-free under the slack argument, so mixing is fine, and they keep
-// the tail apart and compare lane sum + tail at the end. L∞ rejects on any
-// term past the threshold and otherwise returns its exact value (the lane
-// max folded with the tail terms) — the only case where a pre-pass is the
-// source of an accepted value.
+// One row, many attributes: lanes span attributes, via i64 gathers over
+// the precomputed column offsets (a · padded_rows). Full 4-attribute
+// blocks run vectorized and the final < 4 attributes scalar; the sums'
+// pre-pass is order-free under the slack argument, so mixing is fine, and
+// they keep the tail apart and compare lane sum + tail at the end. L∞
+// rejects on any term past the threshold and otherwise returns its exact
+// value (the lane max folded with the tail terms) — the only case where a
+// pre-pass is the source of an accepted value.
 
 template <LpNorm N>
 DISC_AVX2 Verdict GatherPrepassAvx2(const ColumnarView& v, const double* q,
@@ -397,40 +403,6 @@ DISC_AVX2 Verdict GatherPrepassAvx2(const ColumnarView& v, const double* q,
   }
 }
 
-template <LpNorm N>
-DISC_AVX2 Verdict PointPrepassAvx2(const double* q, const double* p,
-                                   std::size_t m, double threshold,
-                                   double* exact_out) {
-  using P = ci::NormPolicy<N>;
-  const double reject = P::Reject(threshold);
-  const __m256d vreject = _mm256_set1_pd(reject);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 4 <= m; k += 4) {
-    __m256d d =
-        Abs256(_mm256_sub_pd(_mm256_loadu_pd(q + k), _mm256_loadu_pd(p + k)));
-    if constexpr (P::kExactReject) {
-      if (_mm256_movemask_pd(_mm256_cmp_pd(d, vreject, _CMP_GT_OQ)) != 0) {
-        return Verdict::kCertainReject;
-      }
-    }
-    acc = Add256<N, /*kFused=*/true>(acc, d);
-  }
-  double tail = P::kExactReject ? HMax256(acc) : 0;
-  for (; k < m; ++k) {
-    const double d = std::fabs(q[k] - p[k]);
-    if (P::kExactReject && d > reject) return Verdict::kCertainReject;
-    tail = P::Add(tail, d);
-  }
-  if constexpr (P::kExactReject) {
-    *exact_out = tail;
-    return Verdict::kExact;
-  } else {
-    return HSum256(acc) + tail > reject ? Verdict::kCertainReject
-                                        : Verdict::kMaybeWithin;
-  }
-}
-
 #undef DISC_AVX2
 
 /// The gather pre-pass at the view's norm, over `count` attributes.
@@ -456,15 +428,13 @@ bool ScanWithin(SimdTier tier, const ColumnarView& v, const double* q,
 #ifdef DISC_SIMD_X86
   if (tier == SimdTier::kScalar) return false;
   std::uint64_t cr = 0;
-  ci::WithNorm(v.norm(), [&](auto norm) {
+  const std::size_t scanned = ci::WithNorm(v.norm(), [&](auto norm) {
     constexpr LpNorm N = decltype(norm)::value;
-    if (tier == SimdTier::kAvx2) {
-      ScanAvx2<N>(v, q, epsilon, begin, end, hit, ctx, &cr);
-    } else {
-      ScanSse2<N>(v, q, epsilon, begin, end, hit, ctx, &cr);
-    }
+    return tier == SimdTier::kAvx2
+               ? ScanAvx2<N>(v, q, epsilon, begin, end, hit, ctx, &cr)
+               : ScanSse2<N>(v, q, epsilon, begin, end, hit, ctx, &cr);
   });
-  delta->rows_scanned += end - begin;
+  delta->rows_scanned += scanned;
   delta->certain_rejects += cr;
   return true;
 #else
@@ -571,28 +541,6 @@ Verdict DistanceOnWithinPrepass(SimdTier tier, const ColumnarView& v,
   (void)q;
   (void)bits;
   (void)row;
-  (void)threshold;
-  (void)exact_out;
-  return Verdict::kUnsupported;
-#endif
-}
-
-Verdict PointWithinPrepass(SimdTier tier, const double* q, const double* p,
-                           std::size_t m, LpNorm norm, double threshold,
-                           double* exact_out) {
-#ifdef DISC_SIMD_X86
-  if (tier != SimdTier::kAvx2 || m < kPointMinArity) {
-    return Verdict::kUnsupported;
-  }
-  return ci::WithNorm(norm, [&](auto n) {
-    return PointPrepassAvx2<decltype(n)::value>(q, p, m, threshold, exact_out);
-  });
-#else
-  (void)tier;
-  (void)q;
-  (void)p;
-  (void)m;
-  (void)norm;
   (void)threshold;
   (void)exact_out;
   return Verdict::kUnsupported;

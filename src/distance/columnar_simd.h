@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "common/cpu_features.h"
-#include "distance/lp_norm.h"
 
 namespace disc {
 
@@ -38,14 +37,16 @@ struct ScanDelta {
 };
 
 /// Hit sink for the batch ε-scans: invoked once per accepted row, in
-/// ascending row order, with the exact canonical distance.
-using HitFn = void (*)(void* ctx, std::size_t row, double distance);
+/// ascending row order, with the exact canonical distance. Returning false
+/// asks the scan to stop at the end of the current lane block (one row on
+/// the scalar tier); hits already made in that block are still reported.
+using HitFn = bool (*)(void* ctx, std::size_t row, double distance);
 
 /// Batch ε-scan over rows [begin, end): the SIMD equivalent of the scalar
-/// ScanWithinRange. Returns false when `tier` has no compiled kernel (the
+/// reference scan. Returns false when `tier` has no compiled kernel (the
 /// caller runs the scalar reference); on true, every row with
-/// Δ(q, t_row) ≤ epsilon was reported through `hit` with its canonical
-/// distance, and `delta` accumulated the scan totals.
+/// Δ(q, t_row) ≤ epsilon up to the stop point was reported through `hit`
+/// with its canonical distance, and `delta` accumulated the rows scanned.
 bool ScanWithin(SimdTier tier, const ColumnarView& v, const double* q,
                 double epsilon, std::size_t begin, std::size_t end, HitFn hit,
                 void* ctx, ScanDelta* delta);
@@ -86,18 +87,9 @@ Verdict DistanceOnWithinPrepass(SimdTier tier, const ColumnarView& v,
                                 std::size_t row, double threshold,
                                 double* exact_out);
 
-/// Row-major point pre-pass for the kd-tree / grid leaf scans: q and p are
-/// contiguous m-vectors, unit scales (those indexes reject non-unit metrics
-/// at the factory). Engages at m ≥ kPointMinArity.
-Verdict PointWithinPrepass(SimdTier tier, const double* q, const double* p,
-                           std::size_t m, LpNorm norm, double threshold,
-                           double* exact_out);
-
-/// Engagement floors for the strided/single-row kernels. Below these the
-/// scalar early-exit loops beat gather latency / tail masking; tests pin
-/// parity on both sides of each floor.
+/// Engagement floor for the single-row gather kernels. Below it the scalar
+/// early-exit loop beats gather latency; tests pin parity on both sides.
 inline constexpr std::size_t kGatherMinArity = 16;
-inline constexpr std::size_t kPointMinArity = 8;
 
 }  // namespace simd
 }  // namespace disc

@@ -75,7 +75,7 @@ class DistanceEvaluator {
   bool AllScaledAbsoluteDifference(std::vector<double>* scales = nullptr) const;
 
   /// True iff every attribute metric is the unit-scale absolute difference
-  /// (what KdTree / GridIndex hard-code).
+  /// (what KdTree hard-codes).
   bool AllUnitAbsoluteDifference() const;
 
   /// Replaces the metric for attribute `a`.

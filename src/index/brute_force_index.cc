@@ -1,45 +1,34 @@
 #include "index/brute_force_index.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-
 namespace disc {
 
 namespace {
 
-/// (distance, then row) — the reported neighbor order, and the "is a better
-/// neighbor" relation for the bounded kNN heap.
-inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
-  return a.distance < b.distance ||
-         (a.distance == b.distance && a.row < b.row);
+/// Kernel hit sink forwarding to a NeighborVisitor (the ctx).
+bool VisitHit(void* ctx, std::size_t row, double distance) {
+  (*static_cast<const NeighborVisitor*>(ctx))(row, distance);
+  return true;
 }
 
 }  // namespace
 
-std::vector<Neighbor> BruteForceIndex::RangeQuery(const Tuple& query,
-                                                  double epsilon) const {
+void BruteForceIndex::ForEachWithin(const Tuple& query, double epsilon,
+                                    NeighborVisitor visit) const {
   if (metrics_.range_queries != nullptr) metrics_.range_queries->Add();
-  std::vector<Neighbor> out;
   if (columnar_ != nullptr) {
     // Batch scan: the row loop lives inside the kernel (one tight loop per
     // norm), with per-row verdicts identical to the scalar path below.
     FlatKernel kernel(*columnar_, query);
-    std::vector<std::size_t> rows;
-    std::vector<double> distances;
-    kernel.CollectWithin(epsilon, &rows, &distances);
-    out.reserve(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      out.push_back({rows[i], distances[i]});
-    }
-  } else {
-    for (std::size_t row = 0; row < relation_.size(); ++row) {
-      double d = evaluator_.DistanceWithin(query, relation_[row], epsilon);
-      if (d <= epsilon) out.push_back({row, d});
-    }
+    simd::ScanDelta delta;
+    kernel.VisitWithin(epsilon, 0, columnar_->rows(), &VisitHit, &visit,
+                       &delta);
+    columnar_->FlushScan(delta);
+    return;
   }
-  std::sort(out.begin(), out.end(), NeighborLess);
-  return out;
+  for (std::size_t row = 0; row < relation_.size(); ++row) {
+    double d = evaluator_.DistanceWithin(query, relation_[row], epsilon);
+    if (d <= epsilon) visit(row, d);
+  }
 }
 
 std::size_t BruteForceIndex::CountWithin(const Tuple& query, double epsilon,
@@ -71,43 +60,27 @@ std::size_t BruteForceIndex::CountWithin(const Tuple& query, double epsilon,
 
 std::vector<Neighbor> BruteForceIndex::KNearest(const Tuple& query,
                                                 std::size_t k) const {
-  // Bounded max-heap of the k best neighbors seen so far (front = worst of
-  // them under the (distance, row) order). O(n log k), no n-sized
-  // materialization. Once the heap is full, its worst distance becomes the
-  // early-exit threshold: a candidate strictly beyond it cannot enter (even
-  // the row tie-break needs distance equality, and DistanceWithin's exceed
-  // test is strict), so the selected set matches a full sort exactly.
+  // Bounded heap of the k best neighbors seen so far: O(n log k), no
+  // n-sized materialization. Once the heap is full, its worst distance
+  // becomes the early-exit threshold: a candidate strictly beyond it cannot
+  // enter (even the row tie-break needs distance equality, and
+  // DistanceWithin's exceed test is strict), so the selected set matches a
+  // full sort exactly.
   if (metrics_.knn_queries != nullptr) metrics_.knn_queries->Add();
-  std::vector<Neighbor> heap;
-  if (k == 0) return heap;
-  heap.reserve(std::min(k, relation_.size()));
-  const double inf = std::numeric_limits<double>::infinity();
-  auto offer = [&](std::size_t row, auto&& distance_within) {
-    double worst = heap.size() < k ? inf : heap.front().distance;
-    Neighbor cand{row, distance_within(worst)};
-    if (heap.size() < k) {
-      heap.push_back(cand);
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    } else if (NeighborLess(cand, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), NeighborLess);
-      heap.back() = cand;
-      std::push_heap(heap.begin(), heap.end(), NeighborLess);
-    }
-  };
+  if (k == 0) return {};
+  NearestHeap heap(k, relation_.size());
   if (columnar_ != nullptr) {
     FlatKernel kernel(*columnar_, query);
     for (std::size_t row = 0; row < relation_.size(); ++row) {
-      offer(row, [&](double worst) { return kernel.DistanceWithin(row, worst); });
+      heap.Offer(row, kernel.DistanceWithin(row, heap.worst()));
     }
   } else {
     for (std::size_t row = 0; row < relation_.size(); ++row) {
-      offer(row, [&](double worst) {
-        return evaluator_.DistanceWithin(query, relation_[row], worst);
-      });
+      heap.Offer(row, evaluator_.DistanceWithin(query, relation_[row],
+                                                heap.worst()));
     }
   }
-  std::sort(heap.begin(), heap.end(), NeighborLess);
-  return heap;
+  return heap.TakeSorted();
 }
 
 }  // namespace disc

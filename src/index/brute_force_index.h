@@ -14,7 +14,7 @@ namespace disc {
 
 /// Linear-scan neighbor index. Works for any schema (numeric or string
 /// attributes) and any metric; O(n·m) per query. The reference
-/// implementation the tree/grid indexes are validated against.
+/// implementation the kd-tree is validated against.
 ///
 /// When the relation is all-numeric and every metric is a scaled absolute
 /// difference (ColumnarView::Eligible), queries run on the columnar flat
@@ -35,8 +35,8 @@ class BruteForceIndex : public NeighborIndex {
 
   const char* Name() const override { return "brute_force"; }
   std::size_t size() const override { return relation_.size(); }
-  std::vector<Neighbor> RangeQuery(const Tuple& query,
-                                   double epsilon) const override;
+  void ForEachWithin(const Tuple& query, double epsilon,
+                     NeighborVisitor visit) const override;
   std::size_t CountWithin(const Tuple& query, double epsilon,
                           std::size_t cap = 0) const override;
   std::vector<Neighbor> KNearest(const Tuple& query,

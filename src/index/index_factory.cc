@@ -2,7 +2,6 @@
 
 #include "common/log.h"
 #include "index/brute_force_index.h"
-#include "index/grid_index.h"
 #include "index/kd_tree.h"
 
 namespace disc {
@@ -23,20 +22,15 @@ std::unique_ptr<NeighborIndex> LogChoice(std::unique_ptr<NeighborIndex> index,
 
 std::unique_ptr<NeighborIndex> MakeNeighborIndex(
     const Relation& relation, const DistanceEvaluator& evaluator,
-    double epsilon_hint, bool force_brute_force) {
-  // KdTree / GridIndex hard-code the unit-scale absolute-difference metric;
-  // any other evaluator configuration (custom metrics, non-unit scales)
-  // must go through BruteForceIndex — which engages its own columnar fast
-  // path whenever the relation is all-numeric with scaled-abs-diff metrics.
+    double /*epsilon_hint*/, bool force_brute_force) {
+  // KdTree hard-codes the unit-scale absolute-difference metric; any other
+  // evaluator configuration (custom metrics, non-unit scales) must go
+  // through BruteForceIndex — which engages its own columnar fast path
+  // whenever the relation is all-numeric with scaled-abs-diff metrics.
   if (force_brute_force || !relation.schema().all_numeric() ||
       relation.arity() == 0 || relation.arity() > 63 ||
       !evaluator.AllUnitAbsoluteDifference()) {
     return LogChoice(std::make_unique<BruteForceIndex>(relation, evaluator),
-                     relation);
-  }
-  if (epsilon_hint > 0 && relation.arity() <= GridIndex::kMaxGridDims) {
-    return LogChoice(std::make_unique<GridIndex>(relation, epsilon_hint,
-                                                 evaluator.norm()),
                      relation);
   }
   return LogChoice(std::make_unique<KdTree>(relation, evaluator.norm()),

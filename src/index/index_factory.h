@@ -9,17 +9,17 @@
 
 namespace disc {
 
-/// Picks the best index for a relation:
-///  - GridIndex for all-numeric relations with <= GridIndex::kMaxGridDims
-///    attributes when a positive `epsilon_hint` is supplied,
-///  - KdTree for other all-numeric relations,
-///  - BruteForceIndex otherwise (string attributes or custom metrics).
+/// Picks the index for a relation:
+///  - KdTree for all-numeric relations of arity 1–63 whose evaluator uses
+///    the unit-scale absolute-difference metric on every attribute,
+///  - BruteForceIndex otherwise (string attributes, custom metrics or
+///    non-unit scales — detected by metric introspection — whose columnar
+///    fast path still handles scaled numeric metrics exactly).
 ///
-/// The KdTree/GridIndex fast paths assume the evaluator uses the default
-/// unit-scale absolute-difference metric per attribute; when that does not
-/// hold the factory detects it (metric introspection) and falls back to
-/// BruteForceIndex automatically. `force_brute_force` still forces the
-/// fallback explicitly (e.g. for reference comparisons in tests).
+/// `epsilon_hint` no longer selects an index: the kd-tree serves every ε.
+/// It is kept so the many callers that pass their query ε (the benchmark
+/// among them) compile unchanged. `force_brute_force` forces the fallback
+/// explicitly (e.g. for reference comparisons in tests).
 std::unique_ptr<NeighborIndex> MakeNeighborIndex(
     const Relation& relation, const DistanceEvaluator& evaluator,
     double epsilon_hint = 0, bool force_brute_force = false);

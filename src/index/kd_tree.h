@@ -2,88 +2,95 @@
 #define DISC_INDEX_KD_TREE_H_
 
 #include <cstddef>
+#include <memory>
+#include <optional>
 #include <vector>
 
-#include "common/cpu_features.h"
 #include "common/metrics.h"
 #include "common/relation.h"
+#include "distance/columnar.h"
 #include "distance/lp_norm.h"
 #include "index/neighbor_index.h"
 
 namespace disc {
 
-/// KD-tree over an all-numeric relation with the default absolute-difference
-/// attribute metric. Supports L1/L2/L∞ aggregation. Query cost is
-/// O(log n + answer) in low dimensions and degrades gracefully toward a
-/// linear scan as m grows (the usual KD-tree behaviour).
+/// KD-tree over an all-numeric relation with the unit absolute-difference
+/// attribute metric, under L1, L2 or L∞ — the index MakeNeighborIndex
+/// returns for every such relation.
 ///
-/// Coordinates live in one flat row-major array (leaf scans stream through
-/// contiguous memory), and leaf distance checks use the same
-/// threshold-early-exit accumulator semantics as the scalar evaluator
-/// (for L2: running d² against ε², one sqrt only on accept) so verdicts
-/// match BruteForceIndex exactly.
+/// The rows are stored in tree order in a lane-padded ColumnarView read
+/// straight from the relation, so every leaf is a contiguous, lane-aligned
+/// run of at most kLeafSize rows that the FlatKernel batch visit scans on
+/// the SIMD tier (DESIGN.md §12) — the same kernels BruteForceIndex runs.
+/// Each node keeps the bounding box of its rows. A subtree is pruned when
+/// the box's distance to the query (per-attribute gaps aggregated by the
+/// LpAccumulator recurrence, in canonical attribute order) already exceeds
+/// the threshold. That distance is a lower bound for every row in the box,
+/// because a NaN cell unbounds its box on that attribute (L∞ drops NaN
+/// terms, so such a row may lie anywhere along it); pruning therefore never
+/// changes a verdict, and every reported row and distance is bit-identical
+/// to BruteForceIndex.
 ///
-/// Used automatically by MakeNeighborIndex for numeric relations; falls back
-/// to BruteForceIndex otherwise.
+/// Thread-safety: immutable after construction; every query keeps its
+/// state (FlatKernel, scan counters, heap) per call (DESIGN.md §5).
 class KdTree : public NeighborIndex {
  public:
-  /// Builds a balanced tree (median splits) over `relation`.
+  /// Builds the tree over `relation` (median splits on the widest attribute
+  /// at lane-aligned positions). The tree keeps its own copy of the rows.
   explicit KdTree(const Relation& relation, LpNorm norm = LpNorm::kL2);
 
   const char* Name() const override { return "kd_tree"; }
-  std::size_t size() const override { return size_; }
-  std::vector<Neighbor> RangeQuery(const Tuple& query,
-                                   double epsilon) const override;
+  std::size_t size() const override { return order_.size(); }
+  void ForEachWithin(const Tuple& query, double epsilon,
+                     NeighborVisitor visit) const override;
+  /// Capped counts descend into the nearer child first and stop at the end
+  /// of the lane block that reached the cap.
   std::size_t CountWithin(const Tuple& query, double epsilon,
                           std::size_t cap = 0) const override;
+  /// Visits children in order of box distance, pruning boxes beyond the
+  /// current k-th best distance.
   std::vector<Neighbor> KNearest(const Tuple& query,
                                  std::size_t k) const override;
 
  private:
+  /// The tree-order rows [begin, end) of view_. A leaf has right = -1; an
+  /// internal node's left child is the next node (preorder).
   struct Node {
-    int left = -1;
-    int right = -1;
-    std::size_t begin = 0;  // range into order_ for leaves
+    std::size_t begin = 0;
     std::size_t end = 0;
-    std::size_t axis = 0;
-    double split = 0;
-    bool is_leaf = false;
+    int right = -1;
   };
 
-  static constexpr std::size_t kLeafSize = 16;
+  /// Nodes with more rows are split.
+  static constexpr std::size_t kLeafSize = 64;
 
-  int Build(std::size_t begin, std::size_t end, std::size_t depth);
-  /// Coordinate of `point` on `axis` (flat row-major storage).
-  double Coord(std::size_t point, std::size_t axis) const {
-    return coords_[point * dims_ + axis];
-  }
-  /// Distance with early exit: +infinity as soon as the running aggregate
-  /// exceeds `threshold`, the exact distance otherwise — same recurrence as
-  /// DistanceEvaluator::DistanceWithin (bit-identical verdicts).
-  double PointDistanceWithin(const std::vector<double>& query,
-                             std::size_t point, double threshold) const;
-  double AxisGap(double diff) const;
-
-  void RangeSearch(int node, const std::vector<double>& query, double epsilon,
-                   std::vector<Neighbor>* out) const;
-  void CountSearch(int node, const std::vector<double>& query, double epsilon,
-                   std::size_t cap, std::size_t* count) const;
-  void KnnSearch(int node, const std::vector<double>& query, std::size_t k,
-                 std::vector<Neighbor>* heap) const;
+  void Build(const std::vector<double>& coords, std::size_t begin,
+             std::size_t end);
+  /// The distance from `query` to the bounding box of `node`, or nullopt
+  /// once it exceeds `threshold` (no row in the box can then be within).
+  std::optional<double> BoxDistanceWithin(std::size_t node,
+                                          const double* query,
+                                          double threshold) const;
+  /// Runs `sink` over every leaf whose box is within its threshold.
+  template <typename Sink>
+  void Search(const FlatKernel& kernel, Sink* sink) const;
+  template <typename Sink>
+  void Walk(std::size_t node, const FlatKernel& kernel, Sink* sink,
+            simd::ScanDelta* delta) const;
 
   std::size_t dims_ = 0;
-  std::size_t size_ = 0;
   LpNorm norm_;
-  /// SIMD tier for the leaf point kernels, latched at construction
-  /// (distance/columnar_simd.h; engages at dims_ ≥ simd::kPointMinArity).
-  SimdTier simd_tier_ = SimdTier::kScalar;
   /// Process-wide raw-traffic counters, resolved at construction from the
   /// global registry; all-null (guarded no-op increments) when detached.
   IndexQueryMetrics metrics_;
-  std::vector<double> coords_;      // flat row-major, point i at [i*m, (i+1)*m)
-  std::vector<std::size_t> order_;  // permutation of rows
+  /// Tree position → relation row.
+  std::vector<std::size_t> order_;
+  /// Preorder; the root is node 0.
   std::vector<Node> nodes_;
-  int root_ = -1;
+  /// Node i's box: (lo, hi) per attribute at [2·m·i, 2·m·(i + 1)).
+  std::vector<double> boxes_;
+  /// The rows in tree order.
+  std::unique_ptr<ColumnarView> view_;
 };
 
 }  // namespace disc

@@ -21,7 +21,6 @@
 #include "distance/columnar.h"
 #include "distance/evaluator.h"
 #include "index/brute_force_index.h"
-#include "index/grid_index.h"
 #include "index/index_factory.h"
 #include "index/kd_tree.h"
 #include "index/kth_neighbor_cache.h"
@@ -182,6 +181,47 @@ TEST_P(KernelNormTest, KernelMatchesEvaluatorBitForBit) {
             EXPECT_EQ(dists, want_dists) << "eps=" << eps;
             EXPECT_EQ(kernel.CountWithin(eps), want_rows.size())
                 << "eps=" << eps;
+
+            // The range-restricted visit both scans run on, over rows with
+            // an unaligned head and tail; then with a sink that stops at
+            // its first hit, which ends the visit with that hit's lane
+            // block (at most 4 rows, one on the scalar tier).
+            const std::size_t begin = 3;
+            const std::size_t end = n - 2;
+            std::vector<std::size_t> part_rows;
+            std::vector<double> part_dists;
+            for (std::size_t i = 0; i < want_rows.size(); ++i) {
+              if (want_rows[i] >= begin && want_rows[i] < end) {
+                part_rows.push_back(want_rows[i]);
+                part_dists.push_back(want_dists[i]);
+              }
+            }
+            struct Sink {
+              bool stop;
+              std::vector<std::size_t> rows;
+              std::vector<double> dists;
+            };
+            auto hit = +[](void* ctx, std::size_t row, double d) {
+              auto* sink = static_cast<Sink*>(ctx);
+              sink->rows.push_back(row);
+              sink->dists.push_back(d);
+              return !sink->stop;
+            };
+            Sink all{false, {}, {}};
+            simd::ScanDelta delta;
+            kernel.VisitWithin(eps, begin, end, hit, &all, &delta);
+            EXPECT_EQ(all.rows, part_rows) << "eps=" << eps;
+            EXPECT_EQ(all.dists, part_dists) << "eps=" << eps;
+            EXPECT_EQ(delta.rows_scanned, end - begin);
+            Sink first{true, {}, {}};
+            kernel.VisitWithin(eps, begin, end, hit, &first, &delta);
+            ASSERT_EQ(first.rows.empty(), part_rows.empty());
+            if (!part_rows.empty()) {
+              EXPECT_EQ(first.rows, std::vector<std::size_t>(
+                                        part_rows.begin(),
+                                        part_rows.begin() + first.rows.size()));
+              EXPECT_EQ(first.rows.back() / 4, first.rows.front() / 4);
+            }
           }
 
           // Full-distance fills over the whole range and over a range with
@@ -378,15 +418,15 @@ TEST(IndexFastPathTest, BoundedHeapKnnMatchesFullSortSemantics) {
   EXPECT_EQ(fast.KNearest(query, 100).size(), 30u);
 }
 
-TEST(IndexFastPathTest, KdTreeAndGridMatchBruteForceBitForBit) {
-  // With the shared accumulator semantics all three indexes must now agree
-  // exactly (not just approximately) on range/count results.
+TEST(IndexFastPathTest, KdTreeMatchesBruteForceBitForBit) {
+  // The columnar brute force and the kd-tree run the same kernels, so both
+  // must agree exactly (not just approximately) with the scalar reference
+  // on range/count results.
   Relation r = RandomNumericRelation(400, 3, 77);
   DistanceEvaluator ev(r.schema());
   BruteForceIndex brute(r, ev);
   BruteForceIndex brute_scalar(r, ev, /*enable_fast_path=*/false);
   KdTree tree(r);
-  GridIndex grid(r, /*cell_size=*/2.0);
 
   Rng rng(13);
   for (int qi = 0; qi < 25; ++qi) {
@@ -395,8 +435,7 @@ TEST(IndexFastPathTest, KdTreeAndGridMatchBruteForceBitForBit) {
       std::vector<Neighbor> want = brute_scalar.RangeQuery(query, eps);
       for (const NeighborIndex* index :
            {static_cast<const NeighborIndex*>(&brute),
-            static_cast<const NeighborIndex*>(&tree),
-            static_cast<const NeighborIndex*>(&grid)}) {
+            static_cast<const NeighborIndex*>(&tree)}) {
         std::vector<Neighbor> got = index->RangeQuery(query, eps);
         ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < got.size(); ++i) {
@@ -414,11 +453,11 @@ TEST(IndexFastPathTest, FactoryFallsBackForNonUnitMetrics) {
   DistanceEvaluator unit(r.schema());
   DistanceEvaluator scaled = ScaledEvaluator(r.schema(), LpNorm::kL2);
 
-  // Unit metrics on a low-dim numeric relation: grid/kd as before.
+  // Unit metrics on a numeric relation: the kd-tree.
   auto idx_unit = MakeNeighborIndex(r, unit, /*epsilon_hint=*/1.0);
   EXPECT_EQ(dynamic_cast<BruteForceIndex*>(idx_unit.get()), nullptr);
 
-  // Non-unit scales: Kd/Grid would silently use the wrong metric — the
+  // Non-unit scales: the kd-tree would silently use the wrong metric — the
   // factory must fall back to BruteForce (whose columnar path handles
   // scales exactly).
   auto idx_scaled = MakeNeighborIndex(r, scaled, /*epsilon_hint=*/1.0);

@@ -410,59 +410,11 @@ TEST(SimdPooledScanTest, PooledCollectMatchesScalarSequentialExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Point kernels (kd-tree leaf scans) and wide-index end-to-end parity
+// Wide-index end-to-end parity
 // ---------------------------------------------------------------------------
 
-TEST(SimdPointKernelTest, PrepassNeverContradictsScalarVerdicts) {
-  Rng rng(41);
-  for (LpNorm norm : {LpNorm::kL2, LpNorm::kL1, LpNorm::kLInf}) {
-    for (std::size_t m : {8u, 9u, 16u, 64u}) {
-      for (int it = 0; it < 200; ++it) {
-        std::vector<double> q(m);
-        std::vector<double> p(m);
-        for (std::size_t a = 0; a < m; ++a) {
-          q[a] = rng.Uniform(-10, 10);
-          p[a] = rng.Uniform(-10, 10);
-        }
-        const double threshold = rng.Uniform(0, 12);
-        // Scalar reference: the exact early-exit accumulator.
-        LpAccumulator acc(norm);
-        double exact_ref = 0;
-        bool within = true;
-        for (std::size_t a = 0; a < m; ++a) {
-          acc.Add(std::fabs(q[a] - p[a]));
-          if (acc.Exceeds(threshold)) {
-            within = false;
-            break;
-          }
-        }
-        if (within) exact_ref = acc.Total();
-
-        double exact = 0;
-        switch (simd::PointWithinPrepass(DetectedSimdTier(), q.data(),
-                                         p.data(), m, norm, threshold,
-                                         &exact)) {
-          case simd::Verdict::kCertainReject:
-            EXPECT_FALSE(within) << "pre-pass rejected an accepted point";
-            break;
-          case simd::Verdict::kExact:
-            ASSERT_EQ(norm, LpNorm::kLInf);
-            if (within) {
-              EXPECT_EQ(exact, exact_ref);
-            }
-            EXPECT_EQ(exact <= threshold, within);
-            break;
-          case simd::Verdict::kMaybeWithin:
-          case simd::Verdict::kUnsupported:
-            break;  // caller would run the scalar loop: trivially identical
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdPointKernelTest, WideKdTreeMatchesBruteForceBitForBit) {
-  // dims ≥ kPointMinArity so the kd leaf pre-pass engages on AVX2 machines.
+  // A wide tree: its leaves run the batch kernels on the active tier.
   const std::size_t dims = 12;
   Relation r = RandomNumericRelation(400, dims, 59);
   DistanceEvaluator ev(r.schema());

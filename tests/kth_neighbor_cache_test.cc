@@ -103,7 +103,7 @@ TEST(KthNeighborCache, ConsistentAcrossIndexes) {
   KthNeighborCache a(r, brute, 4);
   KthNeighborCache b(r, tree, 4);
   for (std::size_t i = 0; i < r.size(); ++i) {
-    EXPECT_NEAR(a.delta(i), b.delta(i), 1e-9);
+    EXPECT_EQ(a.delta(i), b.delta(i)) << "row " << i;
   }
 }
 
