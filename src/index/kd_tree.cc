@@ -19,9 +19,9 @@ inline bool CoordBefore(double a, double b) {
   return std::isnan(b) ? !std::isnan(a) : a < b;
 }
 
-/// The per-query sinks that Walk drives. Each carries the threshold the
-/// boxes and leaf scans test against, the kernel hit function, and whether
-/// the query is finished.
+// The per-query sinks that Walk drives. Each carries the threshold the
+// boxes and leaf scans test against, the kernel hit function, and whether
+// the query is finished.
 
 /// ForEachWithin: forwards each hit, mapped back to its relation row.
 struct VisitSink {
