@@ -1,30 +1,32 @@
-// bench_distance_kernels — columnar flat kernels vs the scalar distance path.
+// bench_distance_kernels — the columnar tier vs the scalar distance path.
 //
-// Four sections, on all-numeric Gaussian-mixture data (n >= 50k, m >= 8 in
+// Three sections, on all-numeric Gaussian-mixture data (n >= 50k, m >= 8 in
 // the full run):
-//   1. ns/pair: full-tuple Distance and threshold DistanceWithin, scalar
-//      DistanceEvaluator vs columnar FlatKernel.
-//   2. Range-query throughput: BruteForceIndex with the columnar fast path
-//      vs the same index with the fast path disabled (the scalar
-//      reference), after asserting both return bit-identical neighbor sets.
-//   3. SIMD tier sweep: the columnar range scan re-timed with the view
+//   1. Range-query throughput: the columnar all-rows scan
+//      (FlatKernel::CollectWithin / CountWithin over a ColumnarView) vs the
+//      scalar reference BruteForceIndex, after asserting both return
+//      bit-identical neighbor sets.
+//   2. SIMD tier sweep: the columnar range scan re-timed with the view
 //      forced to each tier the CPU can run (scalar / sse2 / avx2), rows/s
 //      each, after asserting every tier's answers match the scalar tier
 //      bit for bit (DESIGN.md §12).
-//   4. End-to-end SaveAll on the Figure-6 Flight-shaped workload, fast path
-//      on vs off, after asserting bit-identical repaired outputs.
+//   3. End-to-end SaveAll and the SaveOutliers pipeline, columnar tier vs
+//      scalar tier, after asserting bit-identical outputs. The scalar side
+//      runs an evaluator of PlainAbsoluteDifference metrics, which the
+//      columnar tier does not serve, so its index, kNN cache and search
+//      caches all take the scalar reference.
 //
-// Every run also executes the cross-tier parity suite — all FlatKernel
-// entry points on random, scaled and edge-value (NaN / ±inf / denormal /
+// Every run also executes the cross-tier parity suite — every FlatKernel
+// entry point on random, wide and edge-value (NaN / ±inf / denormal /
 // negative-zero) relations, every runnable tier against the scalar tier —
 // and fails hard on any mismatch: bit-identity is the kernels' contract,
 // not a perf property.
 //
 // Flags: --quick shrinks every workload for the CI perf-smoke job; --check
-// additionally exits 1 when the columnar path is not faster than the
-// scalar path on the all-numeric range workload, or when the AVX2 tier
-// does not clear kSimdSpeedupFloor over the scalar tier (the regression
-// gates).
+// additionally exits 1 when the columnar range scan is not at least as
+// fast as the scalar reference on the all-numeric range workload, or when
+// the AVX2 tier does not clear kSimdSpeedupFloor over the scalar tier (the
+// regression gates).
 //
 // Results are printed as tables and written to BENCH_distance_kernels.json.
 //
@@ -44,6 +46,7 @@
 #include "core/disc_saver.h"
 #include "core/outlier_saving.h"
 #include "data/generators.h"
+#include "distance/attribute_metric.h"
 #include "distance/columnar.h"
 #include "distance/evaluator.h"
 #include "index/brute_force_index.h"
@@ -58,11 +61,33 @@ struct KernelConfig {
   bool check = false;
   std::size_t n = 50000;        // rows in the range-query relation
   std::size_t m = 8;            // attributes
-  std::size_t pair_queries = 64;   // query tuples in the ns/pair pass
-  std::size_t pair_rows = 4096;    // rows evaluated per query tuple
   std::size_t range_queries = 400;  // range queries per path
   double save_scale = 0.008;    // Flight dataset scale for the SaveAll pass
 };
+
+/// |a − b| without claiming IsScaledAbsoluteDifference: the unit metric's
+/// arithmetic, so an evaluator built from it gives identical answers on the
+/// scalar reference tier.
+class PlainAbsoluteDifference : public AttributeMetric {
+ public:
+  double Distance(const Value& a, const Value& b) const override {
+    return std::fabs(a.num() - b.num());
+  }
+};
+
+/// The default evaluator of `schema` with every numeric metric replaced by
+/// PlainAbsoluteDifference.
+DistanceEvaluator ScalarTierEvaluator(const Schema& schema) {
+  std::vector<std::unique_ptr<AttributeMetric>> metrics;
+  for (std::size_t a = 0; a < schema.arity(); ++a) {
+    if (schema.kind(a) == ValueKind::kNumeric) {
+      metrics.push_back(std::make_unique<PlainAbsoluteDifference>());
+    } else {
+      metrics.push_back(DefaultMetricFor(schema.kind(a)));
+    }
+  }
+  return DistanceEvaluator(schema, std::move(metrics));
+}
 
 Relation MakeNumericWorkload(std::size_t n, std::size_t m,
                              std::uint64_t seed) {
@@ -86,74 +111,6 @@ Tuple RandomQueryNear(const Relation& r, Rng* rng) {
   return q;
 }
 
-/// ns per Distance evaluation, scalar vs columnar, plus the DistanceWithin
-/// variants (threshold chosen so most pairs early-exit).
-struct PairTimings {
-  double scalar_ns = 0;
-  double columnar_ns = 0;
-  double scalar_within_ns = 0;
-  double columnar_within_ns = 0;
-  double checksum = 0;  // defeats dead-code elimination
-};
-
-PairTimings BenchPairs(const Relation& r, const DistanceEvaluator& ev,
-                       const ColumnarView& view, const KernelConfig& cfg) {
-  PairTimings t;
-  const double eps = 3.0;
-  const std::size_t pairs = cfg.pair_queries * cfg.pair_rows;
-  Rng rng(7);
-  std::vector<std::size_t> query_rows(cfg.pair_queries);
-  for (auto& row : query_rows) row = rng.NextIndex(r.size());
-
-  {
-    Timer timer;
-    double acc = 0;
-    for (std::size_t qr : query_rows) {
-      for (std::size_t j = 0; j < cfg.pair_rows; ++j) {
-        acc += ev.Distance(r[qr], r[j]);
-      }
-    }
-    t.scalar_ns = timer.Seconds() * 1e9 / static_cast<double>(pairs);
-    t.checksum += acc;
-  }
-  {
-    Timer timer;
-    double acc = 0;
-    for (std::size_t qr : query_rows) {
-      FlatKernel kernel(view, r[qr]);
-      for (std::size_t j = 0; j < cfg.pair_rows; ++j) {
-        acc += kernel.Distance(j);
-      }
-    }
-    t.columnar_ns = timer.Seconds() * 1e9 / static_cast<double>(pairs);
-    t.checksum -= acc;  // paths agree bit-for-bit, so checksum ends ~0
-  }
-  {
-    Timer timer;
-    std::size_t hits = 0;
-    for (std::size_t qr : query_rows) {
-      for (std::size_t j = 0; j < cfg.pair_rows; ++j) {
-        if (ev.DistanceWithin(r[qr], r[j], eps) <= eps) ++hits;
-      }
-    }
-    t.scalar_within_ns = timer.Seconds() * 1e9 / static_cast<double>(pairs);
-    t.checksum += static_cast<double>(hits);
-  }
-  {
-    Timer timer;
-    std::size_t hits = 0;
-    for (std::size_t qr : query_rows) {
-      FlatKernel kernel(view, r[qr]);
-      for (std::size_t j = 0; j < cfg.pair_rows; ++j) {
-        if (kernel.DistanceWithin(j, eps) <= eps) ++hits;
-      }
-    }
-    t.columnar_within_ns = timer.Seconds() * 1e9 / static_cast<double>(pairs);
-    t.checksum -= static_cast<double>(hits);
-  }
-  return t;
-}
-
 struct RangeTimings {
   double scalar_qps = 0;
   double columnar_qps = 0;
@@ -164,14 +121,32 @@ struct RangeTimings {
   bool identical = true;
 };
 
+/// Scalar-reference hits of one ε-visit, in ascending row order (the order
+/// FlatKernel::CollectWithin reports).
+struct Hits {
+  std::vector<std::size_t> rows;
+  std::vector<double> dists;
+};
+
+Hits ScalarHits(const BruteForceIndex& index, const Tuple& query,
+                double eps) {
+  Hits hits;
+  index.ForEachWithin(query, eps, [&hits](std::size_t row, double d) {
+    hits.rows.push_back(row);
+    hits.dists.push_back(d);
+  });
+  return hits;
+}
+
+/// The all-rows ε-scan: the columnar batch kernels over a ColumnarView vs
+/// the scalar reference BruteForceIndex, for collected hits and for counts.
 RangeTimings BenchRange(const Relation& r, const DistanceEvaluator& ev,
-                        const KernelConfig& cfg) {
+                        const ColumnarView& view, const KernelConfig& cfg) {
   RangeTimings t;
   // Selective radius: DISC range queries probe an ε-ball, not a cluster
   // dump, so most rows take the early-exit reject path.
   const double eps = 2.5;
-  BruteForceIndex fast(r, ev);
-  BruteForceIndex scalar(r, ev, /*enable_fast_path=*/false);
+  BruteForceIndex scalar(r, ev);
 
   Rng rng(21);
   std::vector<Tuple> queries;
@@ -182,29 +157,27 @@ RangeTimings BenchRange(const Relation& r, const DistanceEvaluator& ev,
 
   // Bit-identity spot check before timing anything.
   for (std::size_t i = 0; i < queries.size(); i += 16) {
-    std::vector<Neighbor> a = fast.RangeQuery(queries[i], eps);
-    std::vector<Neighbor> b = scalar.RangeQuery(queries[i], eps);
-    if (a.size() != b.size()) {
-      t.identical = false;
-      break;
-    }
-    for (std::size_t j = 0; j < a.size(); ++j) {
-      if (a[j].row != b[j].row || a[j].distance != b[j].distance) {
-        t.identical = false;
-        break;
-      }
-    }
+    const Hits want = ScalarHits(scalar, queries[i], eps);
+    Hits got;
+    FlatKernel(view, queries[i]).CollectWithin(eps, &got.rows, &got.dists);
+    if (got.rows != want.rows || got.dists != want.dists) t.identical = false;
   }
 
   std::size_t total = 0;
   {
     Timer timer;
-    for (const Tuple& q : queries) total += scalar.RangeQuery(q, eps).size();
+    for (const Tuple& q : queries) {
+      total += ScalarHits(scalar, q, eps).rows.size();
+    }
     t.scalar_qps = static_cast<double>(cfg.range_queries) / timer.Seconds();
   }
   {
     Timer timer;
-    for (const Tuple& q : queries) total += fast.RangeQuery(q, eps).size();
+    for (const Tuple& q : queries) {
+      Hits hits;
+      FlatKernel(view, q).CollectWithin(eps, &hits.rows, &hits.dists);
+      total += hits.rows.size();
+    }
     t.columnar_qps = static_cast<double>(cfg.range_queries) / timer.Seconds();
   }
   {
@@ -215,7 +188,9 @@ RangeTimings BenchRange(const Relation& r, const DistanceEvaluator& ev,
   }
   {
     Timer timer;
-    for (const Tuple& q : queries) total += fast.CountWithin(q, eps);
+    for (const Tuple& q : queries) {
+      total += FlatKernel(view, q).CountWithin(eps);
+    }
     t.columnar_count_qps =
         static_cast<double>(cfg.range_queries) / timer.Seconds();
   }
@@ -354,8 +329,6 @@ bool ParityOn(const Relation& r, const DistanceEvaluator& ev,
   }
   const std::size_t n = r.size();
   const std::size_t m = r.arity();
-  AttributeSet subset;
-  for (std::size_t a = 0; a < m; a += 2) subset.insert(a);
 
   Rng rng(5);
   std::vector<Tuple> queries;
@@ -385,14 +358,6 @@ bool ParityOn(const Relation& r, const DistanceEvaluator& ev,
       ref.FillDistances(ref_fill.data(), 0, n);
       std::vector<double> ref_attr(n);
       ref.FillAttributeDistances(m / 2, ref_attr.data());
-      std::vector<double> ref_dist(n), ref_within(n), ref_on(n),
-          ref_on_within(n);
-      for (std::size_t row = 0; row < n; ++row) {
-        ref_dist[row] = ref.Distance(row);
-        ref_within[row] = ref.DistanceWithin(row, eps);
-        ref_on[row] = ref.DistanceOn(subset, row);
-        ref_on_within[row] = ref.DistanceOnWithin(subset, row, eps);
-      }
 
       for (SimdTier tier : RunnableTiers()) {
         view->set_simd_tier(tier);
@@ -417,19 +382,6 @@ bool ParityOn(const Relation& r, const DistanceEvaluator& ev,
           if (!SameVal(attr[row], ref_attr[row])) {
             mismatch("FillAttributeDistances", tier);
           }
-          if (!SameVal(kernel.Distance(row), ref_dist[row])) {
-            mismatch("Distance", tier);
-          }
-          if (!SameVal(kernel.DistanceWithin(row, eps), ref_within[row])) {
-            mismatch("DistanceWithin", tier);
-          }
-          if (!SameVal(kernel.DistanceOn(subset, row), ref_on[row])) {
-            mismatch("DistanceOn", tier);
-          }
-          if (!SameVal(kernel.DistanceOnWithin(subset, row, eps),
-                       ref_on_within[row])) {
-            mismatch("DistanceOnWithin", tier);
-          }
         }
         if (!ok) return false;  // first mismatch is enough detail
       }
@@ -438,17 +390,8 @@ bool ParityOn(const Relation& r, const DistanceEvaluator& ev,
   return ok;
 }
 
-DistanceEvaluator ScaledParityEvaluator(const Schema& schema, LpNorm norm) {
-  std::vector<std::unique_ptr<AttributeMetric>> metrics;
-  for (std::size_t a = 0; a < schema.arity(); ++a) {
-    metrics.push_back(std::make_unique<AbsoluteDifferenceMetric>(
-        1.0 + 0.25 * static_cast<double>(a)));
-  }
-  return DistanceEvaluator(schema, std::move(metrics), norm);
-}
-
-/// The cross-tier parity suite: random / scaled / wide / edge-value
-/// relations under every norm.
+/// The cross-tier parity suite: random / wide / edge-value relations under
+/// every norm.
 bool CheckParity() {
   bool ok = true;
   Relation random = MakeNumericWorkload(257, 6, 3);
@@ -466,8 +409,6 @@ bool CheckParity() {
   Relation edge = EdgeRelation(9);
   for (LpNorm norm : {LpNorm::kL2, LpNorm::kL1, LpNorm::kLInf}) {
     ok &= ParityOn(random, DistanceEvaluator(random.schema(), norm), "random");
-    ok &= ParityOn(random, ScaledParityEvaluator(random.schema(), norm),
-                   "scaled");
     ok &= ParityOn(wide, DistanceEvaluator(wide.schema(), norm), "wide");
     ok &= ParityOn(edge, DistanceEvaluator(edge.schema(), norm), "edge");
   }
@@ -498,10 +439,11 @@ bool SameSaveResults(const std::vector<SaveResult>& a,
 }
 
 /// DiscSaver::SaveAll on a corrupted Gaussian mixture — the branch-and-bound
-/// hot loop the fast path targets, without the detection/split phase (which
-/// uses the columnar index in both configurations and would dilute the
-/// comparison). Single-threaded so the speedup is the kernel's, not the
-/// pool's.
+/// hot loop, on the columnar tier (kd-tree, columnar search caches) vs the
+/// scalar tier (brute-force index, scalar search caches), without the
+/// detection/split phase (which uses the kd-tree in both configurations
+/// and would dilute the comparison). Single-threaded so the speedup is the
+/// kernels', not the pool's.
 SaveTimings BenchSaveAll(const KernelConfig& cfg) {
   SaveTimings t;
   const std::size_t dims = 6;
@@ -534,8 +476,9 @@ SaveTimings BenchSaveAll(const KernelConfig& cfg) {
 
   SaveOptions save_options;
   save_options.kappa = 2;
+  const DistanceEvaluator scalar_ev = ScalarTierEvaluator(inliers.schema());
   DiscSaver fast_saver(inliers, ev, constraint);
-  DiscSaver scalar_saver(inliers, ev, constraint, /*enable_fast_path=*/false);
+  DiscSaver scalar_saver(inliers, scalar_ev, constraint);
 
   Timer t1;
   std::vector<SaveResult> scalar = scalar_saver.SaveAll(outliers, save_options);
@@ -563,23 +506,23 @@ struct PipelineTimings {
 };
 
 /// Whole SaveOutliers pipeline (detect + save) on the Flight-shaped paper
-/// workload, fast path on vs off — the user-visible end-to-end number.
+/// workload, columnar tier vs scalar tier — the user-visible end-to-end
+/// number.
 PipelineTimings BenchPipeline(const KernelConfig& cfg) {
   PipelineTimings t;
   PaperDataset ds = MakePaperDataset("flight", 42, cfg.save_scale);
   DistanceEvaluator ev(ds.dirty.schema());
+  const DistanceEvaluator scalar_ev = ScalarTierEvaluator(ds.dirty.schema());
 
-  OutlierSavingOptions fast_options;
-  fast_options.constraint = ds.suggested;
-  OutlierSavingOptions scalar_options = fast_options;
-  scalar_options.use_columnar_fast_path = false;
+  OutlierSavingOptions options;
+  options.constraint = ds.suggested;
 
   Timer t1;
-  SavedDataset scalar = SaveOutliers(ds.dirty, ev, scalar_options);
+  SavedDataset scalar = SaveOutliers(ds.dirty, scalar_ev, options);
   t.scalar_seconds = t1.Seconds();
 
   Timer t2;
-  SavedDataset fast = SaveOutliers(ds.dirty, ev, fast_options);
+  SavedDataset fast = SaveOutliers(ds.dirty, ev, options);
   t.fast_seconds = t2.Seconds();
 
   t.outliers = fast.outlier_rows.size();
@@ -611,17 +554,8 @@ int Run(const KernelConfig& cfg) {
               std::to_string(workload.size()) + ", m=" + std::to_string(cfg.m) +
               ")");
 
-  PairTimings pairs = BenchPairs(workload, ev, *view, cfg);
+  RangeTimings range = BenchRange(workload, ev, *view, cfg);
   PrintRow({"metric", "scalar", "columnar", "speedup"}, 14);
-  PrintRow({"ns/pair", Fmt(pairs.scalar_ns, 1), Fmt(pairs.columnar_ns, 1),
-            Fmt(pairs.scalar_ns / pairs.columnar_ns, 2)},
-           14);
-  PrintRow({"ns/pair(eps)", Fmt(pairs.scalar_within_ns, 1),
-            Fmt(pairs.columnar_within_ns, 1),
-            Fmt(pairs.scalar_within_ns / pairs.columnar_within_ns, 2)},
-           14);
-
-  RangeTimings range = BenchRange(workload, ev, cfg);
   PrintRow({"range q/s", Fmt(range.scalar_qps, 1), Fmt(range.columnar_qps, 1),
             Fmt(range.speedup, 2)},
            14);
@@ -676,7 +610,7 @@ int Run(const KernelConfig& cfg) {
 
   JsonWriter json;
   json.BeginObject();
-  json.Key("schema_version").Uint(3);
+  json.Key("schema_version").Uint(4);
   json.Key("bench").String("distance_kernels");
   json.Key("quick").Bool(cfg.quick);
   json.Key("n").Uint(workload.size());
@@ -698,14 +632,6 @@ int Run(const KernelConfig& cfg) {
     json.EndObject();
   }
   json.EndArray();
-  json.EndObject();
-  json.Key("pair_ns");
-  json.BeginObject();
-  json.Key("scalar").Number(pairs.scalar_ns);
-  json.Key("columnar").Number(pairs.columnar_ns);
-  json.Key("scalar_within").Number(pairs.scalar_within_ns);
-  json.Key("columnar_within").Number(pairs.columnar_within_ns);
-  json.Key("checksum").Number(pairs.checksum);
   json.EndObject();
   json.Key("range");
   json.BeginObject();
@@ -749,7 +675,7 @@ int Run(const KernelConfig& cfg) {
 
   if (!range.identical || !save.identical || !pipeline.identical ||
       !tiers.identical) {
-    std::fprintf(stderr, "FAIL: fast path is not bit-identical\n");
+    std::fprintf(stderr, "FAIL: columnar tier is not bit-identical\n");
     return 1;
   }
   if (!parity) {
@@ -758,7 +684,7 @@ int Run(const KernelConfig& cfg) {
   }
   if (cfg.check && range.speedup < 1.0) {
     std::fprintf(stderr,
-                 "FAIL: columnar range path slower than scalar (%.2fx)\n",
+                 "FAIL: columnar range scan slower than scalar (%.2fx)\n",
                  range.speedup);
     return 1;
   }
@@ -787,8 +713,6 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       cfg.quick = true;
       cfg.n = 8000;
-      cfg.pair_queries = 16;
-      cfg.pair_rows = 2048;
       cfg.range_queries = 60;
       cfg.save_scale = 0.003;
     } else if (std::strcmp(argv[i], "--check") == 0) {

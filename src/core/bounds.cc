@@ -114,7 +114,7 @@ SubsetRows ResolveSubsetRows(const SearchDistanceCache& dcache,
 
 /// Subset distance with early exit from the hoisted rows — the same values
 /// accumulated in the same ascending-attribute order with the same per-add
-/// Exceeds check as SearchDistanceCache::DistanceOnWithin, so verdicts and
+/// Exceeds check as DistanceEvaluator::DistanceOnWithin, so verdicts and
 /// accepted totals are bit-identical.
 inline double SubsetDistanceWithin(const SubsetRows& s, LpNorm norm,
                                    std::size_t row, double threshold) {

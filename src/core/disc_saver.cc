@@ -69,16 +69,14 @@ bool SameValue(const Value& a, const Value& b) {
 
 DiscSaver::DiscSaver(const Relation& inliers,
                      const DistanceEvaluator& evaluator,
-                     DistanceConstraint constraint, bool enable_fast_path)
+                     DistanceConstraint constraint)
     : inliers_(inliers), evaluator_(evaluator), constraint_(constraint) {
   index_ = MakeNeighborIndex(inliers_, evaluator_, constraint_.epsilon);
   cache_ = std::make_unique<KthNeighborCache>(inliers_, *index_,
                                               constraint_.eta);
   bounds_ = std::make_unique<BoundsEngine>(inliers_, evaluator_, *index_,
                                            *cache_, constraint_);
-  if (enable_fast_path) {
-    columnar_ = ColumnarView::Build(inliers_, evaluator_);
-  }
+  columnar_ = ColumnarView::Build(inliers_, evaluator_);
 }
 
 struct DiscSaver::SearchState {

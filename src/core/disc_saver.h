@@ -145,14 +145,14 @@ class DiscSaver {
   /// satisfy the constraint. The relation and evaluator must outlive the
   /// saver.
   ///
-  /// Every search builds a per-search distance cache. `enable_fast_path`
-  /// selects its columnar backing (results are bit-identical either way;
-  /// disabling exists for reference comparisons in tests and benchmarks).
-  /// The columnar kernels engage only when the inlier relation is
-  /// all-numeric and every metric is a scaled absolute difference
-  /// (ColumnarView::Eligible); otherwise the cache is scalar-backed.
+  /// Every search builds a per-search distance cache. It is backed by the
+  /// columnar kernels exactly when the inlier relation is eligible
+  /// (ColumnarView::Eligible: all-numeric, 1–64 attributes, the unit
+  /// absolute-difference metric throughout) — the same rule that gives the
+  /// saver a kd-tree — and by the scalar evaluator otherwise, with
+  /// bit-identical results either way.
   DiscSaver(const Relation& inliers, const DistanceEvaluator& evaluator,
-            DistanceConstraint constraint, bool enable_fast_path = true);
+            DistanceConstraint constraint);
 
   /// Finds a near-optimal adjustment of `outlier` under the constraint.
   /// Anytime: with a SaveOptions::budget the call returns the best feasible
@@ -251,7 +251,7 @@ class DiscSaver {
   std::unique_ptr<NeighborIndex> index_;
   std::unique_ptr<KthNeighborCache> cache_;
   std::unique_ptr<BoundsEngine> bounds_;
-  std::unique_ptr<ColumnarView> columnar_;  ///< null when ineligible/disabled
+  std::unique_ptr<ColumnarView> columnar_;  ///< null when ineligible
 };
 
 /// Computes which attributes differ between `original` and `adjusted`

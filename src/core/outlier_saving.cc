@@ -293,8 +293,7 @@ SavedDataset SaveOutliers(const Relation& data,
   Relation inliers = data.Select(split.inlier_rows);
 
   // Build the saver once; save each outlier against the fixed inlier set.
-  DiscSaver disc_saver(inliers, evaluator, options.constraint,
-                       options.use_columnar_fast_path);
+  DiscSaver disc_saver(inliers, evaluator, options.constraint);
 
   BatchBudget batch;
   batch.deadline = batch_deadline;

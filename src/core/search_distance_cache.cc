@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/thread_pool.h"
 #include "core/observation.h"
-#include "distance/lp_norm.h"
 
 namespace disc {
 
@@ -30,7 +28,6 @@ SearchDistanceCache::SearchDistanceCache(const Relation& relation,
       outlier_(outlier),
       stats_(stats),
       observer_(observer),
-      arity_(evaluator.arity()),
       attr_rows_(evaluator.arity()) {
   if (view != nullptr) kernel_.emplace(*view, outlier);
   const std::size_t n = relation.size();
@@ -39,7 +36,7 @@ SearchDistanceCache::SearchDistanceCache(const Relation& relation,
   // Each entry is an independent write, so chunked and inline fills produce
   // the identical vector. The columnar batch fill is vectorized across rows
   // when the view's SIMD tier allows (the grain is block-aligned,
-  // ColumnarView::kLanePad) and bit-identical to per-row Distance().
+  // ColumnarView::kLanePad) and bit-identical to DistanceEvaluator::Distance.
   auto fill = [&](std::size_t begin, std::size_t end) {
     if (kernel_.has_value()) {
       kernel_->FillDistances(full_.data() + begin, begin, end);
@@ -81,29 +78,6 @@ const double* SearchDistanceCache::AttributeRow(std::size_t a) const {
     }
   }
   return row.data();
-}
-
-double SearchDistanceCache::DistanceOn(const AttributeSet& x,
-                                       std::size_t row) const {
-  LpAccumulator acc(evaluator_.norm());
-  for (std::size_t a = 0; a < arity_; ++a) {
-    if (x.contains(a)) acc.Add(AttributeRow(a)[row]);
-  }
-  return acc.Total();
-}
-
-double SearchDistanceCache::DistanceOnWithin(const AttributeSet& x,
-                                             std::size_t row,
-                                             double threshold) const {
-  LpAccumulator acc(evaluator_.norm());
-  for (std::size_t a = 0; a < arity_; ++a) {
-    if (!x.contains(a)) continue;
-    acc.Add(AttributeRow(a)[row]);
-    if (acc.Exceeds(threshold)) {
-      return std::numeric_limits<double>::infinity();
-    }
-  }
-  return acc.Total();
 }
 
 }  // namespace disc

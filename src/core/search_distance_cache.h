@@ -14,6 +14,7 @@
 namespace disc {
 
 struct SearchObserver;
+class WorkStealingPool;
 
 /// Per-outlier-search distance cache for the branch-and-bound hot loops.
 ///
@@ -22,9 +23,9 @@ struct SearchObserver;
 /// pass needs it. This cache computes the full-distance vector ONCE per
 /// search and serves it from a flat array thereafter. Likewise the
 /// per-attribute distances Δ(t_o[A], t[A]) are invariant; they are memoized
-/// lazily (one n-sized row per attribute, filled on first touch), turning
-/// every subset distance Δ(t_o[X], t[X]) into a short sum over cached
-/// doubles — no Value unwrapping, no virtual metric dispatch.
+/// lazily (one n-sized row per attribute, filled on first touch), so the
+/// bound scans turn every subset distance Δ(t_o[X], t[X]) into a short sum
+/// over cached doubles — no Value unwrapping, no virtual metric dispatch.
 ///
 /// Every bound computation reads it: DiscSaver builds one per search, and
 /// the all-rows BoundsEngine wrappers build a scalar-backed one when the
@@ -33,9 +34,10 @@ struct SearchObserver;
 /// Determinism contract: cached entries are produced by exactly the scalar
 /// arithmetic (via FlatKernel when a ColumnarView is supplied, whose kernels
 /// are bit-identical to DistanceEvaluator by construction, or via the
-/// evaluator itself otherwise), and subset sums replay the canonical
-/// LpAccumulator recurrence in increasing attribute order. Every value and
-/// every threshold verdict matches DistanceEvaluator bit for bit.
+/// evaluator itself otherwise); the bound scans sum the attribute rows by
+/// the canonical LpAccumulator recurrence in increasing attribute order, so
+/// every value and every threshold verdict matches DistanceEvaluator bit
+/// for bit.
 ///
 /// Thread-safety: NONE — the lazy rows mutate under const. A cache is a
 /// per-search, stack-local object owned by a single worker; it is never
@@ -43,10 +45,11 @@ struct SearchObserver;
 /// DESIGN.md §5 applies to indexes, not to this).
 class SearchDistanceCache {
  public:
-  /// Builds the cache for one outlier search. `view` may be null (scalar
-  /// fallback); when non-null it must have been built over `relation` with
-  /// `evaluator`. All references must outlive the cache; `outlier` must not
-  /// be mutated while the cache is live. `stats` (optional) receives one
+  /// Builds the cache for one outlier search. `view` is the columnar view
+  /// of `relation` (ColumnarView::Build with `evaluator`), or null for the
+  /// scalar reference — the only choice for a relation the columnar tier
+  /// does not serve. All references must outlive the cache; `outlier` must
+  /// not be mutated while the cache is live. `stats` (optional) receives one
   /// dcache_miss per lazily filled attribute row and one dcache_hit per
   /// row request served from the memo. `pool` (optional) parallelizes the
   /// eager full-distance fill — each row's entry is independent, so chunked
@@ -64,7 +67,7 @@ class SearchDistanceCache {
 
   /// Number of inlier rows n.
   std::size_t rows() const { return full_.size(); }
-  /// True when the columnar fast path backs this cache.
+  /// True when the columnar kernels back this cache.
   bool columnar() const { return kernel_.has_value(); }
 
   /// Cached full-space distance Δ(t_o, t_row).
@@ -78,21 +81,10 @@ class SearchDistanceCache {
   /// whether they apply (DESIGN.md §4).
   bool has_nan() const { return has_nan_; }
 
-  /// Subset distance Δ(t_o[X], t_row[X]) from the memoized attribute rows —
-  /// bit-identical to DistanceEvaluator::DistanceOn.
-  double DistanceOn(const AttributeSet& x, std::size_t row) const;
-
-  /// Subset distance with early exit past `threshold` (+infinity), matching
-  /// DistanceEvaluator::DistanceOnWithin bit for bit.
-  double DistanceOnWithin(const AttributeSet& x, std::size_t row,
-                          double threshold) const;
-
   /// The memoized n-entry row of Δ(t_o[a], t_i[a]) for attribute `a`,
-  /// filled on first touch. For scans that touch every row (the bound
-  /// loops), resolving the subset's row pointers once and accumulating
-  /// inline beats a DistanceOnWithin call per row; the per-row arithmetic
-  /// is identical (same values, same canonical attribute order). Hit/miss
-  /// is metered at this resolution granularity (one event per row request),
+  /// filled on first touch. The bound loops resolve a subset's row pointers
+  /// once and accumulate inline over the rows they walk. Hit/miss is
+  /// metered at this resolution granularity (one event per row request),
   /// never inside the per-attribute accumulation loops.
   const double* attribute_row(std::size_t a) const {
     if (stats_ != nullptr && !attr_rows_[a].empty()) ++stats_->dcache_hits;
@@ -108,7 +100,6 @@ class SearchDistanceCache {
   const Tuple& outlier_;
   SearchStats* stats_;  ///< optional; owned by the same single search
   SearchObserver* observer_;  ///< optional; same ownership as stats_
-  std::size_t arity_;
   std::optional<FlatKernel> kernel_;
   std::vector<double> full_;                           ///< eager, n entries
   bool has_nan_ = false;

@@ -18,11 +18,12 @@ class AttributeMetric {
   /// Distance between two attribute values.
   virtual double Distance(const Value& a, const Value& b) const = 0;
 
-  /// Introspection hook for the columnar fast path: true iff this metric
+  /// Introspection hook for the columnar tier: true iff this metric
   /// computes |a - b| / scale on numeric values, in which case `*scale` is
-  /// set. The flat kernels (distance/columnar.h) may then evaluate the
-  /// metric over raw double arrays, bit-identically, without virtual
-  /// dispatch. Metrics with any other semantics must keep the default.
+  /// set. At scale 1 the flat kernels (distance/columnar.h) and the kd-tree
+  /// evaluate the metric over raw double arrays, bit-identically, without
+  /// virtual dispatch; any other scale runs on the scalar reference.
+  /// Metrics with any other semantics must keep the default.
   virtual bool IsScaledAbsoluteDifference(double* scale) const {
     (void)scale;
     return false;

@@ -11,8 +11,8 @@
 #include "distance/columnar.h"
 
 /// Scalar per-row kernels shared by the reference path (columnar.cc) and
-/// the vector tier (columnar_simd.cc), which runs them for unaligned
-/// head/tail rows and for the canonical recompute of pre-pass survivors.
+/// the vector tier (columnar_simd.cc), which runs them for unaligned head
+/// rows and for the canonical recompute of pre-pass survivors.
 /// Internal to the distance library — not part of the public surface.
 namespace disc::columnar_internal {
 
@@ -105,24 +105,23 @@ decltype(auto) WithNorm(LpNorm norm, F&& f) {
   return f(std::integral_constant<LpNorm, LpNorm::kL2>{});
 }
 
-/// |q[a] − v_a[row]| (/ scale_a): one per-attribute distance.
+/// |q[a] − v_a[row]|: one per-attribute distance.
 inline double AttrDistance(const ColumnarView& v, const double* q,
-                           std::size_t a, std::size_t row, bool unit) {
-  double d = std::fabs(q[a] - v.column(a)[row]);
-  if (!unit) d /= v.scale(a);
-  return d;
+                           std::size_t a, std::size_t row) {
+  return std::fabs(q[a] - v.column(a)[row]);
 }
 
-/// Canonical full distance — the exact arithmetic of FlatKernel::Distance,
-/// factored out so the vector tier's scalar tails stay bit-identical.
+/// Canonical full distance — the per-row arithmetic of
+/// FlatKernel::FillDistances, shared so the vector tier's scalar heads stay
+/// bit-identical.
 template <LpNorm N>
 inline double CanonicalDistance(const ColumnarView& v, const double* q,
-                                std::size_t row, bool unit) {
+                                std::size_t row) {
   using P = NormPolicy<N>;
   double acc = 0;
   const std::size_t m = v.arity();
   for (std::size_t a = 0; a < m; ++a) {
-    acc = P::Add(acc, AttrDistance(v, q, a, row, unit));
+    acc = P::Add(acc, AttrDistance(v, q, a, row));
   }
   return P::Total(acc);
 }
@@ -133,12 +132,12 @@ inline double CanonicalDistance(const ColumnarView& v, const double* q,
 /// rows a certain-reject pre-pass could not dismiss.
 template <LpNorm N>
 inline double CanonicalWithin(const ColumnarView& v, const double* q,
-                              std::size_t row, double raw, bool unit) {
+                              std::size_t row, double raw) {
   using P = NormPolicy<N>;
   double acc = 0;
   const std::size_t m = v.arity();
   for (std::size_t a = 0; a < m; ++a) {
-    acc = P::Add(acc, AttrDistance(v, q, a, row, unit));
+    acc = P::Add(acc, AttrDistance(v, q, a, row));
     if (acc > raw) return kInf;
   }
   return P::Total(acc);
@@ -152,12 +151,12 @@ inline double CanonicalWithin(const ColumnarView& v, const double* q,
 /// disc_kernel_certain_rejects_total).
 template <LpNorm N>
 inline double RowWithin(const ColumnarView& v, const double* q, std::size_t row,
-                        double raw, double reject, bool unit,
+                        double raw, double reject,
                         std::uint64_t* certain_rejects) {
   using P = NormPolicy<N>;
   double acc = 0;
   for (std::size_t a : v.scan_order()) {
-    const double d = AttrDistance(v, q, a, row, unit);
+    const double d = AttrDistance(v, q, a, row);
     acc = P::Add(acc, d);
     if ((P::kExactReject ? d : acc) > reject) {
       ++*certain_rejects;
@@ -167,7 +166,7 @@ inline double RowWithin(const ColumnarView& v, const double* q, std::size_t row,
   if constexpr (P::kExactReject) {
     return acc;
   } else {
-    return CanonicalWithin<N>(v, q, row, raw, unit);
+    return CanonicalWithin<N>(v, q, row, raw);
   }
 }
 

@@ -56,20 +56,6 @@ inline __m128d Abs128(__m128d x) {
       x, _mm_castsi128_pd(_mm_set1_epi64x(0x7fffffffffffffffLL)));
 }
 
-DISC_AVX2 inline double HSum256(__m256d x) {
-  __m128d lo = _mm256_castpd256_pd128(x);
-  __m128d hi = _mm256_extractf128_pd(x, 1);
-  lo = _mm_add_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
-}
-
-DISC_AVX2 inline double HMax256(__m256d x) {
-  __m128d lo = _mm256_castpd256_pd128(x);
-  __m128d hi = _mm256_extractf128_pd(x, 1);
-  lo = _mm_max_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_max_sd(lo, _mm_unpackhi_pd(lo, lo)));
-}
-
 /// Bitmask of the rows [i, i+lanes) that are real (< end).
 inline unsigned ValidMask(std::size_t i, std::size_t end, unsigned lanes) {
   const std::size_t left = end - i;
@@ -151,13 +137,12 @@ DISC_AVX2 std::size_t ScanAvx2(const ColumnarView& v, const double* q,
                                std::size_t end, HitFn hit, void* ctx,
                                std::uint64_t* cr) {
   using P = ci::NormPolicy<N>;
-  const bool unit = v.unit_scales();
   const double raw = P::Raw(epsilon);
   const double reject = P::Reject(epsilon);
   bool go = true;
   std::size_t i = begin;
   for (; go && i < end && (i & 3) != 0; ++i) {
-    double d = ci::RowWithin<N>(v, q, i, raw, reject, unit, cr);
+    double d = ci::RowWithin<N>(v, q, i, raw, reject, cr);
     if (d <= epsilon) go = hit(ctx, i, d);
   }
   const std::span<const std::size_t> order = v.scan_order();
@@ -170,9 +155,8 @@ DISC_AVX2 std::size_t ScanAvx2(const ColumnarView& v, const double* q,
     unsigned rej = 0;
     for (std::size_t k = 0; k < m; ++k) {
       const std::size_t a = order[k];
-      __m256d d = Abs256(
+      const __m256d d = Abs256(
           _mm256_sub_pd(_mm256_set1_pd(q[a]), _mm256_load_pd(v.column(a) + i)));
-      if (!unit) d = _mm256_div_pd(d, _mm256_set1_pd(v.scale(a)));
       acc = Add256<N, /*kFused=*/true>(acc, d);
       // L∞ tests each term (exact), the sums their running total (slackened).
       const __m256d tested = P::kExactReject ? d : acc;
@@ -190,7 +174,7 @@ DISC_AVX2 std::size_t ScanAvx2(const ColumnarView& v, const double* q,
       live &= live - 1;
       const double d = P::kExactReject
                            ? lanes[l]
-                           : ci::CanonicalWithin<N>(v, q, i + l, raw, unit);
+                           : ci::CanonicalWithin<N>(v, q, i + l, raw);
       if (d <= epsilon) go = hit(ctx, i + l, d) && go;
     }
   }
@@ -202,13 +186,12 @@ std::size_t ScanSse2(const ColumnarView& v, const double* q, double epsilon,
                      std::size_t begin, std::size_t end, HitFn hit, void* ctx,
                      std::uint64_t* cr) {
   using P = ci::NormPolicy<N>;
-  const bool unit = v.unit_scales();
   const double raw = P::Raw(epsilon);
   const double reject = P::Reject(epsilon);
   bool go = true;
   std::size_t i = begin;
   for (; go && i < end && (i & 1) != 0; ++i) {
-    double d = ci::RowWithin<N>(v, q, i, raw, reject, unit, cr);
+    double d = ci::RowWithin<N>(v, q, i, raw, reject, cr);
     if (d <= epsilon) go = hit(ctx, i, d);
   }
   const std::span<const std::size_t> order = v.scan_order();
@@ -221,9 +204,8 @@ std::size_t ScanSse2(const ColumnarView& v, const double* q, double epsilon,
     unsigned rej = 0;
     for (std::size_t k = 0; k < m; ++k) {
       const std::size_t a = order[k];
-      __m128d d =
+      const __m128d d =
           Abs128(_mm_sub_pd(_mm_set1_pd(q[a]), _mm_load_pd(v.column(a) + i)));
-      if (!unit) d = _mm_div_pd(d, _mm_set1_pd(v.scale(a)));
       acc = Add128<N>(acc, d);
       const __m128d tested = P::kExactReject ? d : acc;
       rejected = _mm_or_pd(rejected, _mm_cmpgt_pd(tested, vreject));
@@ -239,7 +221,7 @@ std::size_t ScanSse2(const ColumnarView& v, const double* q, double epsilon,
       live &= live - 1;
       const double d = P::kExactReject
                            ? lanes[l]
-                           : ci::CanonicalWithin<N>(v, q, i + l, raw, unit);
+                           : ci::CanonicalWithin<N>(v, q, i + l, raw);
       if (d <= epsilon) go = hit(ctx, i + l, d) && go;
     }
   }
@@ -257,18 +239,16 @@ std::size_t ScanSse2(const ColumnarView& v, const double* q, double epsilon,
 template <LpNorm N>
 DISC_AVX2 void FillAvx2(const ColumnarView& v, const double* q,
                         std::size_t begin, std::size_t end, double* out) {
-  const bool unit = v.unit_scales();
   const std::size_t m = v.arity();
   std::size_t i = begin;
   for (; i < end && (i & 3) != 0; ++i) {
-    out[i - begin] = ci::CanonicalDistance<N>(v, q, i, unit);
+    out[i - begin] = ci::CanonicalDistance<N>(v, q, i);
   }
   for (; i < end; i += 4) {
     __m256d acc = _mm256_setzero_pd();
     for (std::size_t a = 0; a < m; ++a) {
-      __m256d d = Abs256(
+      const __m256d d = Abs256(
           _mm256_sub_pd(_mm256_set1_pd(q[a]), _mm256_load_pd(v.column(a) + i)));
-      if (!unit) d = _mm256_div_pd(d, _mm256_set1_pd(v.scale(a)));
       acc = Add256<N, /*kFused=*/false>(acc, d);
     }
     acc = Total256<N>(acc);
@@ -285,18 +265,16 @@ DISC_AVX2 void FillAvx2(const ColumnarView& v, const double* q,
 template <LpNorm N>
 void FillSse2(const ColumnarView& v, const double* q, std::size_t begin,
               std::size_t end, double* out) {
-  const bool unit = v.unit_scales();
   const std::size_t m = v.arity();
   std::size_t i = begin;
   for (; i < end && (i & 1) != 0; ++i) {
-    out[i - begin] = ci::CanonicalDistance<N>(v, q, i, unit);
+    out[i - begin] = ci::CanonicalDistance<N>(v, q, i);
   }
   for (; i < end; i += 2) {
     __m128d acc = _mm_setzero_pd();
     for (std::size_t a = 0; a < m; ++a) {
-      __m128d d =
+      const __m128d d =
           Abs128(_mm_sub_pd(_mm_set1_pd(q[a]), _mm_load_pd(v.column(a) + i)));
-      if (!unit) d = _mm_div_pd(d, _mm_set1_pd(v.scale(a)));
       acc = Add128<N>(acc, d);
     }
     acc = Total128<N>(acc);
@@ -310,111 +288,27 @@ void FillSse2(const ColumnarView& v, const double* q, std::size_t begin,
 
 // ------------------------------------------ per-attribute batch fills
 
-DISC_AVX2 void FillAttrAvx2(const double* col, double q, double scale,
-                            std::size_t n, double* out) {
+DISC_AVX2 void FillAttrAvx2(const double* col, double q, std::size_t n,
+                            double* out) {
   const __m256d vq = _mm256_set1_pd(q);
-  const __m256d vs = _mm256_set1_pd(scale);
-  const bool unit = scale == 1.0;
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    __m256d d = Abs256(_mm256_sub_pd(vq, _mm256_load_pd(col + i)));
-    if (!unit) d = _mm256_div_pd(d, vs);
-    _mm256_storeu_pd(out + i, d);
+    _mm256_storeu_pd(out + i,
+                     Abs256(_mm256_sub_pd(vq, _mm256_load_pd(col + i))));
   }
-  for (; i < n; ++i) {
-    out[i] = unit ? std::fabs(q - col[i]) : std::fabs(q - col[i]) / scale;
-  }
+  for (; i < n; ++i) out[i] = std::fabs(q - col[i]);
 }
 
-void FillAttrSse2(const double* col, double q, double scale, std::size_t n,
-                  double* out) {
+void FillAttrSse2(const double* col, double q, std::size_t n, double* out) {
   const __m128d vq = _mm_set1_pd(q);
-  const __m128d vs = _mm_set1_pd(scale);
-  const bool unit = scale == 1.0;
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
-    __m128d d = Abs128(_mm_sub_pd(vq, _mm_load_pd(col + i)));
-    if (!unit) d = _mm_div_pd(d, vs);
-    _mm_storeu_pd(out + i, d);
+    _mm_storeu_pd(out + i, Abs128(_mm_sub_pd(vq, _mm_load_pd(col + i))));
   }
-  for (; i < n; ++i) {
-    out[i] = unit ? std::fabs(q - col[i]) : std::fabs(q - col[i]) / scale;
-  }
-}
-
-// ------------------------------------------------ single-row pre-passes
-//
-// One row, many attributes: lanes span attributes, via i64 gathers over
-// the precomputed column offsets (a · padded_rows). Full 4-attribute
-// blocks run vectorized and the final < 4 attributes scalar; the sums'
-// pre-pass is order-free under the slack argument, so mixing is fine, and
-// they keep the tail apart and compare lane sum + tail at the end. L∞
-// rejects on any term past the threshold and otherwise returns its exact
-// value (the lane max folded with the tail terms) — the only case where a
-// pre-pass is the source of an accepted value.
-
-template <LpNorm N>
-DISC_AVX2 Verdict GatherPrepassAvx2(const ColumnarView& v, const double* q,
-                                    const std::size_t* order,
-                                    const std::size_t* offs, std::size_t count,
-                                    std::size_t row, double threshold,
-                                    double* exact_out) {
-  using P = ci::NormPolicy<N>;
-  const bool unit = v.unit_scales();
-  const double* base = v.column(0) + row;
-  const double* scales = v.scales();
-  const double reject = P::Reject(threshold);
-  const __m256d vreject = _mm256_set1_pd(reject);
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256i idx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(offs + k));
-    const __m256i aidx =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(order + k));
-    __m256d d = Abs256(_mm256_sub_pd(_mm256_i64gather_pd(q, aidx, 8),
-                                     _mm256_i64gather_pd(base, idx, 8)));
-    if (!unit) d = _mm256_div_pd(d, _mm256_i64gather_pd(scales, aidx, 8));
-    if constexpr (P::kExactReject) {
-      if (_mm256_movemask_pd(_mm256_cmp_pd(d, vreject, _CMP_GT_OQ)) != 0) {
-        return Verdict::kCertainReject;
-      }
-    }
-    acc = Add256<N, /*kFused=*/true>(acc, d);
-    if constexpr (!P::kExactReject) {
-      if (HSum256(acc) > reject) return Verdict::kCertainReject;
-    }
-  }
-  // Lanes are NaN-free under L∞: maxpd dropped NaN terms.
-  double tail = P::kExactReject ? HMax256(acc) : 0;
-  for (; k < count; ++k) {
-    const std::size_t a = order[k];
-    double d = std::fabs(q[a] - base[offs[k]]);
-    if (!unit) d /= scales[a];
-    if (P::kExactReject && d > reject) return Verdict::kCertainReject;
-    tail = P::Add(tail, d);
-  }
-  if constexpr (P::kExactReject) {
-    *exact_out = tail;
-    return Verdict::kExact;
-  } else {
-    return HSum256(acc) + tail > reject ? Verdict::kCertainReject
-                                        : Verdict::kMaybeWithin;
-  }
+  for (; i < n; ++i) out[i] = std::fabs(q - col[i]);
 }
 
 #undef DISC_AVX2
-
-/// The gather pre-pass at the view's norm, over `count` attributes.
-Verdict GatherPrepass(const ColumnarView& v, const double* q,
-                      const std::size_t* order, const std::size_t* offs,
-                      std::size_t count, std::size_t row, double threshold,
-                      double* exact_out) {
-  return ci::WithNorm(v.norm(), [&](auto norm) {
-    return GatherPrepassAvx2<decltype(norm)::value>(v, q, order, offs, count,
-                                                    row, threshold, exact_out);
-  });
-}
 
 }  // namespace
 
@@ -480,9 +374,9 @@ bool FillAttributeDistances(SimdTier tier, const ColumnarView& v, double q_a,
 #ifdef DISC_SIMD_X86
   if (tier == SimdTier::kScalar) return false;
   if (tier == SimdTier::kAvx2) {
-    FillAttrAvx2(v.column(a), q_a, v.scale(a), v.rows(), out);
+    FillAttrAvx2(v.column(a), q_a, v.rows(), out);
   } else {
-    FillAttrSse2(v.column(a), q_a, v.scale(a), v.rows(), out);
+    FillAttrSse2(v.column(a), q_a, v.rows(), out);
   }
   return true;
 #else
@@ -492,58 +386,6 @@ bool FillAttributeDistances(SimdTier tier, const ColumnarView& v, double q_a,
   (void)a;
   (void)out;
   return false;
-#endif
-}
-
-Verdict DistanceWithinPrepass(SimdTier tier, const ColumnarView& v,
-                              const double* q, std::size_t row,
-                              double threshold, double* exact_out) {
-#ifdef DISC_SIMD_X86
-  if (tier != SimdTier::kAvx2 || v.arity() < kGatherMinArity) {
-    return Verdict::kUnsupported;
-  }
-  return GatherPrepass(v, q, v.scan_order().data(), v.scan_offsets().data(),
-                       v.arity(), row, threshold, exact_out);
-#else
-  (void)tier;
-  (void)v;
-  (void)q;
-  (void)row;
-  (void)threshold;
-  (void)exact_out;
-  return Verdict::kUnsupported;
-#endif
-}
-
-Verdict DistanceOnWithinPrepass(SimdTier tier, const ColumnarView& v,
-                                const double* q, std::uint64_t bits,
-                                std::size_t row, double threshold,
-                                double* exact_out) {
-#ifdef DISC_SIMD_X86
-  if (tier != SimdTier::kAvx2 ||
-      static_cast<std::size_t>(std::popcount(bits)) < kGatherMinArity) {
-    return Verdict::kUnsupported;
-  }
-  std::size_t order[64];
-  std::size_t offs[64];
-  std::size_t count = 0;
-  const std::size_t stride = v.padded_rows();
-  for (; bits != 0; bits &= bits - 1) {
-    const auto a = static_cast<std::size_t>(std::countr_zero(bits));
-    order[count] = a;
-    offs[count] = a * stride;
-    ++count;
-  }
-  return GatherPrepass(v, q, order, offs, count, row, threshold, exact_out);
-#else
-  (void)tier;
-  (void)v;
-  (void)q;
-  (void)bits;
-  (void)row;
-  (void)threshold;
-  (void)exact_out;
-  return Verdict::kUnsupported;
 #endif
 }
 

@@ -52,44 +52,16 @@ bool ScanWithin(SimdTier tier, const ColumnarView& v, const double* q,
                 void* ctx, ScanDelta* delta);
 
 /// Batch full-distance fill: out[i - begin] = Δ(q, t_i) for i in
-/// [begin, end), each lane bit-identical to FlatKernel::Distance(i) (the
+/// [begin, end), each lane bit-identical to the scalar reference (the
 /// per-row sum runs in canonical attribute order; vectorizing across rows
 /// never reorders it). Returns false when unsupported.
 bool FillDistances(SimdTier tier, const ColumnarView& v, const double* q,
                    std::size_t begin, std::size_t end, double* out);
 
-/// Batch per-attribute fill: out[i] = |q_a − col_a[i]| (/ scale_a) for all
-/// n rows — the SearchDistanceCache attribute rows. Returns false when
-/// unsupported.
+/// Batch per-attribute fill: out[i] = |q_a − col_a[i]| for all n rows —
+/// the SearchDistanceCache attribute rows. Returns false when unsupported.
 bool FillAttributeDistances(SimdTier tier, const ColumnarView& v, double q_a,
                             std::size_t a, double* out);
-
-/// Outcome of a single-row pre-pass.
-enum class Verdict {
-  kUnsupported,    ///< no kernel for this tier/shape — run the scalar path
-  kCertainReject,  ///< provably beyond the threshold — return +infinity
-  kMaybeWithin,    ///< run the canonical recompute (pre-pass inconclusive)
-  kExact,          ///< *exact_out holds the exact distance (L∞ only)
-};
-
-/// Single-row threshold pre-pass via gathered column loads (AVX2 only;
-/// engages at arity ≥ kGatherMinArity, below which the scalar early-exit
-/// scan wins). For L∞ the max is order-independent, so a completed scan
-/// returns kExact with the final value.
-Verdict DistanceWithinPrepass(SimdTier tier, const ColumnarView& v,
-                              const double* q, std::size_t row,
-                              double threshold, double* exact_out);
-
-/// Subset variant over the attributes in `bits` (already masked to the
-/// view's arity); engages at popcount(bits) ≥ kGatherMinArity.
-Verdict DistanceOnWithinPrepass(SimdTier tier, const ColumnarView& v,
-                                const double* q, std::uint64_t bits,
-                                std::size_t row, double threshold,
-                                double* exact_out);
-
-/// Engagement floor for the single-row gather kernels. Below it the scalar
-/// early-exit loop beats gather latency; tests pin parity on both sides.
-inline constexpr std::size_t kGatherMinArity = 16;
 
 }  // namespace simd
 }  // namespace disc

@@ -62,20 +62,6 @@ double DistanceEvaluator::DistanceOnWithin(const AttributeSet& x,
   return acc.Total();
 }
 
-bool DistanceEvaluator::AllScaledAbsoluteDifference(
-    std::vector<double>* scales) const {
-  if (scales != nullptr) {
-    scales->clear();
-    scales->reserve(metrics_.size());
-  }
-  for (const auto& metric : metrics_) {
-    double scale = 1.0;
-    if (!metric->IsScaledAbsoluteDifference(&scale)) return false;
-    if (scales != nullptr) scales->push_back(scale);
-  }
-  return true;
-}
-
 bool DistanceEvaluator::AllUnitAbsoluteDifference() const {
   for (const auto& metric : metrics_) {
     double scale = 1.0;

@@ -69,13 +69,9 @@ class DistanceEvaluator {
   /// The metric for attribute `a` (introspection for fast paths).
   const AttributeMetric& metric(std::size_t a) const { return *metrics_[a]; }
 
-  /// True iff every attribute metric is a scaled absolute difference —
-  /// the columnar fast path's eligibility test. When true and `scales` is
-  /// non-null, fills it with the per-attribute scales.
-  bool AllScaledAbsoluteDifference(std::vector<double>* scales = nullptr) const;
-
   /// True iff every attribute metric is the unit-scale absolute difference
-  /// (what KdTree hard-codes).
+  /// — the metric the columnar kernels and the kd-tree hard-code
+  /// (ColumnarView::Eligible).
   bool AllUnitAbsoluteDifference() const;
 
   /// Replaces the metric for attribute `a`.

@@ -1,6 +1,7 @@
 #include "index/index_factory.h"
 
 #include "common/log.h"
+#include "distance/columnar.h"
 #include "index/brute_force_index.h"
 #include "index/kd_tree.h"
 
@@ -22,14 +23,10 @@ std::unique_ptr<NeighborIndex> LogChoice(std::unique_ptr<NeighborIndex> index,
 
 std::unique_ptr<NeighborIndex> MakeNeighborIndex(
     const Relation& relation, const DistanceEvaluator& evaluator,
-    double /*epsilon_hint*/, bool force_brute_force) {
-  // KdTree hard-codes the unit-scale absolute-difference metric; any other
-  // evaluator configuration (custom metrics, non-unit scales) must go
-  // through BruteForceIndex — which engages its own columnar fast path
-  // whenever the relation is all-numeric with scaled-abs-diff metrics.
-  if (force_brute_force || !relation.schema().all_numeric() ||
-      relation.arity() == 0 || relation.arity() > 63 ||
-      !evaluator.AllUnitAbsoluteDifference()) {
+    double /*epsilon_hint*/) {
+  // KdTree hard-codes the unit absolute-difference metric over columnar
+  // leaves; every other relation runs on the scalar reference.
+  if (!ColumnarView::Eligible(relation, evaluator)) {
     return LogChoice(std::make_unique<BruteForceIndex>(relation, evaluator),
                      relation);
   }

@@ -9,20 +9,20 @@
 
 namespace disc {
 
-/// Picks the index for a relation:
-///  - KdTree for all-numeric relations of arity 1–63 whose evaluator uses
-///    the unit-scale absolute-difference metric on every attribute,
-///  - BruteForceIndex otherwise (string attributes, custom metrics or
-///    non-unit scales — detected by metric introspection — whose columnar
-///    fast path still handles scaled numeric metrics exactly).
+/// Picks the index for a relation, by the one eligibility rule of the
+/// columnar tier (ColumnarView::Eligible):
+///  - KdTree when the relation is all-numeric with 1–64 attributes and the
+///    evaluator uses the unit absolute-difference metric on every one,
+///  - BruteForceIndex, the scalar reference, otherwise (string attributes,
+///    custom or scaled metrics — detected by metric introspection).
 ///
 /// `epsilon_hint` no longer selects an index: the kd-tree serves every ε.
 /// It is kept so the many callers that pass their query ε (the benchmark
-/// among them) compile unchanged. `force_brute_force` forces the fallback
-/// explicitly (e.g. for reference comparisons in tests).
+/// among them) compile unchanged. Callers that need the scalar reference
+/// on eligible data construct BruteForceIndex directly.
 std::unique_ptr<NeighborIndex> MakeNeighborIndex(
     const Relation& relation, const DistanceEvaluator& evaluator,
-    double epsilon_hint = 0, bool force_brute_force = false);
+    double epsilon_hint = 0);
 
 }  // namespace disc
 

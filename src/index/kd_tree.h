@@ -14,22 +14,22 @@
 
 namespace disc {
 
-/// KD-tree over an all-numeric relation with the unit absolute-difference
-/// attribute metric, under L1, L2 or L∞ — the index MakeNeighborIndex
-/// returns for every such relation.
+/// KD-tree over an all-numeric relation of 1–64 attributes with the unit
+/// absolute-difference attribute metric, under L1, L2 or L∞ — the index
+/// MakeNeighborIndex returns for every such relation.
 ///
 /// The rows are stored in tree order in a lane-padded ColumnarView read
 /// straight from the relation, so every leaf is a contiguous, lane-aligned
 /// run of at most kLeafSize rows that the FlatKernel batch visit scans on
-/// the SIMD tier (DESIGN.md §12) — the same kernels BruteForceIndex runs.
-/// Each node keeps the bounding box of its rows. A subtree is pruned when
+/// the SIMD tier (DESIGN.md §12). Each node keeps the bounding box of its
+/// rows. A subtree is pruned when
 /// the box's distance to the query (per-attribute gaps aggregated by the
 /// LpAccumulator recurrence, in canonical attribute order) already exceeds
 /// the threshold. That distance is a lower bound for every row in the box,
 /// because a NaN cell unbounds its box on that attribute (L∞ drops NaN
 /// terms, so such a row may lie anywhere along it); pruning therefore never
 /// changes a verdict, and every reported row and distance is bit-identical
-/// to BruteForceIndex.
+/// to the scalar reference, BruteForceIndex.
 ///
 /// Thread-safety: immutable after construction; every query keeps its
 /// state (FlatKernel, scan counters, heap) per call (DESIGN.md §5).

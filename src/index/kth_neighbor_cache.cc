@@ -5,8 +5,7 @@
 namespace disc {
 
 KthNeighborCache::KthNeighborCache(const Relation& relation,
-                                   const NeighborIndex& index, std::size_t eta,
-                                   bool self_counts)
+                                   const NeighborIndex& index, std::size_t eta)
     : eta_(eta) {
   deltas_.resize(relation.size(),
                  std::numeric_limits<double>::infinity());
@@ -16,13 +15,12 @@ KthNeighborCache::KthNeighborCache(const Relation& relation,
   }
   for (std::size_t row = 0; row < relation.size(); ++row) {
     // The query tuple is itself indexed, so it appears in its own result at
-    // distance 0. When the tuple counts toward its own neighbor total
-    // (Formula 4), the η-th neighbor including self is simply the η-th
-    // element of the kNN result. Otherwise we need one more.
-    std::size_t k = self_counts ? eta : eta + 1;
-    std::vector<Neighbor> nn = index.KNearest(relation[row], k);
-    if (nn.size() >= k) {
-      deltas_[row] = nn[k - 1].distance;
+    // distance 0; as it counts toward its own neighbor total (Formula 4),
+    // the η-th neighbor including self is the η-th element of the kNN
+    // result.
+    std::vector<Neighbor> nn = index.KNearest(relation[row], eta);
+    if (nn.size() >= eta) {
+      deltas_[row] = nn[eta - 1].distance;
     }
   }
 }

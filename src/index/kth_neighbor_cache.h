@@ -17,11 +17,10 @@ namespace disc {
 /// upper bound of Proposition 5 iff δ_η(t) ≤ ε − Δ(t_o[X], t[X]).
 class KthNeighborCache {
  public:
-  /// Builds the cache by running an η-NN query per tuple.
-  /// `self_counts`: when true (default, matching Formula 4) the tuple itself
-  /// is counted among its neighbors.
+  /// Builds the cache by running an η-NN query per tuple; the tuple itself
+  /// counts among its neighbors (Formula 4).
   KthNeighborCache(const Relation& relation, const NeighborIndex& index,
-                   std::size_t eta, bool self_counts = true);
+                   std::size_t eta);
 
   /// δ_η for tuple `row`.
   double delta(std::size_t row) const { return deltas_[row]; }

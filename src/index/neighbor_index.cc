@@ -1,10 +1,12 @@
 #include "index/neighbor_index.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace disc {
 
 void NearestHeap::Offer(std::size_t row, double distance) {
+  if (std::isnan(distance)) return;
   const Neighbor cand{row, distance};
   if (heap_.size() < k_) {
     heap_.push_back(cand);

@@ -73,7 +73,9 @@ class NearestHeap {
                              : heap_.front().distance;
   }
 
-  /// Keeps (row, distance) if it is among the k best so far.
+  /// Keeps (row, distance) if it is among the k best so far. A NaN
+  /// distance never enters: it is within no threshold, as in every range
+  /// query, and would break NeighborLess's order inside the heap.
   void Offer(std::size_t row, double distance);
 
   /// The held neighbors, sorted by NeighborLess.

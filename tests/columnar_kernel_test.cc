@@ -1,8 +1,7 @@
-// Bit-identity suite for the columnar fast path: every distance, every
-// threshold verdict, every neighbor set, every bound and every save outcome
-// must match the scalar reference path EXACTLY (EXPECT_EQ on doubles, not
-// EXPECT_NEAR) — the fast path is an implementation detail, never a
-// semantics change.
+// Bit-identity suite for the columnar tier: every distance, every threshold
+// verdict, every neighbor set, every bound and every save outcome must match
+// the scalar reference EXACTLY (EXPECT_EQ on doubles, not EXPECT_NEAR) —
+// which tier runs is an implementation detail, never a semantics change.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +12,6 @@
 
 #include "common/cpu_features.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "core/bounds.h"
 #include "core/disc_saver.h"
 #include "core/outlier_saving.h"
@@ -77,13 +75,39 @@ Relation EdgeCaseRelation(std::size_t dims) {
   return r;
 }
 
-DistanceEvaluator ScaledEvaluator(const Schema& schema, LpNorm norm) {
+/// |a − b| without claiming IsScaledAbsoluteDifference: the arithmetic of
+/// the unit AbsoluteDifferenceMetric, so an evaluator built from it gives
+/// the same answers while putting the saver, its index and its search cache
+/// on the scalar reference tier.
+class PlainAbsoluteDifference : public AttributeMetric {
+ public:
+  double Distance(const Value& a, const Value& b) const override {
+    return std::fabs(a.num() - b.num());
+  }
+};
+
+/// The default evaluator of `schema` with every numeric metric replaced by
+/// PlainAbsoluteDifference.
+DistanceEvaluator ScalarReferenceEvaluator(const Schema& schema) {
   std::vector<std::unique_ptr<AttributeMetric>> metrics;
   for (std::size_t a = 0; a < schema.arity(); ++a) {
-    metrics.push_back(std::make_unique<AbsoluteDifferenceMetric>(
-        1.0 + 0.25 * static_cast<double>(a)));
+    if (schema.kind(a) == ValueKind::kNumeric) {
+      metrics.push_back(std::make_unique<PlainAbsoluteDifference>());
+    } else {
+      metrics.push_back(DefaultMetricFor(schema.kind(a)));
+    }
   }
-  return DistanceEvaluator(schema, std::move(metrics), norm);
+  return DistanceEvaluator(schema, std::move(metrics));
+}
+
+/// Rows and distances equal element for element.
+void ExpectSameNeighbors(const std::vector<Neighbor>& got,
+                         const std::vector<Neighbor>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].row, want[i].row) << "i=" << i;
+    EXPECT_EQ(got[i].distance, want[i].distance) << "i=" << i;
+  }
 }
 
 AttributeSet RandomSubset(std::size_t dims, Rng* rng) {
@@ -111,138 +135,109 @@ class KernelNormTest : public testing::TestWithParam<LpNorm> {};
 
 /// Every FlatKernel entry point, on every runnable tier, against the
 /// independent DistanceEvaluator (virtual per-attribute metrics aggregated
-/// by LpAccumulator) — not against another columnar tier. m = 24 is past
-/// simd::kGatherMinArity, so the AVX2 gather pre-pass of DistanceWithin and
-/// (for the all-attribute subset) DistanceOnWithin meets the reference too;
-/// 301 rows leave a partial lane block at the end of every batch scan.
+/// by LpAccumulator) — not against another columnar tier. m ∈ {6, 24}; 301
+/// rows leave a partial lane block at the end of every batch scan.
 TEST_P(KernelNormTest, KernelMatchesEvaluatorBitForBit) {
   for (std::size_t dims : {std::size_t{6}, std::size_t{24}}) {
     Relation r = RandomNumericRelation(301, dims, 11);
     const std::size_t n = r.size();
-    AttributeSet all;
-    for (std::size_t a = 0; a < dims; ++a) all.insert(a);
-    for (bool scaled : {false, true}) {
-      DistanceEvaluator ev = scaled ? ScaledEvaluator(r.schema(), GetParam())
-                                    : DistanceEvaluator(r.schema(), GetParam());
-      auto view = ColumnarView::Build(r, ev);
-      ASSERT_NE(view, nullptr);
-      EXPECT_EQ(view->unit_scales(), !scaled);
+    DistanceEvaluator ev(r.schema(), GetParam());
+    auto view = ColumnarView::Build(r, ev);
+    ASSERT_NE(view, nullptr);
 
-      for (SimdTier tier : RunnableTiers()) {
-        view->set_simd_tier(tier);
-        SCOPED_TRACE(testing::Message()
-                     << "tier=" << SimdTierName(tier) << " dims=" << dims
-                     << " scaled=" << scaled);
-        Rng rng(7);
-        for (int qi = 0; qi < 10; ++qi) {
-          Tuple query = RandomQuery(dims, &rng);
-          FlatKernel kernel(*view, query);
-          std::vector<double> full(n);
+    for (SimdTier tier : RunnableTiers()) {
+      view->set_simd_tier(tier);
+      SCOPED_TRACE(testing::Message()
+                   << "tier=" << SimdTierName(tier) << " dims=" << dims);
+      Rng rng(7);
+      for (int qi = 0; qi < 10; ++qi) {
+        Tuple query = RandomQuery(dims, &rng);
+        FlatKernel kernel(*view, query);
+        std::vector<double> full(n);
+        for (std::size_t row = 0; row < n; ++row) {
+          full[row] = ev.Distance(query, r[row]);
+        }
+
+        // Batch scans: the accepted rows, in ascending order, with the
+        // evaluator's DistanceWithin value. Radii at a row's exact
+        // distance put a tie on the boundary.
+        for (double eps : {0.0, full[17], full[42] * 1.1, 25.0, kInf}) {
+          std::vector<std::size_t> want_rows;
+          std::vector<double> want_dists;
           for (std::size_t row = 0; row < n; ++row) {
-            double expected = ev.Distance(query, r[row]);
-            full[row] = expected;
-            EXPECT_EQ(kernel.Distance(row), expected);
-
-            for (double threshold :
-                 {0.0, expected * 0.5, expected, expected * 1.5, 25.0, kInf}) {
-              double want = ev.DistanceWithin(query, r[row], threshold);
-              double got = kernel.DistanceWithin(row, threshold);
-              // Bit-identical including the +inf-on-reject encoding.
-              EXPECT_EQ(got, want) << "threshold=" << threshold;
-            }
-
-            for (const AttributeSet& x : {RandomSubset(dims, &rng), all}) {
-              double sub = ev.DistanceOn(x, query, r[row]);
-              EXPECT_EQ(kernel.DistanceOn(x, row), sub);
-              for (double threshold : {0.0, sub * 0.5, sub, sub * 2.0}) {
-                EXPECT_EQ(kernel.DistanceOnWithin(x, row, threshold),
-                          ev.DistanceOnWithin(x, query, r[row], threshold));
-              }
+            double d = ev.DistanceWithin(query, r[row], eps);
+            if (d <= eps) {
+              want_rows.push_back(row);
+              want_dists.push_back(d);
             }
           }
+          std::vector<std::size_t> rows;
+          std::vector<double> dists;
+          kernel.CollectWithin(eps, &rows, &dists);
+          EXPECT_EQ(rows, want_rows) << "eps=" << eps;
+          EXPECT_EQ(dists, want_dists) << "eps=" << eps;
+          EXPECT_EQ(kernel.CountWithin(eps), want_rows.size()) << "eps=" << eps;
 
-          // Batch scans: the accepted rows, in ascending order, with the
-          // evaluator's DistanceWithin value. Radii at a row's exact
-          // distance put a tie on the boundary.
-          for (double eps : {0.0, full[17], full[42] * 1.1, kInf}) {
-            std::vector<std::size_t> want_rows;
-            std::vector<double> want_dists;
-            for (std::size_t row = 0; row < n; ++row) {
-              double d = ev.DistanceWithin(query, r[row], eps);
-              if (d <= eps) {
-                want_rows.push_back(row);
-                want_dists.push_back(d);
-              }
-            }
-            std::vector<std::size_t> rows;
-            std::vector<double> dists;
-            kernel.CollectWithin(eps, &rows, &dists);
-            EXPECT_EQ(rows, want_rows) << "eps=" << eps;
-            EXPECT_EQ(dists, want_dists) << "eps=" << eps;
-            EXPECT_EQ(kernel.CountWithin(eps), want_rows.size())
-                << "eps=" << eps;
-
-            // The range-restricted visit both scans run on, over rows with
-            // an unaligned head and tail; then with a sink that stops at
-            // its first hit, which ends the visit with that hit's lane
-            // block (at most 4 rows, one on the scalar tier).
-            const std::size_t begin = 3;
-            const std::size_t end = n - 2;
-            std::vector<std::size_t> part_rows;
-            std::vector<double> part_dists;
-            for (std::size_t i = 0; i < want_rows.size(); ++i) {
-              if (want_rows[i] >= begin && want_rows[i] < end) {
-                part_rows.push_back(want_rows[i]);
-                part_dists.push_back(want_dists[i]);
-              }
-            }
-            struct Sink {
-              bool stop;
-              std::vector<std::size_t> rows;
-              std::vector<double> dists;
-            };
-            auto hit = +[](void* ctx, std::size_t row, double d) {
-              auto* sink = static_cast<Sink*>(ctx);
-              sink->rows.push_back(row);
-              sink->dists.push_back(d);
-              return !sink->stop;
-            };
-            Sink all{false, {}, {}};
-            simd::ScanDelta delta;
-            kernel.VisitWithin(eps, begin, end, hit, &all, &delta);
-            EXPECT_EQ(all.rows, part_rows) << "eps=" << eps;
-            EXPECT_EQ(all.dists, part_dists) << "eps=" << eps;
-            EXPECT_EQ(delta.rows_scanned, end - begin);
-            Sink first{true, {}, {}};
-            kernel.VisitWithin(eps, begin, end, hit, &first, &delta);
-            ASSERT_EQ(first.rows.empty(), part_rows.empty());
-            if (!part_rows.empty()) {
-              EXPECT_EQ(first.rows, std::vector<std::size_t>(
-                                        part_rows.begin(),
-                                        part_rows.begin() + first.rows.size()));
-              EXPECT_EQ(first.rows.back() / 4, first.rows.front() / 4);
-            }
-          }
-
-          // Full-distance fills over the whole range and over a range with
-          // an unaligned head and tail.
-          std::vector<double> fill(n);
-          kernel.FillDistances(fill.data(), 0, n);
-          EXPECT_EQ(fill, full);
+          // The range-restricted visit both scans run on, over rows with
+          // an unaligned head and tail; then with a sink that stops at
+          // its first hit, which ends the visit with that hit's lane
+          // block (at most 4 rows, one on the scalar tier).
           const std::size_t begin = 3;
           const std::size_t end = n - 2;
-          std::vector<double> part(end - begin);
-          kernel.FillDistances(part.data(), begin, end);
-          EXPECT_EQ(part, std::vector<double>(full.begin() + begin,
-                                              full.begin() + end));
-
-          for (std::size_t a = 0; a < dims; ++a) {
-            std::vector<double> attr(n);
-            kernel.FillAttributeDistances(a, attr.data());
-            for (std::size_t row = 0; row < n; ++row) {
-              EXPECT_EQ(attr[row], ev.AttributeDistance(a, query[a], r[row][a]))
-                  << "a=" << a << " row=" << row;
+          std::vector<std::size_t> part_rows;
+          std::vector<double> part_dists;
+          for (std::size_t i = 0; i < want_rows.size(); ++i) {
+            if (want_rows[i] >= begin && want_rows[i] < end) {
+              part_rows.push_back(want_rows[i]);
+              part_dists.push_back(want_dists[i]);
             }
+          }
+          struct Sink {
+            bool stop;
+            std::vector<std::size_t> rows;
+            std::vector<double> dists;
+          };
+          auto hit = +[](void* ctx, std::size_t row, double d) {
+            auto* sink = static_cast<Sink*>(ctx);
+            sink->rows.push_back(row);
+            sink->dists.push_back(d);
+            return !sink->stop;
+          };
+          Sink all{false, {}, {}};
+          simd::ScanDelta delta;
+          kernel.VisitWithin(eps, begin, end, hit, &all, &delta);
+          EXPECT_EQ(all.rows, part_rows) << "eps=" << eps;
+          EXPECT_EQ(all.dists, part_dists) << "eps=" << eps;
+          EXPECT_EQ(delta.rows_scanned, end - begin);
+          Sink first{true, {}, {}};
+          kernel.VisitWithin(eps, begin, end, hit, &first, &delta);
+          ASSERT_EQ(first.rows.empty(), part_rows.empty());
+          if (!part_rows.empty()) {
+            EXPECT_EQ(first.rows, std::vector<std::size_t>(
+                                      part_rows.begin(),
+                                      part_rows.begin() + first.rows.size()));
+            EXPECT_EQ(first.rows.back() / 4, first.rows.front() / 4);
+          }
+        }
+
+        // Full-distance fills over the whole range and over a range with
+        // an unaligned head and tail.
+        std::vector<double> fill(n);
+        kernel.FillDistances(fill.data(), 0, n);
+        EXPECT_EQ(fill, full);
+        const std::size_t begin = 3;
+        const std::size_t end = n - 2;
+        std::vector<double> part(end - begin);
+        kernel.FillDistances(part.data(), begin, end);
+        EXPECT_EQ(part, std::vector<double>(full.begin() + begin,
+                                            full.begin() + end));
+
+        for (std::size_t a = 0; a < dims; ++a) {
+          std::vector<double> attr(n);
+          kernel.FillAttributeDistances(a, attr.data());
+          for (std::size_t row = 0; row < n; ++row) {
+            EXPECT_EQ(attr[row], ev.AttributeDistance(a, query[a], r[row][a]))
+                << "a=" << a << " row=" << row;
           }
         }
       }
@@ -250,9 +245,14 @@ TEST_P(KernelNormTest, KernelMatchesEvaluatorBitForBit) {
   }
 }
 
+/// NaN, ±huge, denormal and −0 rows through the batch entry points on
+/// every runnable tier: the fill against DistanceEvaluator::Distance (NaN
+/// compared as NaN), the scans against DistanceEvaluator::DistanceWithin —
+/// a NaN total fails `d <= threshold` on both paths, so no scan reports it.
 TEST_P(KernelNormTest, KernelMatchesEvaluatorOnEdgeValues) {
   const std::size_t dims = 4;
   Relation r = EdgeCaseRelation(dims);
+  const std::size_t n = r.size();
   DistanceEvaluator ev(r.schema(), GetParam());
   auto view = ColumnarView::Build(r, ev);
   ASSERT_NE(view, nullptr);
@@ -265,25 +265,40 @@ TEST_P(KernelNormTest, KernelMatchesEvaluatorOnEdgeValues) {
     queries.push_back(std::move(q));
   }
 
-  for (const Tuple& query : queries) {
-    FlatKernel kernel(*view, query);
-    for (std::size_t row = 0; row < r.size(); ++row) {
-      double expected = ev.Distance(query, r[row]);
-      double got = kernel.Distance(row);
-      if (std::isnan(expected)) {
-        EXPECT_TRUE(std::isnan(got));
-      } else {
-        EXPECT_EQ(got, expected);
+  for (SimdTier tier : RunnableTiers()) {
+    view->set_simd_tier(tier);
+    for (std::size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE(testing::Message()
+                   << "tier=" << SimdTierName(tier) << " query=" << qi);
+      const Tuple& query = queries[qi];
+      FlatKernel kernel(*view, query);
+      std::vector<double> fill(n);
+      kernel.FillDistances(fill.data(), 0, n);
+      for (std::size_t row = 0; row < n; ++row) {
+        double expected = ev.Distance(query, r[row]);
+        if (std::isnan(expected)) {
+          EXPECT_TRUE(std::isnan(fill[row])) << "row=" << row;
+        } else {
+          EXPECT_EQ(fill[row], expected) << "row=" << row;
+        }
       }
       for (double threshold : {0.0, 1.0, 1e300, kInf}) {
-        double want = ev.DistanceWithin(query, r[row], threshold);
-        double within = kernel.DistanceWithin(row, threshold);
-        // The decision the call sites make is `d <= threshold`; it must
-        // agree exactly (NaN totals fail it on both paths).
-        EXPECT_EQ(within <= threshold, want <= threshold);
-        if (!std::isnan(want)) {
-          EXPECT_EQ(within, want);
+        std::vector<std::size_t> want_rows;
+        std::vector<double> want_dists;
+        for (std::size_t row = 0; row < n; ++row) {
+          double d = ev.DistanceWithin(query, r[row], threshold);
+          if (d <= threshold) {
+            want_rows.push_back(row);
+            want_dists.push_back(d);
+          }
         }
+        std::vector<std::size_t> rows;
+        std::vector<double> dists;
+        kernel.CollectWithin(threshold, &rows, &dists);
+        EXPECT_EQ(rows, want_rows) << "threshold=" << threshold;
+        EXPECT_EQ(dists, want_dists) << "threshold=" << threshold;
+        EXPECT_EQ(kernel.CountWithin(threshold), want_rows.size())
+            << "threshold=" << threshold;
       }
     }
   }
@@ -332,56 +347,61 @@ TEST(ColumnarViewTest, IneligibleSchemasAndMetrics) {
   DistanceEvaluator ev_custom(rn.schema(), std::move(metrics));
   EXPECT_FALSE(ColumnarView::Eligible(rn, ev_custom));
   EXPECT_EQ(ColumnarView::Build(rn, ev_custom), nullptr);
-  EXPECT_FALSE(ev_custom.AllScaledAbsoluteDifference());
+  EXPECT_FALSE(ev_custom.AllUnitAbsoluteDifference());
 
   // Empty schema -> ineligible.
   Relation empty{Schema::Numeric(0)};
   DistanceEvaluator ev_empty(empty.schema());
   EXPECT_FALSE(ColumnarView::Eligible(empty, ev_empty));
 
-  // Scaled metrics are columnar-eligible but not unit.
-  DistanceEvaluator ev_scaled = ScaledEvaluator(rn.schema(), LpNorm::kL2);
-  EXPECT_TRUE(ColumnarView::Eligible(rn, ev_scaled));
-  EXPECT_TRUE(ev_scaled.AllScaledAbsoluteDifference());
+  // A scaled absolute difference is not the unit metric: ineligible, so it
+  // runs on the scalar reference.
+  std::vector<std::unique_ptr<AttributeMetric>> scaled;
+  scaled.push_back(std::make_unique<AbsoluteDifferenceMetric>());
+  scaled.push_back(std::make_unique<AbsoluteDifferenceMetric>(2.0));
+  DistanceEvaluator ev_scaled(rn.schema(), std::move(scaled));
   EXPECT_FALSE(ev_scaled.AllUnitAbsoluteDifference());
+  EXPECT_FALSE(ColumnarView::Eligible(rn, ev_scaled));
+  EXPECT_EQ(ColumnarView::Build(rn, ev_scaled), nullptr);
+
+  // Unit metrics on 1 to 64 numeric attributes -> eligible; 65 -> not.
+  for (std::size_t dims : {std::size_t{1}, std::size_t{64}}) {
+    Relation r = RandomNumericRelation(5, dims, 6);
+    EXPECT_TRUE(ColumnarView::Eligible(r, DistanceEvaluator(r.schema())));
+  }
+  Relation wide = RandomNumericRelation(5, 65, 6);
+  EXPECT_FALSE(ColumnarView::Eligible(wide, DistanceEvaluator(wide.schema())));
 }
 
 // ---------------------------------------------------------------------------
-// Indexes: fast path vs scalar reference
+// Indexes: the kd-tree vs the scalar reference
 // ---------------------------------------------------------------------------
 
-TEST(IndexFastPathTest, BruteForceColumnarMatchesScalarBitForBit) {
+TEST(IndexFastPathTest, KdTreeMatchesBruteForceBitForBit) {
+  // The kd-tree's columnar leaf scans and box pruning against the scalar
+  // BruteForceIndex, on every query kind: range, count, capped count and
+  // kNN (k = 600 exceeds n).
   for (LpNorm norm : {LpNorm::kL1, LpNorm::kL2, LpNorm::kLInf}) {
     Relation r = RandomNumericRelation(500, 5, 21);
     DistanceEvaluator ev(r.schema(), norm);
-    BruteForceIndex fast(r, ev);
-    BruteForceIndex scalar(r, ev, /*enable_fast_path=*/false);
-    ASSERT_NE(fast.columnar_view(), nullptr);
-    ASSERT_EQ(scalar.columnar_view(), nullptr);
+    auto tree = MakeNeighborIndex(r, ev);
+    ASSERT_STREQ(tree->Name(), "kd_tree");
+    BruteForceIndex scalar(r, ev);
 
     Rng rng(31);
     for (int qi = 0; qi < 25; ++qi) {
       Tuple query = RandomQuery(5, &rng);
       for (double eps : {0.5, 3.0, 9.0}) {
-        std::vector<Neighbor> a = fast.RangeQuery(query, eps);
-        std::vector<Neighbor> b = scalar.RangeQuery(query, eps);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a[i].row, b[i].row);
-          EXPECT_EQ(a[i].distance, b[i].distance);
-        }
-        EXPECT_EQ(fast.CountWithin(query, eps), scalar.CountWithin(query, eps));
-        EXPECT_EQ(fast.CountWithin(query, eps, 3),
+        ExpectSameNeighbors(tree->RangeQuery(query, eps),
+                            scalar.RangeQuery(query, eps));
+        EXPECT_EQ(tree->CountWithin(query, eps),
+                  scalar.CountWithin(query, eps));
+        EXPECT_EQ(tree->CountWithin(query, eps, 3),
                   scalar.CountWithin(query, eps, 3));
       }
       for (std::size_t k : {std::size_t{1}, std::size_t{7}, std::size_t{600}}) {
-        std::vector<Neighbor> a = fast.KNearest(query, k);
-        std::vector<Neighbor> b = scalar.KNearest(query, k);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a[i].row, b[i].row);
-          EXPECT_EQ(a[i].distance, b[i].distance);
-        }
+        ExpectSameNeighbors(tree->KNearest(query, k),
+                            scalar.KNearest(query, k));
       }
     }
   }
@@ -389,7 +409,7 @@ TEST(IndexFastPathTest, BruteForceColumnarMatchesScalarBitForBit) {
 
 TEST(IndexFastPathTest, BoundedHeapKnnMatchesFullSortSemantics) {
   // Duplicated points force distance ties; the (distance, row) tie-break
-  // must pick the lowest rows, exactly like the old full-sort implementation.
+  // must pick the lowest rows, exactly like a full sort.
   Relation r(Schema::Numeric(2));
   for (int i = 0; i < 30; ++i) {
     Tuple t(2);
@@ -398,13 +418,13 @@ TEST(IndexFastPathTest, BoundedHeapKnnMatchesFullSortSemantics) {
     r.AppendUnchecked(std::move(t));
   }
   DistanceEvaluator ev(r.schema());
-  BruteForceIndex fast(r, ev);
-  BruteForceIndex scalar(r, ev, /*enable_fast_path=*/false);
+  KdTree tree(r);
+  BruteForceIndex scalar(r, ev);
   Tuple query(2);
   query[0] = Value(0.0);
   query[1] = Value(0.0);
   for (std::size_t k = 1; k <= 30; ++k) {
-    std::vector<Neighbor> a = fast.KNearest(query, k);
+    std::vector<Neighbor> a = tree.KNearest(query, k);
     std::vector<Neighbor> b = scalar.KNearest(query, k);
     ASSERT_EQ(a.size(), k);
     ASSERT_EQ(b.size(), k);
@@ -414,67 +434,63 @@ TEST(IndexFastPathTest, BoundedHeapKnnMatchesFullSortSemantics) {
     }
   }
   // k=0 and k > n edge cases.
-  EXPECT_TRUE(fast.KNearest(query, 0).empty());
-  EXPECT_EQ(fast.KNearest(query, 100).size(), 30u);
+  EXPECT_TRUE(tree.KNearest(query, 0).empty());
+  EXPECT_EQ(tree.KNearest(query, 100).size(), 30u);
 }
 
-TEST(IndexFastPathTest, KdTreeMatchesBruteForceBitForBit) {
-  // The columnar brute force and the kd-tree run the same kernels, so both
-  // must agree exactly (not just approximately) with the scalar reference
-  // on range/count results.
-  Relation r = RandomNumericRelation(400, 3, 77);
-  DistanceEvaluator ev(r.schema());
-  BruteForceIndex brute(r, ev);
-  BruteForceIndex brute_scalar(r, ev, /*enable_fast_path=*/false);
-  KdTree tree(r);
-
-  Rng rng(13);
-  for (int qi = 0; qi < 25; ++qi) {
-    Tuple query = RandomQuery(3, &rng);
-    for (double eps : {0.8, 2.0, 6.0}) {
-      std::vector<Neighbor> want = brute_scalar.RangeQuery(query, eps);
-      for (const NeighborIndex* index :
-           {static_cast<const NeighborIndex*>(&brute),
-            static_cast<const NeighborIndex*>(&tree)}) {
-        std::vector<Neighbor> got = index->RangeQuery(query, eps);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].row, want[i].row);
-          EXPECT_EQ(got[i].distance, want[i].distance);
-        }
-        EXPECT_EQ(index->CountWithin(query, eps), want.size());
-      }
-    }
+/// The evaluator of `schema` with AbsoluteDifferenceMetric(2.0) on
+/// attribute `scaled_attr` and the unit metric elsewhere.
+DistanceEvaluator HalfScaleEvaluator(const Schema& schema,
+                                     std::size_t scaled_attr) {
+  std::vector<std::unique_ptr<AttributeMetric>> metrics;
+  for (std::size_t a = 0; a < schema.arity(); ++a) {
+    metrics.push_back(std::make_unique<AbsoluteDifferenceMetric>(
+        a == scaled_attr ? 2.0 : 1.0));
   }
+  return DistanceEvaluator(schema, std::move(metrics));
+}
+
+/// `r` with attribute `a` halved in every row (and in no other way
+/// changed). Halving is exact in binary floating point, so the unit metric
+/// on the halved attribute equals AbsoluteDifferenceMetric(2.0) on the
+/// original, bit for bit.
+Relation HalveAttribute(const Relation& r, std::size_t a) {
+  Relation out = r;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i][a] = Value(r[i][a].num() / 2);
+  }
+  return out;
 }
 
 TEST(IndexFastPathTest, FactoryFallsBackForNonUnitMetrics) {
   Relation r = RandomNumericRelation(50, 3, 9);
   DistanceEvaluator unit(r.schema());
-  DistanceEvaluator scaled = ScaledEvaluator(r.schema(), LpNorm::kL2);
+  DistanceEvaluator scaled = HalfScaleEvaluator(r.schema(), 1);
 
   // Unit metrics on a numeric relation: the kd-tree.
-  auto idx_unit = MakeNeighborIndex(r, unit, /*epsilon_hint=*/1.0);
-  EXPECT_EQ(dynamic_cast<BruteForceIndex*>(idx_unit.get()), nullptr);
+  EXPECT_STREQ(MakeNeighborIndex(r, unit, /*epsilon_hint=*/1.0)->Name(),
+               "kd_tree");
 
-  // Non-unit scales: the kd-tree would silently use the wrong metric — the
-  // factory must fall back to BruteForce (whose columnar path handles
-  // scales exactly).
+  // A non-unit scale: no columnar view, and the factory falls back to the
+  // scalar reference (the kd-tree would silently use the wrong metric).
+  EXPECT_EQ(ColumnarView::Build(r, scaled), nullptr);
   auto idx_scaled = MakeNeighborIndex(r, scaled, /*epsilon_hint=*/1.0);
-  auto* brute = dynamic_cast<BruteForceIndex*>(idx_scaled.get());
-  ASSERT_NE(brute, nullptr);
-  EXPECT_NE(brute->columnar_view(), nullptr);
+  EXPECT_STREQ(idx_scaled->Name(), "brute_force");
 
-  // And the fallback really answers with the scaled metric.
+  // And the fallback really answers with the scaled metric: exactly what
+  // the unit-metric kd-tree answers over the relation with that attribute
+  // halved.
+  Relation halved = HalveAttribute(r, 1);
+  KdTree tree(halved);
   Rng rng(4);
-  Tuple query = RandomQuery(3, &rng);
-  std::vector<Neighbor> got = idx_scaled->RangeQuery(query, 2.0);
-  BruteForceIndex reference(r, scaled, /*enable_fast_path=*/false);
-  std::vector<Neighbor> want = reference.RangeQuery(query, 2.0);
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].row, want[i].row);
-    EXPECT_EQ(got[i].distance, want[i].distance);
+  for (int qi = 0; qi < 5; ++qi) {
+    Tuple query = RandomQuery(3, &rng);
+    Tuple halved_query = query;
+    halved_query[1] = Value(query[1].num() / 2);
+    ExpectSameNeighbors(idx_scaled->RangeQuery(query, 2.0),
+                        tree.RangeQuery(halved_query, 2.0));
+    ExpectSameNeighbors(idx_scaled->KNearest(query, 5),
+                        tree.KNearest(halved_query, 5));
   }
 }
 
@@ -501,15 +517,10 @@ TEST(SearchDistanceCacheTest, MatchesEvaluatorColumnarAndScalarBacked) {
       double expected = ev.Distance(outlier, r[row]);
       EXPECT_EQ(with_view.FullDistance(row), expected);
       EXPECT_EQ(without_view.FullDistance(row), expected);
-
-      AttributeSet x = RandomSubset(dims, &rng);
-      double sub = ev.DistanceOn(x, outlier, r[row]);
-      EXPECT_EQ(with_view.DistanceOn(x, row), sub);
-      EXPECT_EQ(without_view.DistanceOn(x, row), sub);
-      for (double threshold : {0.0, sub * 0.5, sub, sub * 2.0}) {
-        double want = ev.DistanceOnWithin(x, outlier, r[row], threshold);
-        EXPECT_EQ(with_view.DistanceOnWithin(x, row, threshold), want);
-        EXPECT_EQ(without_view.DistanceOnWithin(x, row, threshold), want);
+      for (std::size_t a = 0; a < dims; ++a) {
+        double want = ev.AttributeDistance(a, outlier[a], r[row][a]);
+        EXPECT_EQ(with_view.attribute_row(a)[row], want);
+        EXPECT_EQ(without_view.attribute_row(a)[row], want);
       }
     }
   }
@@ -566,9 +577,11 @@ TEST(SaverFastPathTest, SaveOutcomesIdenticalOnNumericData) {
   const std::size_t dims = 4;
   Relation inliers = RandomNumericRelation(250, dims, 1001);
   DistanceEvaluator ev(inliers.schema());
+  DistanceEvaluator scalar_ev = ScalarReferenceEvaluator(inliers.schema());
+  ASSERT_FALSE(ColumnarView::Eligible(inliers, scalar_ev));
   DistanceConstraint constraint{/*epsilon=*/2.5, /*eta=*/5};
   DiscSaver fast(inliers, ev, constraint);
-  DiscSaver scalar(inliers, ev, constraint, /*enable_fast_path=*/false);
+  DiscSaver scalar(inliers, scalar_ev, constraint);
 
   Rng rng(77);
   for (int i = 0; i < 6; ++i) {
@@ -586,9 +599,10 @@ TEST(SaverFastPathTest, SaveOutcomesIdenticalOnNumericData) {
 }
 
 TEST(SaverFastPathTest, SaveOutcomesIdenticalOnMixedData) {
-  // Mixed schema: the columnar view is ineligible, but the per-search cache
-  // still engages (scalar-backed) — outcomes must be identical to the fully
-  // uncached reference.
+  // Mixed schema: no columnar view, so the saver and its search cache run
+  // on the scalar evaluator whatever the numeric metric claims about
+  // itself — outcomes with the default metrics and with the plain
+  // test-local ones must be identical.
   Schema mixed(std::vector<AttributeDef>{{"x", ValueKind::kNumeric},
                                          {"name", ValueKind::kString},
                                          {"y", ValueKind::kNumeric}});
@@ -603,9 +617,10 @@ TEST(SaverFastPathTest, SaveOutcomesIdenticalOnMixedData) {
     inliers.AppendUnchecked(std::move(t));
   }
   DistanceEvaluator ev(mixed);
+  DistanceEvaluator scalar_ev = ScalarReferenceEvaluator(mixed);
   DistanceConstraint constraint{/*epsilon=*/2.0, /*eta=*/4};
   DiscSaver fast(inliers, ev, constraint);
-  DiscSaver scalar(inliers, ev, constraint, /*enable_fast_path=*/false);
+  DiscSaver scalar(inliers, scalar_ev, constraint);
 
   for (int i = 0; i < 4; ++i) {
     Tuple outlier(3);
@@ -616,24 +631,29 @@ TEST(SaverFastPathTest, SaveOutcomesIdenticalOnMixedData) {
   }
 }
 
-TEST(SaverFastPathTest, SaveOutliersPipelineIdentical) {
+/// A 200 × 3 uniform relation plus five planted outliers far outside it.
+Relation RelationWithPlantedOutliers() {
   Relation data = RandomNumericRelation(200, 3, 2024);
-  // Plant a few obvious outliers.
   Rng rng(2025);
   for (int i = 0; i < 5; ++i) {
     Tuple t(3);
     for (std::size_t d = 0; d < 3; ++d) t[d] = Value(rng.Uniform(40, 60));
     data.AppendUnchecked(std::move(t));
   }
+  return data;
+}
+
+TEST(SaverFastPathTest, SaveOutliersPipelineIdentical) {
+  // The whole pipeline — index, split, kNN cache, saver and search cache —
+  // on the columnar tier vs on the scalar reference tier.
+  Relation data = RelationWithPlantedOutliers();
   DistanceEvaluator ev(data.schema());
+  DistanceEvaluator scalar_ev = ScalarReferenceEvaluator(data.schema());
   OutlierSavingOptions options;
   options.constraint = {/*epsilon=*/3.0, /*eta=*/4};
 
-  OutlierSavingOptions scalar_options = options;
-  scalar_options.use_columnar_fast_path = false;
-
   SavedDataset fast = SaveOutliers(data, ev, options);
-  SavedDataset scalar = SaveOutliers(data, ev, scalar_options);
+  SavedDataset scalar = SaveOutliers(data, scalar_ev, options);
   ASSERT_TRUE(fast.status.ok());
   ASSERT_TRUE(scalar.status.ok());
   ASSERT_EQ(fast.outlier_rows, scalar.outlier_rows);
@@ -649,65 +669,47 @@ TEST(SaverFastPathTest, SaveOutliersPipelineIdentical) {
   }
 }
 
-TEST(ParallelScanTest, PooledBatchScansMatchSequentialBitForBit) {
-  // The pooled CollectWithin/CountWithin overloads chunk the row range and
-  // merge per-chunk results; the output must be identical element for
-  // element to the sequential scan. 20k rows so the parallel path actually
-  // engages (it needs n >= 2 * grain = 16384).
-  for (LpNorm norm : {LpNorm::kL1, LpNorm::kL2, LpNorm::kLInf}) {
-    Relation r = RandomNumericRelation(20000, 4, 61);
-    DistanceEvaluator ev(r.schema(), norm);
-    auto view = ColumnarView::Build(r, ev);
-    ASSERT_NE(view, nullptr);
+TEST(SaverFastPathTest, ScaledMetricMatchesHalvedUnitRun) {
+  // AbsoluteDifferenceMetric(2.0) on one attribute makes the relation
+  // ineligible, so the whole pipeline runs on the scalar tier (brute-force
+  // index, scalar search cache). The unit metric over the relation with
+  // that attribute halved sees bit-identical distances on the columnar
+  // kd-tree tier, so both runs must agree record for record, the halved
+  // run's adjusted values doubled back.
+  const std::size_t attr = 1;
+  Relation data = RelationWithPlantedOutliers();
+  Relation halved = HalveAttribute(data, attr);
+  DistanceEvaluator scaled = HalfScaleEvaluator(data.schema(), attr);
+  DistanceEvaluator unit(halved.schema());
+  ASSERT_EQ(ColumnarView::Build(data, scaled), nullptr);
+  ASSERT_STREQ(MakeNeighborIndex(data, scaled)->Name(), "brute_force");
+  ASSERT_STREQ(MakeNeighborIndex(halved, unit)->Name(), "kd_tree");
 
-    WorkStealingPool pool(4);
-    Rng rng(67);
-    for (int qi = 0; qi < 5; ++qi) {
-      Tuple query = RandomQuery(4, &rng);
-      FlatKernel kernel(*view, query);
-      for (double eps : {0.5, 4.0, 12.0}) {
-        std::vector<std::size_t> seq_rows, par_rows;
-        std::vector<double> seq_dists, par_dists;
-        kernel.CollectWithin(eps, &seq_rows, &seq_dists);
-        kernel.CollectWithin(eps, &par_rows, &par_dists, &pool);
-        ASSERT_EQ(par_rows.size(), seq_rows.size()) << "eps=" << eps;
-        for (std::size_t i = 0; i < seq_rows.size(); ++i) {
-          EXPECT_EQ(par_rows[i], seq_rows[i]);
-          EXPECT_EQ(par_dists[i], seq_dists[i]);
-        }
-        EXPECT_EQ(kernel.CountWithin(eps, &pool), kernel.CountWithin(eps));
-      }
-    }
+  OutlierSavingOptions options;
+  options.constraint = {/*epsilon=*/3.0, /*eta=*/4};
+  SavedDataset got = SaveOutliers(data, scaled, options);
+  SavedDataset want = SaveOutliers(halved, unit, options);
+  ASSERT_TRUE(got.status.ok());
+  ASSERT_TRUE(want.status.ok());
+  ASSERT_EQ(got.inlier_rows, want.inlier_rows);
+  ASSERT_EQ(got.outlier_rows, want.outlier_rows);
+  ASSERT_EQ(got.records.size(), want.records.size());
+  std::size_t saved = 0;
+  for (std::size_t i = 0; i < got.records.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "record " << i);
+    const OutlierRecord& g = got.records[i];
+    const OutlierRecord& w = want.records[i];
+    EXPECT_EQ(g.disposition, w.disposition);
+    EXPECT_EQ(g.termination, w.termination);
+    EXPECT_EQ(g.cost, w.cost);
+    EXPECT_EQ(g.lower_bound, w.lower_bound);
+    EXPECT_EQ(g.adjusted_attributes.bits(), w.adjusted_attributes.bits());
+    Tuple doubled = w.adjusted;
+    doubled[attr] = Value(w.adjusted[attr].num() * 2);
+    EXPECT_TRUE(g.adjusted == doubled);
+    if (g.disposition == OutlierDisposition::kSaved) ++saved;
   }
-}
-
-TEST(ParallelScanTest, PooledScansFallBackOnSmallInputsAndSmallPools) {
-  // Below the grain threshold, or with a single-thread/null pool, the
-  // pooled overloads must take the sequential path and still agree.
-  Relation r = RandomNumericRelation(500, 4, 71);
-  DistanceEvaluator ev(r.schema(), LpNorm::kL2);
-  auto view = ColumnarView::Build(r, ev);
-  ASSERT_NE(view, nullptr);
-
-  WorkStealingPool big(4);
-  WorkStealingPool single(1);
-  Rng rng(73);
-  Tuple query = RandomQuery(4, &rng);
-  FlatKernel kernel(*view, query);
-  for (double eps : {1.0, 6.0}) {
-    std::vector<std::size_t> want_rows;
-    std::vector<double> want_dists;
-    kernel.CollectWithin(eps, &want_rows, &want_dists);
-    for (WorkStealingPool* pool :
-         {static_cast<WorkStealingPool*>(nullptr), &single, &big}) {
-      std::vector<std::size_t> rows;
-      std::vector<double> dists;
-      kernel.CollectWithin(eps, &rows, &dists, pool);
-      EXPECT_EQ(rows, want_rows);
-      EXPECT_EQ(dists, want_dists);
-      EXPECT_EQ(kernel.CountWithin(eps, pool), want_rows.size());
-    }
-  }
+  EXPECT_GT(saved, 0u);
 }
 
 }  // namespace

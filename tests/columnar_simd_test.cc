@@ -2,13 +2,12 @@
 // entry point of FlatKernel, on every dispatch tier the machine can run,
 // must produce outputs bit-identical to the scalar reference — across lane
 // tails (n % block ≠ 0), sub-lane inputs (n < one block), the narrowest and
-// widest schemas, non-unit scales, NaN/±inf/denormal columns, and pooled
-// chunked scans. Also covers the dispatch-resolution rules of
-// common/cpu_features.h and the 64-byte column-alignment invariant.
+// widest schemas, and NaN/±inf/denormal columns. Also covers the
+// dispatch-resolution rules of common/cpu_features.h and the 64-byte
+// column-alignment invariant.
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -18,7 +17,6 @@
 #include "common/cpu_features.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "distance/columnar.h"
 #include "distance/columnar_simd.h"
 #include "distance/evaluator.h"
@@ -89,15 +87,6 @@ Relation EdgeCaseRelation(std::size_t dims) {
     r.AppendUnchecked(std::move(t));
   }
   return r;
-}
-
-DistanceEvaluator ScaledEvaluator(const Schema& schema, LpNorm norm) {
-  std::vector<std::unique_ptr<AttributeMetric>> metrics;
-  for (std::size_t a = 0; a < schema.arity(); ++a) {
-    metrics.push_back(std::make_unique<AbsoluteDifferenceMetric>(
-        1.0 + 0.25 * static_cast<double>(a)));
-  }
-  return DistanceEvaluator(schema, std::move(metrics), norm);
 }
 
 /// Scalar-reference results for one (view, query, epsilon) triple.
@@ -196,11 +185,11 @@ TEST(ColumnarLayoutTest, SetSimdTierClampsToDetected) {
 
 class SimdNormTest : public testing::TestWithParam<LpNorm> {};
 
-/// The core sweep: for each (n, m, scaled) shape, pin the view to scalar to
-/// record the reference, then re-run every kernel entry point under each
-/// runnable vector tier and demand bit-identical results. Shapes straddle
-/// the block widths (n % 4, n % 2, n < one block) and the gather floor
-/// (m < 16 vs m ≥ 16, up to the kCapacity-wide 64).
+/// The core sweep: for each (n, m) shape, pin the view to scalar to record
+/// the reference, then re-run every kernel entry point under each runnable
+/// vector tier and demand bit-identical results. Shapes straddle the block
+/// widths (n % 4, n % 2, n < one block) and the schema widths, up to the
+/// kCapacity-wide 64.
 TEST_P(SimdNormTest, AllEntryPointsMatchScalarBitForBit) {
   const LpNorm norm = GetParam();
   struct Shape {
@@ -213,100 +202,80 @@ TEST_P(SimdNormTest, AllEntryPointsMatchScalarBitForBit) {
   Rng rng(23);
   for (const Shape& shape : shapes) {
     Relation r = RandomNumericRelation(shape.n, shape.m, 31 + shape.n);
-    for (bool scaled : {false, true}) {
-      DistanceEvaluator ev = scaled ? ScaledEvaluator(r.schema(), norm)
-                                    : DistanceEvaluator(r.schema(), norm);
-      auto view = ColumnarView::Build(r, ev);
-      ASSERT_NE(view, nullptr);
-      for (int qi = 0; qi < 3; ++qi) {
-        Tuple query = RandomQuery(shape.m, &rng);
-        const double eps = rng.Uniform(0.5, 6.0);
-        const AttributeSet subset = [&] {
-          AttributeSet x;
-          for (std::size_t a = 0; a < shape.m; ++a) {
-            if (rng.Uniform() < 0.7) x.insert(a);
-          }
-          return x;
-        }();
+    DistanceEvaluator ev(r.schema(), norm);
+    auto view = ColumnarView::Build(r, ev);
+    ASSERT_NE(view, nullptr);
+    for (int qi = 0; qi < 3; ++qi) {
+      Tuple query = RandomQuery(shape.m, &rng);
+      const double eps = rng.Uniform(0.5, 6.0);
 
-        // Materialize every scalar reference value BEFORE switching tiers:
-        // FlatKernel dispatches on the view's current tier at call time, so
-        // reference calls made after set_simd_tier would compare a tier to
-        // itself.
-        view->set_simd_tier(SimdTier::kScalar);
-        const ScanResult ref = ScanOn(*view, query, eps);
-        FlatKernel ref_kernel(*view, query);
-        std::vector<double> ref_fill(shape.n);
-        ref_kernel.FillDistances(ref_fill.data(), 0, shape.n);
-        std::vector<double> ref_attr(shape.n);
-        ref_kernel.FillAttributeDistances(shape.m / 2, ref_attr.data());
-        const double thrs[4] = {0.0, eps * 0.5, eps, eps * 2};
-        std::vector<double> ref_dist(shape.n), ref_on(shape.n);
-        std::vector<std::array<double, 4>> ref_within(shape.n),
-            ref_on_within(shape.n);
-        for (std::size_t row = 0; row < shape.n; ++row) {
-          ref_dist[row] = ref_kernel.Distance(row);
-          ref_on[row] = ref_kernel.DistanceOn(subset, row);
-          for (int ti = 0; ti < 4; ++ti) {
-            ref_within[row][ti] = ref_kernel.DistanceWithin(row, thrs[ti]);
-            ref_on_within[row][ti] =
-                ref_kernel.DistanceOnWithin(subset, row, thrs[ti]);
-          }
+      // Materialize every scalar reference value BEFORE switching tiers:
+      // FlatKernel dispatches on the view's current tier at call time, so
+      // reference calls made after set_simd_tier would compare a tier to
+      // itself.
+      view->set_simd_tier(SimdTier::kScalar);
+      const ScanResult ref = ScanOn(*view, query, eps);
+      FlatKernel ref_kernel(*view, query);
+      std::vector<double> ref_fill(shape.n);
+      ref_kernel.FillDistances(ref_fill.data(), 0, shape.n);
+      std::vector<double> ref_attr(shape.n);
+      ref_kernel.FillAttributeDistances(shape.m / 2, ref_attr.data());
+
+      for (SimdTier tier : RunnableTiers()) {
+        view->set_simd_tier(tier);
+        SCOPED_TRACE(testing::Message()
+                     << "tier=" << SimdTierName(tier) << " n=" << shape.n
+                     << " m=" << shape.m << " eps=" << eps);
+        const ScanResult got = ScanOn(*view, query, eps);
+        EXPECT_EQ(got.rows, ref.rows);
+        EXPECT_EQ(got.dists, ref.dists);
+        EXPECT_EQ(got.count, ref.count);
+
+        FlatKernel kernel(*view, query);
+        std::vector<double> fill(shape.n);
+        kernel.FillDistances(fill.data(), 0, shape.n);
+        EXPECT_EQ(fill, ref_fill);
+        // Split fills must agree with the whole-range fill (chunked
+        // SearchDistanceCache path, arbitrary interior boundary).
+        if (shape.n > 2) {
+          const std::size_t cut = shape.n / 2 + 1;
+          std::vector<double> split(shape.n);
+          kernel.FillDistances(split.data(), 0, cut);
+          kernel.FillDistances(split.data() + cut, cut, shape.n);
+          EXPECT_EQ(split, ref_fill);
         }
-
-        for (SimdTier tier : RunnableTiers()) {
-          view->set_simd_tier(tier);
-          SCOPED_TRACE(testing::Message()
-                       << "tier=" << SimdTierName(tier) << " n=" << shape.n
-                       << " m=" << shape.m << " scaled=" << scaled
-                       << " eps=" << eps);
-          const ScanResult got = ScanOn(*view, query, eps);
-          EXPECT_EQ(got.rows, ref.rows);
-          EXPECT_EQ(got.dists, ref.dists);
-          EXPECT_EQ(got.count, ref.count);
-
-          FlatKernel kernel(*view, query);
-          std::vector<double> fill(shape.n);
-          kernel.FillDistances(fill.data(), 0, shape.n);
-          EXPECT_EQ(fill, ref_fill);
-          // Split fills must agree with the whole-range fill (chunked
-          // SearchDistanceCache path, arbitrary interior boundary).
-          if (shape.n > 2) {
-            const std::size_t cut = shape.n / 2 + 1;
-            std::vector<double> split(shape.n);
-            kernel.FillDistances(split.data(), 0, cut);
-            kernel.FillDistances(split.data() + cut, cut, shape.n);
-            EXPECT_EQ(split, ref_fill);
-          }
-          std::vector<double> attr(shape.n);
-          kernel.FillAttributeDistances(shape.m / 2, attr.data());
-          EXPECT_EQ(attr, ref_attr);
-
-          for (std::size_t row = 0; row < shape.n; ++row) {
-            EXPECT_EQ(kernel.Distance(row), ref_dist[row]);
-            for (int ti = 0; ti < 4; ++ti) {
-              EXPECT_EQ(kernel.DistanceWithin(row, thrs[ti]),
-                        ref_within[row][ti])
-                  << "row " << row << " thr " << thrs[ti];
-              EXPECT_EQ(kernel.DistanceOnWithin(subset, row, thrs[ti]),
-                        ref_on_within[row][ti])
-                  << "row " << row << " thr " << thrs[ti];
-            }
-            EXPECT_EQ(kernel.DistanceOn(subset, row), ref_on[row]);
-          }
-        }
+        std::vector<double> attr(shape.n);
+        kernel.FillAttributeDistances(shape.m / 2, attr.data());
+        EXPECT_EQ(attr, ref_attr);
       }
+    }
+  }
+}
+
+/// Fill values equal element for element, NaN compared as NaN (EXPECT_EQ on
+/// two NaNs fails).
+void ExpectSameFill(const std::vector<double>& got,
+                    const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(want[i])) {
+      EXPECT_TRUE(std::isnan(got[i])) << "row " << i;
+    } else {
+      EXPECT_EQ(got[i], want[i]) << "row " << i;
     }
   }
 }
 
 /// Non-finite parity: the reject pre-pass must never dismiss NaN rows (NaN
 /// comparisons are false), ±inf must overflow identically, denormals must
-/// not flush. Queries include finite, infinite and NaN coordinates.
+/// not flush. Queries include finite, infinite and NaN coordinates. The
+/// scalar tier is held to DistanceEvaluator, every vector tier to the
+/// scalar tier.
 TEST_P(SimdNormTest, EdgeValuesMatchScalarBitForBit) {
   const LpNorm norm = GetParam();
   for (std::size_t dims : {2u, 5u, 24u}) {
     Relation r = EdgeCaseRelation(dims);
+    const std::size_t n = r.size();
     DistanceEvaluator ev(r.schema(), norm);
     auto view = ColumnarView::Build(r, ev);
     ASSERT_NE(view, nullptr);
@@ -325,17 +294,33 @@ TEST_P(SimdNormTest, EdgeValuesMatchScalarBitForBit) {
     queries.push_back(std::move(nan_query));
 
     for (const Tuple& query : queries) {
+      std::vector<double> want_fill(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        want_fill[i] = ev.Distance(query, r[i]);
+      }
       for (double eps : {0.0, 1.0, 1e300, kInf}) {
         // Scalar references materialized before any tier switch (FlatKernel
         // dispatches on the view's current tier at call time).
         view->set_simd_tier(SimdTier::kScalar);
         const ScanResult ref = ScanOn(*view, query, eps);
         FlatKernel ref_kernel(*view, query);
-        std::vector<double> ref_fill(r.size());
-        ref_kernel.FillDistances(ref_fill.data(), 0, r.size());
-        std::vector<double> ref_within(r.size());
-        for (std::size_t i = 0; i < r.size(); ++i) {
-          ref_within[i] = ref_kernel.DistanceWithin(i, eps);
+        std::vector<double> ref_fill(n);
+        ref_kernel.FillDistances(ref_fill.data(), 0, n);
+        {
+          SCOPED_TRACE(testing::Message() << "scalar tier vs evaluator, dims="
+                                          << dims << " eps=" << eps);
+          ScanResult want;
+          for (std::size_t i = 0; i < n; ++i) {
+            const double d = ev.DistanceWithin(query, r[i], eps);
+            if (d <= eps) {
+              want.rows.push_back(i);
+              want.dists.push_back(d);
+            }
+          }
+          EXPECT_EQ(ref.rows, want.rows);
+          EXPECT_EQ(ref.dists, want.dists);
+          EXPECT_EQ(ref.count, want.rows.size());
+          ExpectSameFill(ref_fill, want_fill);
         }
         for (SimdTier tier : RunnableTiers()) {
           view->set_simd_tier(tier);
@@ -344,26 +329,13 @@ TEST_P(SimdNormTest, EdgeValuesMatchScalarBitForBit) {
                                           << " eps=" << eps);
           const ScanResult got = ScanOn(*view, query, eps);
           EXPECT_EQ(got.rows, ref.rows);
-          // Accepted distances can be NaN-free only; still compare exactly.
+          // Accepted distances are never NaN; compare exactly.
           EXPECT_EQ(got.dists, ref.dists);
           EXPECT_EQ(got.count, ref.count);
           FlatKernel kernel(*view, query);
-          std::vector<double> fill(r.size());
-          kernel.FillDistances(fill.data(), 0, r.size());
-          for (std::size_t i = 0; i < r.size(); ++i) {
-            // EXPECT_EQ(NaN, NaN) fails; compare NaN-ness semantically.
-            if (std::isnan(ref_fill[i])) {
-              EXPECT_TRUE(std::isnan(fill[i])) << "row " << i;
-            } else {
-              EXPECT_EQ(fill[i], ref_fill[i]) << "row " << i;
-            }
-            double a = kernel.DistanceWithin(i, eps);
-            if (std::isnan(ref_within[i])) {
-              EXPECT_TRUE(std::isnan(a)) << "row " << i;
-            } else {
-              EXPECT_EQ(a, ref_within[i]) << "row " << i;
-            }
-          }
+          std::vector<double> fill(n);
+          kernel.FillDistances(fill.data(), 0, n);
+          ExpectSameFill(fill, ref_fill);
         }
       }
     }
@@ -375,41 +347,6 @@ INSTANTIATE_TEST_SUITE_P(AllNorms, SimdNormTest,
                                          LpNorm::kLInf));
 
 // ---------------------------------------------------------------------------
-// Pooled scans: SIMD chunks, any thread count, same bits
-// ---------------------------------------------------------------------------
-
-TEST(SimdPooledScanTest, PooledCollectMatchesScalarSequentialExactly) {
-  const std::size_t n = 40000;  // ≥ 2 × grain: the pools actually engage
-  const std::size_t dims = 6;
-  Relation r = RandomNumericRelation(n, dims, 97);
-  DistanceEvaluator ev(r.schema());
-  auto view = ColumnarView::Build(r, ev);
-  ASSERT_NE(view, nullptr);
-  Rng rng(3);
-  Tuple query = RandomQuery(dims, &rng);
-  const double eps = 2.5;
-
-  view->set_simd_tier(SimdTier::kScalar);
-  const ScanResult ref = ScanOn(*view, query, eps);
-
-  for (SimdTier tier : RunnableTiers()) {
-    view->set_simd_tier(tier);
-    FlatKernel kernel(*view, query);
-    for (std::size_t threads : {1u, 4u, 8u}) {
-      WorkStealingPool pool(threads);
-      SCOPED_TRACE(testing::Message() << "tier=" << SimdTierName(tier)
-                                      << " threads=" << threads);
-      std::vector<std::size_t> rows;
-      std::vector<double> dists;
-      kernel.CollectWithin(eps, &rows, &dists, &pool);
-      EXPECT_EQ(rows, ref.rows);
-      EXPECT_EQ(dists, ref.dists);
-      EXPECT_EQ(kernel.CountWithin(eps, &pool), ref.count);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Wide-index end-to-end parity
 // ---------------------------------------------------------------------------
 
@@ -418,7 +355,7 @@ TEST(SimdPointKernelTest, WideKdTreeMatchesBruteForceBitForBit) {
   const std::size_t dims = 12;
   Relation r = RandomNumericRelation(400, dims, 59);
   DistanceEvaluator ev(r.schema());
-  BruteForceIndex brute(r, ev, /*enable_fast_path=*/false);
+  BruteForceIndex brute(r, ev);
   KdTree tree(r);
   Rng rng(13);
   for (int qi = 0; qi < 10; ++qi) {

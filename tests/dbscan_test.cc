@@ -133,7 +133,7 @@ Labels FrontierDbscan(const Relation& relation, const DistanceEvaluator& ev,
                       const DbscanParams& params) {
   const std::size_t n = relation.size();
   Labels labels(n, kNoise);
-  BruteForceIndex index(relation, ev, /*enable_fast_path=*/false);
+  BruteForceIndex index(relation, ev);
   std::vector<bool> visited(n, false);
   int next_cluster = 0;
   for (std::size_t seed = 0; seed < n; ++seed) {
@@ -189,7 +189,7 @@ TEST(Dbscan, LabelsMatchFrontierExpansionOnSharedBorders) {
     const Relation& r = data.data;
     for (LpNorm norm : {LpNorm::kL2, LpNorm::kL1, LpNorm::kLInf}) {
       DistanceEvaluator ev(r.schema(), norm);
-      BruteForceIndex scalar(r, ev, /*enable_fast_path=*/false);
+      BruteForceIndex scalar(r, ev);
       for (double scale : {0.35, 0.6, 0.9}) {
         const double eps =
             scale * (norm == LpNorm::kL1   ? static_cast<double>(dims)

@@ -40,8 +40,8 @@ Tuple RandomQuery(std::size_t dims, Rng* rng) {
 }
 
 /// Rows and distances equal element for element (EXPECT_EQ on doubles: the
-/// kd-tree runs BruteForceIndex's kernels, so nothing may differ by even an
-/// ulp).
+/// kd-tree's kernels are bit-identical to BruteForceIndex's scalar
+/// evaluator, so nothing may differ by even an ulp).
 void ExpectSameNeighbors(const std::vector<Neighbor>& got,
                          const std::vector<Neighbor>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -157,7 +157,7 @@ TEST(IndexNanCells, FactoryIndexMatchesBruteForceOnNanRow) {
   // query r[0] and missed rows 1 and 2, and missed row 0 for (5,0,0).
   Relation r = NanTriangle();
   DistanceEvaluator ev(r.schema(), LpNorm::kLInf);
-  BruteForceIndex scalar(r, ev, /*enable_fast_path=*/false);
+  BruteForceIndex scalar(r, ev);
   auto index = MakeNeighborIndex(r, ev, 1.0);
   std::vector<Neighbor> want = scalar.RangeQuery(r[0], 1.0);
   ASSERT_EQ(want.size(), 3u);
@@ -194,18 +194,21 @@ class IndexNonFiniteTest
     : public testing::TestWithParam<std::tuple<std::size_t, LpNorm>> {};
 
 TEST_P(IndexNonFiniteTest, KdTreeMatchesScalarBruteForceBitForBit) {
-  // A tree of several leaves whose boxes hold NaN and ±inf cells. Queries
-  // are the relation's rows with their NaN cells moved far away (under L∞
-  // the row stays within ε of itself, so a box that skipped its NaN cell
-  // would prune it), random points, points with a NaN coordinate, and
-  // points with an infinite one.
+  // A tree of several leaves whose boxes hold NaN and ±inf cells, built by
+  // the factory (m = 64 included: the widest schema the columnar tier
+  // serves). Queries are the relation's rows with their NaN cells moved far
+  // away (under L∞ the row stays within ε of itself, so a box that skipped
+  // its NaN cell would prune it), random points, points with a NaN
+  // coordinate, and points with an infinite one.
   const auto [dims, norm] = GetParam();
   const std::size_t n = 300;  // at least four leaves of at most 64 rows
   const std::size_t eta = 5;
   Relation r = NonFiniteRelation(n, dims, 1000 + dims);
   DistanceEvaluator ev(r.schema(), norm);
-  BruteForceIndex scalar(r, ev, /*enable_fast_path=*/false);
-  KdTree tree(r, norm);
+  BruteForceIndex scalar(r, ev);
+  auto tree_index = MakeNeighborIndex(r, ev);
+  ASSERT_STREQ(tree_index->Name(), "kd_tree");
+  const NeighborIndex& tree = *tree_index;
 
   Rng rng(31 + dims);
   std::vector<Tuple> queries;
@@ -239,13 +242,17 @@ TEST_P(IndexNonFiniteTest, KdTreeMatchesScalarBruteForceBitForBit) {
             << "cap=" << cap;
       }
     }
+    for (std::size_t k : {std::size_t{1}, eta, std::size_t{40}}) {
+      SCOPED_TRACE(testing::Message() << "query=" << qi << " k=" << k);
+      ExpectSameNeighbors(tree.KNearest(query, k), scalar.KNearest(query, k));
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     DimsAndNorms, IndexNonFiniteTest,
     testing::Combine(testing::Values(std::size_t{2}, std::size_t{3},
-                                     std::size_t{8}),
+                                     std::size_t{8}, std::size_t{64}),
                      testing::Values(LpNorm::kL1, LpNorm::kL2,
                                      LpNorm::kLInf)));
 
@@ -270,17 +277,28 @@ TEST(IndexFactory, PicksKdTreeForLowDim) {
 }
 
 TEST(IndexFactory, PicksKdTreeForHighDim) {
-  Relation r = RandomRelation(50, 8, 1);
-  DistanceEvaluator ev(r.schema());
-  auto index = MakeNeighborIndex(r, ev, 2.0);
-  EXPECT_NE(dynamic_cast<KdTree*>(index.get()), nullptr);
+  // Up to the 64 attributes of AttributeSet::kCapacity, the widest schema
+  // the columnar tier (and the saver) serves.
+  for (std::size_t dims : {std::size_t{8}, std::size_t{63}, std::size_t{64}}) {
+    Relation r = RandomRelation(50, dims, 1);
+    DistanceEvaluator ev(r.schema());
+    auto index = MakeNeighborIndex(r, ev, 2.0);
+    EXPECT_NE(dynamic_cast<KdTree*>(index.get()), nullptr) << "dims=" << dims;
+  }
 }
 
-TEST(IndexFactory, ForceBruteForce) {
+TEST(IndexFactory, ScalarReferenceIsDirectBruteForce) {
+  // The scalar reference on data the factory serves with the kd-tree is a
+  // directly constructed BruteForceIndex; both answer alike.
   Relation r = RandomRelation(50, 3, 1);
   DistanceEvaluator ev(r.schema());
-  auto index = MakeNeighborIndex(r, ev, 2.0, /*force_brute_force=*/true);
-  EXPECT_NE(dynamic_cast<BruteForceIndex*>(index.get()), nullptr);
+  BruteForceIndex scalar(r, ev);
+  EXPECT_STREQ(scalar.Name(), "brute_force");
+  auto index = MakeNeighborIndex(r, ev, 2.0);
+  EXPECT_NE(dynamic_cast<KdTree*>(index.get()), nullptr);
+  const Tuple query = Tuple::Numeric({0.5, -1, 2});
+  ExpectSameNeighbors(index->RangeQuery(query, 6.0),
+                      scalar.RangeQuery(query, 6.0));
 }
 
 TEST(KdTree, FarAwayQueryTerminatesQuickly) {

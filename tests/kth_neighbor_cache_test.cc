@@ -49,17 +49,6 @@ TEST(KthNeighborCache, EtaThreeOnLine) {
   EXPECT_DOUBLE_EQ(cache.delta(5), 1.0);
 }
 
-TEST(KthNeighborCache, NoSelfCountShiftsByOne) {
-  Relation r = LineRelation();
-  KdTree tree(r);
-  KthNeighborCache with_self(r, tree, 2, /*self_counts=*/true);
-  KthNeighborCache without_self(r, tree, 1, /*self_counts=*/false);
-  // η=2 including self == η=1 excluding self.
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    EXPECT_DOUBLE_EQ(with_self.delta(i), without_self.delta(i));
-  }
-}
-
 TEST(KthNeighborCache, EtaLargerThanNIsInfinite) {
   Relation r = LineRelation();
   KdTree tree(r);
