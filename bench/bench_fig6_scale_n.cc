@@ -35,7 +35,7 @@ ExactOutcome RunExact(const PaperDataset& ds,
   // fix is explored within the first ~d candidates, so the budget mostly
   // trims the exhaustive tail (the paper's Exact shows the same trade:
   // better F1 at much higher time).
-  options.exact_max_candidates = 25000;
+  options.save.budget.max_visited_sets = 25000;
   SavedDataset saved = SaveOutliers(ds.dirty, evaluator, options);
   out.seconds = timer.Seconds();
   out.timed_out = out.seconds > kCutoffSeconds;

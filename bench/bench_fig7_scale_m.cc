@@ -85,7 +85,7 @@ int main() {
       OutlierSavingOptions options;
       options.constraint = ds.suggested;
       options.use_exact = true;
-      options.exact_max_candidates = 50000;
+      options.save.budget.max_visited_sets = 50000;
       SavedDataset saved = SaveOutliers(ds.dirty, evaluator, options);
       double secs = timer.Seconds();
       f1_exact =

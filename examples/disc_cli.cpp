@@ -391,7 +391,7 @@ int main(int argc, char** argv) {
     options.constraint = constraint;
     options.save.kappa = kappa;
     options.use_exact = use_exact;
-    options.exact_max_candidates = 200000;
+    if (use_exact) options.save.budget.max_visited_sets = 200000;
     options.num_threads = threads;
     options.batch_deadline_ms = deadline_ms;
     options.per_outlier_deadline_ms = per_outlier_deadline_ms;

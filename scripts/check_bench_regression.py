@@ -12,9 +12,9 @@ baseline file the same-named fresh artifact must exist and:
   2. `deterministic`, where present, must be true in the fresh run.
   3. Every `search_stats` block (the deterministic work counters — any
      depth, `wall_nanos` excluded) must match the baseline exactly.
-     Work-counter drift means the algorithm did different work, which is
-     a WARN by default (legitimate algorithmic changes move these; the
-     PR must refresh baselines) and a FAIL under --strict-work.
+     Work-counter drift means the algorithm did different work and fails;
+     a change that moves the counters on purpose refreshes the baselines
+     alongside.
   4. Throughput must not regress by more than --tolerance, compared only
      when both files record the same `hardware_threads` — timings from
      different machine shapes are incomparable, so a mismatch skips the
@@ -68,7 +68,7 @@ class Report:
         print(f"  ok: {msg}")
 
 
-def check_work_counters(name, fresh, base, strict, report):
+def check_work_counters(name, fresh, base, report):
     fresh_stats = dict(collect_search_stats(fresh))
     base_stats = dict(collect_search_stats(base))
     drift = []
@@ -89,13 +89,9 @@ def check_work_counters(name, fresh, base, strict, report):
     if not drift:
         report.ok(f"{name}: work counters match baseline exactly")
         return
-    msg = (f"{name}: deterministic work counters drifted from baseline "
-           f"(algorithm did different work — refresh bench/baselines/ if "
-           f"intended): " + "; ".join(drift))
-    if strict:
-        report.fail(msg)
-    else:
-        report.warn(msg)
+    report.fail(f"{name}: deterministic work counters drifted from baseline "
+                f"(algorithm did different work — refresh bench/baselines/ "
+                f"if intended): " + "; ".join(drift))
 
 
 def comparable_hardware(name, fresh, base, report):
@@ -186,7 +182,7 @@ def check_file(fresh_path, base_path, args, report):
         else:
             report.ok(f"{name}: deterministic across thread counts")
 
-    check_work_counters(name, fresh, base, args.strict_work, report)
+    check_work_counters(name, fresh, base, report)
     check_throughput(name, fresh, base, args.tolerance, report)
     if fresh.get("bench") == "parallel_save":
         check_thread_sweep(name, fresh, args.efficiency_floor, report)
@@ -205,8 +201,6 @@ def main():
     parser.add_argument("--efficiency-floor", type=float, default=0.45,
                         help="required parallel efficiency per effective "
                              "core in the thread sweep (default 0.45)")
-    parser.add_argument("--strict-work", action="store_true",
-                        help="fail (instead of warn) on work-counter drift")
     args = parser.parse_args()
 
     baselines = sorted(args.baselines.glob("BENCH_*.json"))

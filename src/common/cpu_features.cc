@@ -19,20 +19,13 @@ constexpr bool kSimdCompiledIn = false;
 #endif
 
 SimdTier Probe() {
-  if (!kSimdCompiledIn) return SimdTier::kScalar;
 #if !defined(DISC_SIMD_DISABLED) && (defined(__x86_64__) || defined(__amd64__))
   // __builtin_cpu_supports folds in the OS XSAVE/ymm-state check, so a
   // kernel that disabled AVX state reports unsupported here — exactly what
-  // dispatch needs. FMA is probed separately from AVX2: the L2 reject
-  // pre-pass uses fused multiply-adds, and the two CPUID bits are distinct.
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return SimdTier::kAvx2;
-  }
-  // SSE2 is architecturally guaranteed on x86-64.
-  return SimdTier::kSse2;
-#else
-  return SimdTier::kScalar;
+  // dispatch needs.
+  if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
 #endif
+  return SimdTier::kScalar;
 }
 
 }  // namespace
@@ -41,8 +34,6 @@ const char* SimdTierName(SimdTier tier) {
   switch (tier) {
     case SimdTier::kScalar:
       return "scalar";
-    case SimdTier::kSse2:
-      return "sse2";
     case SimdTier::kAvx2:
       return "avx2";
   }
@@ -53,7 +44,6 @@ std::optional<SimdTier> ParseSimdTier(std::string_view value) {
   if (value == "off" || value == "scalar" || value == "OFF") {
     return SimdTier::kScalar;
   }
-  if (value == "sse2" || value == "SSE2") return SimdTier::kSse2;
   if (value == "avx2" || value == "AVX2") return SimdTier::kAvx2;
   return std::nullopt;
 }

@@ -9,15 +9,15 @@ namespace disc {
 /// Instruction-set tier of the hand-vectorized distance kernels
 /// (distance/columnar_simd.h, DESIGN.md §12). Ordered: a higher tier is a
 /// strict superset of the lower ones, so "clamp to the minimum of requested
-/// and supported" is always a safe resolution.
+/// and supported" is always a safe resolution. The values are those of the
+/// disc_simd_tier gauge; 1 is unused.
 enum class SimdTier {
   kScalar = 0,  ///< portable reference kernels (distance/columnar.cc)
-  kSse2 = 1,    ///< 2-wide double lanes (x86-64 baseline)
-  kAvx2 = 2,    ///< 4-wide double lanes + FMA
+  kAvx2 = 2,    ///< 4-wide double lanes
 };
 
 /// Lower-case tier name for metrics labels, /statusz and logs:
-/// "scalar" | "sse2" | "avx2".
+/// "scalar" | "avx2".
 const char* SimdTierName(SimdTier tier);
 
 /// Parses a DISC_SIMD override value. Accepts the tier names plus "off"
@@ -33,17 +33,15 @@ std::optional<SimdTier> ParseSimdTier(std::string_view value);
 /// "narrowed by DISC_SIMD".
 SimdTier CompiledSimdTier();
 
-/// The widest tier this CPU can execute, probed once via CPUID (the AVX2
-/// tier additionally requires FMA — every AVX2-era core has it, but the
-/// bits are distinct so both are checked). On non-x86 builds, or when the
-/// CMake option DISC_SIMD is OFF, this is kScalar.
+/// The widest tier this CPU can execute, probed once via CPUID. On non-x86
+/// builds, or when the CMake option DISC_SIMD is OFF, this is kScalar.
 SimdTier DetectedSimdTier();
 
 /// Pure resolution rule, split out for testability: the effective tier is
 /// min(requested, detected) — an override can disable width the CPU has,
-/// never enable width it lacks (forcing "avx2" on an SSE2-only machine must
-/// not SIGILL, it degrades). `env_value` is the raw DISC_SIMD string
-/// (nullptr/""/"auto" = no override).
+/// never enable width it lacks (forcing "avx2" on a machine without AVX2
+/// must not SIGILL, it degrades to scalar). `env_value` is the raw
+/// DISC_SIMD string (nullptr/""/"auto" = no override).
 SimdTier ResolveSimdTier(const char* env_value, SimdTier detected);
 
 /// The tier every kernel dispatches on: ResolveSimdTier(getenv("DISC_SIMD"),

@@ -277,11 +277,11 @@ void AttachGlobalMetrics(MetricsRegistry* registry) {
   g_global_metrics.store(registry, std::memory_order_release);
   if (registry != nullptr) {
     // The dispatch tier is process-wide and latched, so export it once at
-    // attach time: 0 = scalar, 1 = sse2, 2 = avx2 (common/cpu_features.h).
+    // attach time: 0 = scalar, 2 = avx2 (common/cpu_features.h).
     registry
         ->GetGauge("disc_simd_tier",
                    "Active SIMD dispatch tier of the distance kernels "
-                   "(0=scalar, 1=sse2, 2=avx2)")
+                   "(0=scalar, 2=avx2)")
         ->Set(static_cast<std::int64_t>(ActiveSimdTier()));
   }
 }

@@ -23,16 +23,13 @@ struct ExactSaver::EnumState {
   double best_cost = std::numeric_limits<double>::infinity();
   Tuple best_adjusted;
   bool found = false;
-  /// Set when max_candidates trips (the gauge handles every other limit).
-  bool candidate_cap_hit = false;
   BudgetGauge* gauge = nullptr;
 };
 
 void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
                            Tuple* candidate, double partial_cost_raw,
-                           const ExactOptions& options,
                            EnumState* state) const {
-  if (state->candidate_cap_hit || state->gauge->stopped()) return;
+  if (state->gauge->stopped()) return;
   const LpNorm norm = evaluator_.norm();
   // `partial_cost_raw` is the norm's running aggregate (sum of squares for
   // L2, sum for L1, max for L∞), compared with the incumbent in that form.
@@ -59,11 +56,6 @@ void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
       event.x_bits = ChangedAttributes(outlier, *candidate).bits();
       event.incumbent = state->best_cost;
       gauge->RecordDecision(event);
-      return;
-    }
-    if (options.max_candidates != 0 &&
-        gauge->nodes_expanded() > options.max_candidates) {
-      state->candidate_cap_hit = true;
       return;
     }
     if (CountFeasible(*index_, constraint_, *candidate, gauge)) {
@@ -95,13 +87,13 @@ void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
                           ? std::max(partial_cost_raw, add)
                           : partial_cost_raw + add;
     (*candidate)[attr] = v;
-    Enumerate(outlier, attr + 1, candidate, next_raw, options, state);
+    Enumerate(outlier, attr + 1, candidate, next_raw, state);
     (*candidate)[attr] = outlier[attr];
   };
 
   step(outlier[attr]);
   for (const Value& v : domains_[attr]) {
-    if (state->candidate_cap_hit || state->gauge->stopped()) return;
+    if (state->gauge->stopped()) return;
     if (v == outlier[attr]) continue;
     step(v);
   }
@@ -116,7 +108,7 @@ SaveResult ExactSaver::Save(const Tuple& outlier, const ExactOptions& options,
   EnumState state;
   state.gauge = &gauge;
   Tuple candidate = outlier;
-  Enumerate(outlier, 0, &candidate, 0.0, options, &state);
+  Enumerate(outlier, 0, &candidate, 0.0, &state);
 
   SaveResult result;
   result.stats = gauge.stats();
@@ -124,8 +116,6 @@ SaveResult ExactSaver::Save(const Tuple& outlier, const ExactOptions& options,
   result.stats.wall_nanos = TraceNowNs() - start_ns;
   if (gauge.stopped()) {
     result.termination = gauge.reason();
-  } else if (state.candidate_cap_hit) {
-    result.termination = SaveTermination::kVisitBudget;
   } else if (state.found) {
     result.termination = SaveTermination::kCompleted;
   } else {

@@ -19,17 +19,13 @@ namespace disc {
 
 /// Knobs for ExactSaver.
 struct ExactOptions {
-  /// Safety cap on feasibility checks (candidate tuples fully evaluated);
-  /// 0 = unlimited. When hit, the best candidate so far is returned and the
-  /// result's termination reads kVisitBudget.
-  std::size_t max_candidates = 0;
   /// Execution budget. The exact enumerator checks it once per fully
-  /// evaluated candidate (the unit `max_candidates` also counts, so
-  /// budget.max_visited_sets acts as a second candidate cap); deadline and
-  /// cancellation additionally interrupt long enumerations between leaves.
-  /// On any limit the best candidate so far is returned with the
-  /// termination recording why — the result may then be suboptimal, but it
-  /// is still a fully verified feasible adjustment (or the untouched input).
+  /// evaluated candidate, so budget.max_visited_sets caps the candidates
+  /// (kVisitBudget once exceeded); deadline and cancellation additionally
+  /// interrupt long enumerations between leaves. On any limit the best
+  /// candidate so far is returned with the termination recording why — the
+  /// result may then be suboptimal, but it is still a fully verified
+  /// feasible adjustment (or the untouched input).
   SearchBudget budget;
   /// Optional observer (core/observation.h). Feasibility-check index
   /// queries are charged to the index_query wall phase (the enumerator has
@@ -79,8 +75,7 @@ class ExactSaver {
  private:
   struct EnumState;
   void Enumerate(const Tuple& outlier, std::size_t attr, Tuple* candidate,
-                 double partial_cost_sq, const ExactOptions& options,
-                 EnumState* state) const;
+                 double partial_cost_sq, EnumState* state) const;
 
   const Relation& inliers_;
   const DistanceEvaluator& evaluator_;

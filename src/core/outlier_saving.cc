@@ -191,7 +191,6 @@ std::vector<SaveResult> SaveExactBatch(const Relation& inliers,
       result.termination = SaveTermination::kDeadline;
     } else {
       ExactOptions exact_options;
-      exact_options.max_candidates = options.exact_max_candidates;
       exact_options.budget = options.save.budget;
       exact_options.observer = search.Attempt(1);
       result = saver.Save(outliers[i], exact_options,

@@ -34,8 +34,6 @@ struct OutlierSavingOptions {
   /// Use the exact enumeration algorithm instead of the DISC approximation
   /// (only tractable for small m and small attribute domains).
   bool use_exact = false;
-  /// Candidate budget for the exact algorithm (0 = unlimited).
-  std::size_t exact_max_candidates = 0;
   /// Worker threads for batch saving (DISC path only; the exact saver stays
   /// sequential). 1 = in-caller sequential saving, 0 = one worker per
   /// hardware thread. Results are bit-identical for every value — see

@@ -63,8 +63,8 @@ struct SearchBudget {
   /// Cooperative cancellation (never cancelled by default).
   CancellationToken cancellation;
   /// Cap on distinct attribute sets X visited by the branch-and-bound
-  /// search (0 = unlimited). Exact enumeration ignores it (its own knob is
-  /// ExactOptions::max_candidates).
+  /// search, and on the candidates the exact enumeration checks
+  /// (0 = unlimited).
   std::size_t max_visited_sets = 0;
   /// Cap on logical neighbor-index queries — kNN/range/feasibility calls
   /// and full-relation bound scans (0 = unlimited).

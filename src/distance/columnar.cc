@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 
 #include "common/metrics.h"
 #include "distance/columnar_internal.h"
@@ -14,8 +13,8 @@ namespace disc {
 namespace {
 
 using columnar_internal::CanonicalDistance;
+using columnar_internal::CanonicalWithin;
 using columnar_internal::NormPolicy;
-using columnar_internal::RowWithin;
 using columnar_internal::WithNorm;
 
 /// Scalar reference scan over rows [begin, end), invoking `hit` for each
@@ -27,18 +26,16 @@ template <LpNorm N>
 void ScalarScanRange(const ColumnarView& v, const double* q, double epsilon,
                      std::size_t begin, std::size_t end, simd::HitFn hit,
                      void* ctx, simd::ScanDelta* delta) {
-  using P = NormPolicy<N>;
-  const double raw = P::Raw(epsilon);
-  const double reject = P::Reject(epsilon);
-  std::uint64_t cr = 0;
+  const double raw = NormPolicy<N>::Raw(epsilon);
+  std::uint64_t rejects = 0;
   bool go = true;
   std::size_t i = begin;
   for (; go && i < end; ++i) {
-    double d = RowWithin<N>(v, q, i, raw, reject, &cr);
+    double d = CanonicalWithin<N>(v, q, i, raw, &rejects);
     if (d <= epsilon) go = hit(ctx, i, d);
   }
   delta->rows_scanned += i - begin;
-  delta->certain_rejects += cr;
+  delta->certain_rejects += rejects;
 }
 
 /// Hit sinks for the dispatched scans (plain functions: the SIMD tier takes
@@ -94,9 +91,8 @@ std::unique_ptr<ColumnarView> ColumnarView::BuildOrdered(
         "Rows evaluated by the batch columnar distance kernels");
     view->counters_.certain_rejects = registry->GetCounter(
         "disc_kernel_certain_rejects_total",
-        "Rows dismissed by the certain-reject pre-pass of the batch "
-        "columnar scans (which rows reject is SIMD-tier-dependent; "
-        "outputs are not)");
+        "Rows the batch columnar scans rejected because the running Lp "
+        "aggregate crossed the threshold");
   }
 
   // Zero-initialized so the pad rows [n, padded_rows) of every column hold
@@ -109,39 +105,6 @@ std::unique_ptr<ColumnarView> ColumnarView::BuildOrdered(
       view->data_[a * stride + i] = t[a].num();
     }
   }
-
-  // Scan order: variance, descending (ties by index). High-variance
-  // attributes contribute the largest terms on average, so far pairs trip
-  // the early exit within the first attribute or two.
-  std::vector<double> variance(m, 0.0);
-  for (std::size_t a = 0; a < m; ++a) {
-    const double* col = view->column(a);
-    double mean = 0;
-    std::size_t finite = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (std::isfinite(col[i])) {
-        mean += col[i];
-        ++finite;
-      }
-    }
-    if (finite == 0) continue;
-    mean /= static_cast<double>(finite);
-    double var = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (std::isfinite(col[i])) {
-        double d = col[i] - mean;
-        var += d * d;
-      }
-    }
-    variance[a] = var / static_cast<double>(finite);
-  }
-  view->scan_order_.resize(m);
-  std::iota(view->scan_order_.begin(), view->scan_order_.end(), 0);
-  std::sort(view->scan_order_.begin(), view->scan_order_.end(),
-            [&](std::size_t a, std::size_t b) {
-              return variance[a] > variance[b] ||
-                     (variance[a] == variance[b] && a < b);
-            });
   return view;
 }
 

@@ -37,11 +37,10 @@ class Counter;
 ///
 /// Determinism contract: the kernels perform exactly the operations of the
 /// scalar path — `|q − v|` per attribute, aggregated in canonical
-/// (increasing attribute) order by the LpAccumulator recurrence — so every
-/// returned distance, and every ≤/> threshold verdict, is bit-identical to
-/// `DistanceEvaluator`. The early-exit fast scan (see FlatKernel) only ever
-/// rejects pairs the scalar path would also reject, and the SIMD tier
-/// (DESIGN.md §12) preserves both properties for every dispatch level.
+/// (increasing attribute) order by the LpAccumulator recurrence, with its
+/// strict `>` early exit after every add — so every returned distance, and
+/// every ≤/> threshold verdict, is bit-identical to `DistanceEvaluator`,
+/// on every SIMD tier (DESIGN.md §12).
 ///
 /// Thread-safety: immutable after Build() (set_simd_tier is a test/bench
 /// hook, not for concurrent use); safe for concurrent const use — same
@@ -55,9 +54,8 @@ class ColumnarView {
   /// Work counters for the batch kernels, resolved from GlobalMetrics() at
   /// Build time (null handles = metrics disabled = no-op, the
   /// IndexQueryMetrics pattern). Flushed once per batch call, never per
-  /// row. Note the reject counter is tier-dependent by design: which rows
-  /// the pre-pass dismisses may differ between scalar and vector tiers
-  /// (only observable outputs are bit-identical).
+  /// row. A scan that runs to its end counts the same rows on every tier;
+  /// one its hit sink stops may count up to a lane block more.
   struct ScanCounters {
     Counter* rows_scanned = nullptr;    ///< disc_kernel_rows_scanned_total
     Counter* certain_rejects = nullptr; ///< disc_kernel_certain_rejects_total
@@ -99,12 +97,6 @@ class ColumnarView {
     return data_.data() + a * padded_rows_;
   }
 
-  /// Attribute permutation scanned by the early-exit kernels: highest
-  /// variance first, so far-apart pairs overshoot the threshold in the
-  /// first few attributes. Pure heuristic — it never changes results, only
-  /// how soon a certain reject fires.
-  std::span<const std::size_t> scan_order() const { return scan_order_; }
-
   /// The vector tier this view's kernels dispatch to, latched from
   /// ActiveSimdTier() at Build.
   SimdTier simd_tier() const { return simd_tier_; }
@@ -134,7 +126,6 @@ class ColumnarView {
   /// Column-major, 64-byte aligned: column a at
   /// [a·padded_rows_, a·padded_rows_ + padded_rows_), zero-padded past n.
   AlignedVector<double> data_;
-  std::vector<std::size_t> scan_order_;
 };
 
 /// Batch distance kernels binding one query point to a ColumnarView.

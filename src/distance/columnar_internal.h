@@ -12,20 +12,8 @@
 
 /// Scalar per-row kernels shared by the reference path (columnar.cc) and
 /// the vector tier (columnar_simd.cc), which runs them for unaligned head
-/// rows and for the canonical recompute of pre-pass survivors.
-/// Internal to the distance library — not part of the public surface.
+/// rows. Internal to the distance library — not part of the public surface.
 namespace disc::columnar_internal {
-
-/// Multiplicative slack for the variance-ordered reject pass. Summing m ≤ 64
-/// non-negative terms in any order — including the fused multiply-adds and
-/// lane-parallel partial sums of the vector tier — differs from the
-/// canonical-order sum by a relative error of at most (m−1)·ε ≈ 1.4e-14, so
-/// a reordered partial sum beyond threshold·(1 + 1e-12) proves the canonical
-/// sum is beyond the threshold too: every fast pass can only reject pairs
-/// the scalar reference also rejects. (At threshold 0 the slack degenerates
-/// to 0, which is still exact: non-negative sums are order-independently
-/// zero or positive.)
-inline constexpr double kCertainRejectSlack = 1.0 + 1e-12;
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -41,13 +29,6 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 /// also hide in the reference.
 template <LpNorm N>
 struct NormPolicy {
-  /// L∞'s reject is exact: max is order-independent, so a pass in any
-  /// order rejects on the first term past the threshold and otherwise ends
-  /// with the exact distance (NaN terms drop out of std::max exactly as in
-  /// LpAccumulator). The sums' reordered pre-passes are only certain past
-  /// kCertainRejectSlack, and their survivors are recomputed canonically.
-  static constexpr bool kExactReject = N == LpNorm::kLInf;
-
   /// A threshold in accumulator units: ε² for L2 (running sums of squares
   /// are compared against it, so the reject path never takes a square
   /// root), ε otherwise.
@@ -56,15 +37,6 @@ struct NormPolicy {
       return threshold * threshold;
     } else {
       return threshold;
-    }
-  }
-
-  /// The reject threshold of a reordered pre-pass, in accumulator units.
-  static double Reject(double threshold) {
-    if constexpr (kExactReject) {
-      return threshold;
-    } else {
-      return Raw(threshold) * kCertainRejectSlack;
     }
   }
 
@@ -126,48 +98,27 @@ inline double CanonicalDistance(const ColumnarView& v, const double* q,
   return P::Total(acc);
 }
 
-/// Canonical-order threshold recompute (no reject pre-pass): the exact
-/// LpAccumulator recurrence with the threshold check after every add and a
-/// single Total on accept. `raw` is NormPolicy<N>::Raw(threshold). Run on
-/// rows a certain-reject pre-pass could not dismiss.
+/// Canonical threshold kernel: the exact LpAccumulator recurrence in
+/// increasing attribute order, with DistanceEvaluator::DistanceWithin's
+/// strict `acc > raw` early exit after every add and a single Total when no
+/// add crossed. `raw` is NormPolicy<N>::Raw(threshold). Returns +infinity
+/// on an early exit and counts it in `rejects` (feeds
+/// disc_kernel_certain_rejects_total).
 template <LpNorm N>
 inline double CanonicalWithin(const ColumnarView& v, const double* q,
-                              std::size_t row, double raw) {
+                              std::size_t row, double raw,
+                              std::uint64_t* rejects) {
   using P = NormPolicy<N>;
   double acc = 0;
   const std::size_t m = v.arity();
   for (std::size_t a = 0; a < m; ++a) {
     acc = P::Add(acc, AttrDistance(v, q, a, row));
-    if (acc > raw) return kInf;
-  }
-  return P::Total(acc);
-}
-
-/// The full per-row threshold kernel: variance-ordered reject pre-pass,
-/// then (for the sums) the canonical recompute. `raw` and `reject` are
-/// NormPolicy<N>::Raw and ::Reject of the threshold. Returns the exact
-/// canonical-order distance on accept and +infinity on reject;
-/// `certain_rejects` counts the rows the pre-pass dismissed (feeds
-/// disc_kernel_certain_rejects_total).
-template <LpNorm N>
-inline double RowWithin(const ColumnarView& v, const double* q, std::size_t row,
-                        double raw, double reject,
-                        std::uint64_t* certain_rejects) {
-  using P = NormPolicy<N>;
-  double acc = 0;
-  for (std::size_t a : v.scan_order()) {
-    const double d = AttrDistance(v, q, a, row);
-    acc = P::Add(acc, d);
-    if ((P::kExactReject ? d : acc) > reject) {
-      ++*certain_rejects;
+    if (acc > raw) {
+      ++*rejects;
       return kInf;
     }
   }
-  if constexpr (P::kExactReject) {
-    return acc;
-  } else {
-    return CanonicalWithin<N>(v, q, row, raw);
-  }
+  return P::Total(acc);
 }
 
 }  // namespace disc::columnar_internal

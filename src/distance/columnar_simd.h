@@ -13,15 +13,12 @@ class ColumnarView;
 /// Hand-vectorized tier under FlatKernel (DESIGN.md §12).
 ///
 /// Every function here implements the *same contract* as the scalar columnar
-/// kernels (distance/columnar.cc): a certain-reject pre-pass may use any
-/// evaluation order, any lane width and fused multiply-adds — the
-/// kCertainRejectSlack argument covers every reordering — but every value
-/// that escapes to a caller is either produced by arithmetic that is
-/// lane-for-lane identical to the scalar reference (the Fill kernels, the
-/// order-independent L∞ max) or recomputed by the canonical scalar
-/// recurrence on the pre-pass survivors. Observable results are therefore
-/// bit-identical across every tier; only unobservable work (which rows the
-/// pre-pass rejected outright, counted in ScanDelta) may differ.
+/// kernels (distance/columnar.cc), with the same operations in the same
+/// order: per row, the attributes in canonical order, a separate multiply
+/// and add, the scalar early-exit test after every add, one Total. Only the
+/// rows differ — several per instruction — so every distance and verdict is
+/// bit-identical to the scalar tier, and so are the work counts of a scan
+/// that runs to its end (a stopped scan finishes its lane block).
 ///
 /// Dispatch: callers pass the tier explicitly (ColumnarView latches
 /// ActiveSimdTier() at build time; tests and the parity bench override it

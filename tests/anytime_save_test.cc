@@ -385,7 +385,7 @@ TEST(AnytimeSave, SaveOutliersExactPathHonorsBatchCancellation) {
   OutlierSavingOptions opts;
   opts.constraint = {1.6, 5};
   opts.use_exact = true;
-  opts.exact_max_candidates = 10'000;
+  opts.save.budget.max_visited_sets = 10'000;
   opts.cancellation = source.token();
 
   SavedDataset saved = SaveOutliers(data, ev, opts);

