@@ -3,7 +3,7 @@
 // Usage:
 //   disc_cli <input.csv> <output.csv> [--epsilon E] [--eta N]
 //            [--kappa K] [--threads T] [--normalize] [--exact]
-//            [--deadline-ms D] [--per-outlier-deadline-ms D]
+//            [--deadline-ms D]
 //            [--metrics-json PATH] [--trace PATH] [--explain[=PATH]]
 //            [--journal PATH] [--resume] [--retries N]
 //            [--fault-spec SPEC] [--fault-seed N]
@@ -19,14 +19,13 @@
 // --deadline-ms bounds the whole pipeline's wall clock: searches that run
 // out of time return their best feasible incumbent and the run reports how
 // many outliers degraded (anytime saving — see DESIGN.md).
-// --per-outlier-deadline-ms additionally caps each individual search.
 // --metrics-json PATH attaches a MetricsRegistry to the run and writes its
 // JSON snapshot to PATH on exit (see DESIGN.md §8 for the metric names).
 // --trace PATH streams the hierarchical span trees of the run to PATH as
-// JSONL: per outlier a "save_outlier" root, its per-attempt "search" span,
-// the per-phase children (index_query/bounds_scan/dcache_fill/verdict) and
-// the pool-chunk spans of nested scans, all linked by
-// trace_id/span_id/parent_id (analyze with scripts/analyze_trace.py).
+// JSONL: per outlier a "save_outlier" root, its per-attempt "search" span
+// and the per-phase children (index_query/bounds_scan/dcache_fill/verdict),
+// all linked by trace_id/span_id/parent_id (analyze with
+// scripts/analyze_trace.py).
 // --explain[=PATH] streams per-search decision provenance to PATH (or
 // stdout when PATH is omitted) as JSONL, one object per saved outlier:
 // every node the branch-and-bound search visited with the action taken
@@ -96,7 +95,7 @@ void PrintUsage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <input.csv> <output.csv> [--epsilon E] [--eta N]\n"
                "          [--kappa K] [--threads T] [--normalize] [--exact]\n"
-               "          [--deadline-ms D] [--per-outlier-deadline-ms D]\n"
+               "          [--deadline-ms D]\n"
                "          [--metrics-json PATH] [--trace PATH]\n"
                "          [--explain[=PATH]]\n"
                "          [--journal PATH] [--resume] [--retries N]\n"
@@ -145,7 +144,6 @@ int main(int argc, char** argv) {
   bool normalize = false;
   bool use_exact = false;
   long long deadline_ms = 0;
-  long long per_outlier_deadline_ms = 0;
   std::string metrics_json_path;
   std::string trace_path;
   bool explain_requested = false;
@@ -209,9 +207,6 @@ int main(int argc, char** argv) {
       threads = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
       deadline_ms = std::atoll(argv[++i]);
-    } else if (std::strcmp(argv[i], "--per-outlier-deadline-ms") == 0 &&
-               i + 1 < argc) {
-      per_outlier_deadline_ms = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--normalize") == 0) {
       normalize = true;
     } else if (std::strcmp(argv[i], "--exact") == 0) {
@@ -394,7 +389,6 @@ int main(int argc, char** argv) {
     if (use_exact) options.save.budget.max_visited_sets = 200000;
     options.num_threads = threads;
     options.batch_deadline_ms = deadline_ms;
-    options.per_outlier_deadline_ms = per_outlier_deadline_ms;
     options.cancellation = cancel.token();
     options.metrics = metrics.get();
     options.trace = trace.get();
@@ -433,7 +427,7 @@ int main(int argc, char** argv) {
           saved.CountTermination(SaveTermination::kQueryBudget),
           saved.CountTermination(SaveTermination::kFault),
           saved.CountTermination(SaveTermination::kInfeasible));
-    } else if (deadline_ms > 0 || per_outlier_deadline_ms > 0) {
+    } else if (deadline_ms > 0) {
       std::printf("no degradation: all %zu searches finished in budget\n",
                   saved.records.size());
     }

@@ -136,8 +136,6 @@ def main(argv):
             extra = ""
             if "termination" in node:
                 extra = f" [{node['termination']}]"
-            if "chunk" in node:
-                extra = f" [chunk {node['chunk']}, {node.get('rows', 0)} rows]"
             print(f"  {'  ' * depth}{node['span']:<12} "
                   f"{node['dur_ns'] / 1e6:9.3f} ms{extra}")
     return 0

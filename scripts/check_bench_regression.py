@@ -18,7 +18,12 @@ baseline file the same-named fresh artifact must exist and:
   4. Throughput must not regress by more than --tolerance, compared only
      when both files record the same `hardware_threads` — timings from
      different machine shapes are incomparable, so a mismatch skips the
-     check with a WARN instead of producing a bogus verdict.
+     check with a WARN instead of producing a bogus verdict. The kernel
+     bench (`distance_kernels`) is checked on its in-process ratio
+     instead: the active SIMD tier's speedup over the scalar tier, timed
+     in turn in one process, must not fall more than --tolerance below
+     the baseline's. Its cross-run rows/s swing wider than the tolerance
+     on one host; the ratio does not.
   5. The parallel-save thread sweep must scale: for each measured thread
      count, speedup >= --efficiency-floor * min(threads, hardware_threads).
      Checked on the fresh artifact alone (no baseline needed), and only
@@ -132,6 +137,37 @@ def check_throughput(name, fresh, base, tolerance, report):
                   f"(floor {floor:.1f}/s)")
 
 
+def active_tier_speedup(artifact):
+    """(active tier, its speedup over the scalar tier) of a kernel artifact."""
+    simd = artifact.get("simd") or {}
+    tier = simd.get("active_tier")
+    for entry in simd.get("tiers") or []:
+        if entry.get("tier") == tier:
+            return tier, entry.get("speedup")
+    return tier, None
+
+
+def check_simd_speedup(name, fresh, base, tolerance, report):
+    tier, got = active_tier_speedup(fresh)
+    base_tier, want = active_tier_speedup(base)
+    if not isinstance(got, (int, float)) or not isinstance(want, (int, float)):
+        report.fail(f"{name}: no active-tier speedup to compare "
+                    f"(fresh {tier}: {got}, baseline {base_tier}: {want})")
+        return
+    if tier != base_tier:
+        report.warn(f"{name}: active SIMD tier {tier} differs from the "
+                    f"baseline's {base_tier}; skipping speedup comparison")
+        return
+    floor = (1.0 - tolerance) * want
+    if got < floor:
+        report.fail(f"{name}: {tier} speedup over scalar regressed beyond "
+                    f"{tolerance:.0%}: {got:.2f}x vs baseline {want:.2f}x "
+                    f"(floor {floor:.2f}x)")
+    else:
+        report.ok(f"{name}: {tier} speedup over scalar {got:.2f}x vs "
+                  f"baseline {want:.2f}x (floor {floor:.2f}x)")
+
+
 def check_thread_sweep(name, fresh, efficiency_floor, report):
     sweep = fresh.get("thread_sweep")
     hw = fresh.get("hardware_threads")
@@ -183,7 +219,10 @@ def check_file(fresh_path, base_path, args, report):
             report.ok(f"{name}: deterministic across thread counts")
 
     check_work_counters(name, fresh, base, report)
-    check_throughput(name, fresh, base, args.tolerance, report)
+    if fresh.get("bench") == "distance_kernels":
+        check_simd_speedup(name, fresh, base, args.tolerance, report)
+    else:
+        check_throughput(name, fresh, base, args.tolerance, report)
     if fresh.get("bench") == "parallel_save":
         check_thread_sweep(name, fresh, args.efficiency_floor, report)
 

@@ -26,7 +26,7 @@ namespace disc {
 /// the same batch traced twice (after resetting the batch counter) or traced
 /// at different thread counts produces the identical span set.
 struct TraceSpan {
-  /// Span kind, e.g. "save_outlier", "search", "bounds_scan", "pool_chunk".
+  /// Span kind, e.g. "save_outlier", "search", "bounds_scan", "estimate".
   std::string name;
   /// Steady-clock start, nanoseconds since the clock's epoch.
   std::uint64_t start_ns = 0;
@@ -63,13 +63,12 @@ std::uint64_t TraceNowNs();
 
 /// Structural position of a span inside its trace; the `kind` input to
 /// DeriveSpanId. Values are part of the id-derivation contract: changing
-/// them changes every derived span id.
+/// them changes every derived span id (4 and 5 named the retired per-chunk
+/// spans and stay unused).
 enum class TraceSpanKind : std::uint64_t {
   kRoot = 1,      ///< the per-outlier `save_outlier` pipeline span
   kSearch = 2,    ///< the branch-and-bound `search` under the root
   kPhase = 3,     ///< an aggregated wall-phase span under the search
-  kScan = 4,      ///< one chunked O(n) scan within a phase
-  kChunk = 5,     ///< one ParallelFor chunk of a scan
   kEstimate = 6,  ///< the pre-batch cost-estimate span under the root
 };
 

@@ -76,12 +76,11 @@ bool RunScan(std::size_t count, BudgetGauge* gauge, WorkStealingPool* nested,
     completed = body(std::size_t{0}, count, std::size_t{0}, poll);
   } else {
     std::atomic<bool> aborted{false};
-    ObservedParallelFor(
-        *nested, count, kNestedScanGrain, ObserverOf(gauge),
-        TracePhase::kBoundsScan,
+    nested->ParallelFor(
+        0, count, kNestedScanGrain,
         [&](std::size_t begin, std::size_t end, std::size_t chunk) {
           ChunkPoll poll{gauge, &aborted};
-          return body(begin, end, chunk, poll);
+          body(begin, end, chunk, poll);
         });
     completed = !aborted.load(std::memory_order_relaxed);
     if (!completed) gauge->RecordHardStop();

@@ -241,11 +241,6 @@ void DiscSaver::RevertRefine(const Tuple& outlier, Tuple* adjusted,
   }
 }
 
-SaveResult DiscSaver::Save(const Tuple& outlier,
-                           const SaveOptions& options) const {
-  return SaveImpl(outlier, options, Deadline::Infinite(), CancellationToken());
-}
-
 double DiscSaver::EstimateSearchCost(const Tuple& outlier) const {
   std::size_t needed = constraint_.eta > 0 ? constraint_.eta - 1 : 0;
   if (needed == 0) return 0;
@@ -264,11 +259,11 @@ double DiscSaver::EstimateSearchCost(const Tuple& outlier) const {
   return nn.back().distance;
 }
 
-SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
-                               Deadline task_deadline,
-                               const CancellationToken& batch_cancellation,
-                               WorkStealingPool* nested,
-                               SearchObserver* observer) const {
+SaveResult DiscSaver::Save(const Tuple& outlier, const SaveOptions& options,
+                           Deadline deadline,
+                           const CancellationToken& cancellation,
+                           WorkStealingPool* nested,
+                           SearchObserver* observer) const {
   const std::uint64_t start_ns = TraceNowNs();
   // `search.start` fault site: an error here aborts the search before any
   // work, as an index handle or arena acquisition would.
@@ -277,7 +272,7 @@ SaveResult DiscSaver::SaveImpl(const Tuple& outlier, const SaveOptions& options,
   }
   const std::size_t arity = evaluator_.arity();
   const bool restricted = options.kappa != 0 && options.kappa < arity;
-  BudgetGauge gauge(&options.budget, task_deadline, batch_cancellation);
+  BudgetGauge gauge(&options.budget, deadline, cancellation);
   // Context propagation: the observer rides on the gauge, which every bound
   // computation and index query of this search already receives.
   gauge.set_observer(observer);
@@ -450,6 +445,23 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
                                            TraceSink* trace,
                                            const BatchRecovery& recovery,
                                            ExplainSink* explain) const {
+  return SaveBatch(
+      outliers,
+      [&](const Tuple& outlier, Deadline deadline,
+          const CancellationToken& cancellation, WorkStealingPool* nested,
+          SearchObserver* observer) {
+        return Save(outlier, options, deadline, cancellation, nested,
+                    observer);
+      },
+      [&](const Tuple& outlier) { return EstimateSearchCost(outlier); },
+      /*exact=*/false, pool, batch, trace, recovery, explain);
+}
+
+std::vector<SaveResult> SaveBatch(
+    const std::vector<Tuple>& outliers, const BatchSearch& save,
+    const std::function<double(const Tuple&)>& estimate, bool exact,
+    WorkStealingPool* pool, const BatchBudget& batch, TraceSink* trace,
+    const BatchRecovery& recovery, ExplainSink* explain) {
   const std::size_t n = outliers.size();
   std::vector<SaveResult> results(n);
   if (n == 0) return results;
@@ -480,8 +492,8 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
   // Spans, decision logs, /tracez, progress and scheduler metrics
   // (DESIGN.md §13–§14). Nothing here touches the search itself: results
   // stay bit-identical with or without observers.
-  BatchObservation observation(/*exact=*/false, n, batch.deadline, trace,
-                               explain, nested);
+  BatchObservation observation(exact, n, batch.deadline, trace, explain,
+                               nested);
   for (std::size_t i = 0; i < n; ++i) {
     if (restored[i] != 0) observation.Resumed(results[i].termination);
   }
@@ -506,16 +518,15 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
       // the final attempt's result — and only its work counters — stands.
       std::size_t attempt = 1;
       for (;; ++attempt) {
-        result = SaveImpl(
-            outlier, options,
-            batch.TaskDeadline(workers,
-                               remaining.load(std::memory_order_relaxed)),
-            batch.cancellation, nested, search.Attempt(attempt));
+        result = save(outlier,
+                      batch.TaskDeadline(
+                          workers, remaining.load(std::memory_order_relaxed)),
+                      batch.cancellation, nested, search.Attempt(attempt));
         if (attempt >= recovery.retry.max_attempts ||
             !RetryPolicy::IsTransient(result.termination)) {
           break;
         }
-        const auto backoff = recovery.retry.BackoffFor(attempt - 1);
+        const auto backoff = RetryPolicy::BackoffFor(attempt - 1);
         if (batch.cancellation.cancelled() ||
             (!batch.deadline.is_infinite() &&
              batch.deadline.remaining() < 2 * backoff)) {
@@ -557,8 +568,8 @@ std::vector<SaveResult> DiscSaver::SaveAll(const std::vector<Tuple>& outliers,
     // the same pool, in input order.
     std::vector<double> estimates(n, 0.0);
     pool->RunBatch(order, [&](std::size_t i) {
-      estimates[i] = observation.TimeEstimate(
-          i, [&] { return EstimateSearchCost(outliers[i]); });
+      estimates[i] =
+          observation.TimeEstimate(i, [&] { return estimate(outliers[i]); });
     });
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {

@@ -2,9 +2,12 @@
 #define DISC_CORE_DISC_SAVER_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/cancellation.h"
+#include "common/deadline.h"
 #include "common/relation.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -34,8 +37,9 @@ struct SearchObserver;
 inline constexpr std::size_t kMaxSaveableAttributes = AttributeSet::kCapacity;
 
 /// OK iff a relation of `arity` attributes fits the savers' AttributeSet
-/// bookkeeping; InvalidArgument naming the cap otherwise. Every saving entry
-/// point (SaveOutliers, DiscSaver::SaveAll) checks this before any search.
+/// bookkeeping; InvalidArgument naming the cap otherwise. SaveOutliers
+/// checks this before any search; callers of the savers themselves check
+/// it first.
 Status ValidateSaveArity(std::size_t arity);
 
 /// Knobs for a single Save() call.
@@ -47,10 +51,11 @@ struct SaveOptions {
   std::size_t kappa = 0;
   /// Lower-bound pruning (Algorithm 1 line 2). Disable only for ablation.
   bool use_lower_bound_pruning = true;
-  /// Execution budget: deadline, cancellation, visited-set and index-query
-  /// caps (all optional). On any limit the best incumbent found so far is
-  /// returned and SaveResult::termination records why the search stopped —
-  /// a truncated search is never silently passed off as a completed one.
+  /// Work caps: visited sets and index queries (both optional). On any
+  /// limit — or at the deadline or cancellation Save() takes from its
+  /// caller — the best incumbent found so far is returned and
+  /// SaveResult::termination records why the search stopped: a truncated
+  /// search is never silently passed off as a completed one.
   SearchBudget budget;
   /// Revert refinement: after the bound-guided search, greedily restore
   /// adjusted attributes to their original values while the adjustment
@@ -102,9 +107,9 @@ struct SaveResult {
   std::uint64_t trace_id = 0;
 };
 
-/// Crash-safety and self-healing controls for one SaveAll batch
+/// Crash-safety and self-healing controls for one SaveBatch call
 /// (DESIGN.md §11). The all-default value is a strict no-op: no journal,
-/// no resume, no retries — SaveAll behaves exactly as before.
+/// no resume, no retries.
 struct BatchRecovery {
   /// When non-null, every definitively finished outlier (termination
   /// kCompleted or kInfeasible) is appended — and flushed — as it
@@ -125,6 +130,71 @@ struct BatchRecovery {
   /// SearchStats::retries = attempts − 1.
   RetryPolicy retry;
 };
+
+/// One outlier's search as a batch runs it: a saver's Save() under the
+/// task's `deadline` (its fair slice of the batch clock) and the batch's
+/// `cancellation` token, with `nested` serving chunked scans (null =
+/// inline) and `observer` receiving the attempt's decisions and phases
+/// (null = nothing observes).
+using BatchSearch = std::function<SaveResult(
+    const Tuple& outlier, Deadline deadline,
+    const CancellationToken& cancellation, WorkStealingPool* nested,
+    SearchObserver* observer)>;
+
+/// The batch loop both savers run (DESIGN.md §6): saves each outlier of
+/// `outliers` with one independent `save` call and returns the results in
+/// input order. Only `save` and `estimate` differ by saver: DiscSaver::
+/// SaveAll passes the DISC search, SaveOutliers the exact enumerator (input
+/// order, one worker, no journal, no retry).
+///
+/// Scheduling: with a `pool` of more than one worker the searches run
+/// concurrently, cost-ordered: `estimate` gives each outlier's search cost
+/// up front (required then; unused otherwise), the estimates are sorted
+/// descending, and the pool's work-stealing deques start the hardest
+/// searches first while idle workers steal the cheap ones from the back.
+/// Late stragglers additionally fan their O(n) bound scans out across idle
+/// workers (nested parallelism — see BoundsEngine and WorkStealingPool).
+///
+/// Determinism: the schedule orders only *execution*; every search performs
+/// the work of a plain Save() call (the nested chunk merges are
+/// bit-identical by construction, and the cost estimates run outside the
+/// per-search SearchStats), and results are merged by input order — so the
+/// returned vector, including the attached stats (SearchStats::SameWork),
+/// is bit-identical for every thread count (including pool == nullptr). The
+/// estimate queries do bump the process-wide disc_index_* metrics; that
+/// telemetry is the only observable difference between the parallel and
+/// sequential paths. `outliers` must stay alive and unmodified until the
+/// call returns.
+///
+/// Batch budget: `batch.deadline` bounds the whole batch. Each task takes
+/// a fair slice of the remaining time when it starts
+/// (BatchBudget::TaskDeadline) and `batch.cancellation`; these are the
+/// search's one deadline and one token. Once the batch deadline passes or
+/// the token fires, queued tasks drain-and-skip: they still pop off the
+/// pool queue but complete immediately with an untouched tuple and
+/// termination kDeadline / kCancelled, so pool shutdown is never blocked.
+/// Under an unlimited `batch` every result is bit-identical to a plain
+/// Save() call.
+///
+/// Observability (DESIGN.md §13–§14): a BatchObservation
+/// (core/observation.h) owns everything the batch reports: a /statusz
+/// tracker ("save_all", or "save_exact" when `exact`), a "search" span per
+/// outlier with its phase spans (`trace` sink or global TraceRecorder), the
+/// final attempt's decision log (`explain` sink or global ExplainRecorder;
+/// skipped and journal-restored ordinals log nothing) and the disc_sched_*
+/// metrics, drained at batch end in a deterministic order. Observers never
+/// touch the search: results and logs are bit-identical at every thread
+/// count (explain_determinism_test, trace_determinism_test).
+///
+/// Recovery: with `recovery.journal` each definitive result is made
+/// durable as it lands; with `recovery.resume` journaled ordinals are
+/// restored instead of searched; `recovery.retry` re-runs transient
+/// failures. See BatchRecovery — the default is a strict no-op.
+std::vector<SaveResult> SaveBatch(
+    const std::vector<Tuple>& outliers, const BatchSearch& save,
+    const std::function<double(const Tuple&)>& estimate, bool exact,
+    WorkStealingPool* pool, const BatchBudget& batch, TraceSink* trace,
+    const BatchRecovery& recovery, ExplainSink* explain);
 
 /// The DISC approximation (Algorithm 1): branch-and-bound over sets X of
 /// unadjusted attributes, keeping the best Proposition-5 upper bound as the
@@ -155,59 +225,25 @@ class DiscSaver {
             DistanceConstraint constraint);
 
   /// Finds a near-optimal adjustment of `outlier` under the constraint.
-  /// Anytime: with a SaveOptions::budget the call returns the best feasible
-  /// incumbent found when the budget runs out (never a partial adjustment),
-  /// with SaveResult::termination saying why it stopped.
-  SaveResult Save(const Tuple& outlier, const SaveOptions& options = {}) const;
+  /// Anytime: the search stops at `deadline`, when `cancellation` fires, or
+  /// when `options.budget` runs out, and returns the best feasible
+  /// incumbent found so far (never a partial adjustment), with
+  /// SaveResult::termination saying why it stopped. `nested`, when
+  /// non-null, serves the chunked bound scans (results bit-identical with
+  /// or without it). `observer`, when non-null, rides on the BudgetGauge
+  /// through every bound computation and receives the search's decisions
+  /// and wall phases (core/observation.h); observing never changes what is
+  /// computed.
+  SaveResult Save(const Tuple& outlier, const SaveOptions& options = {},
+                  Deadline deadline = Deadline::Infinite(),
+                  const CancellationToken& cancellation = {},
+                  WorkStealingPool* nested = nullptr,
+                  SearchObserver* observer = nullptr) const;
 
-  /// Saves a batch of outliers, one independent Save() per tuple. With a
-  /// non-null `pool` of more than one worker the searches run concurrently
-  /// against the shared read-only index state, scheduled cost-ordered:
-  /// each outlier's search cost is estimated up front (its η−1-NN distance
-  /// — how far it sits from the inlier mass predicts how much bound work
-  /// the B&B search needs), the estimates are sorted descending, and the
-  /// pool's work-stealing deques start the hardest searches first while
-  /// idle workers steal the cheap ones from the back. Late stragglers
-  /// additionally fan their O(n) bound scans out across idle workers
-  /// (nested parallelism — see BoundsEngine and WorkStealingPool).
-  ///
-  /// Determinism: the schedule orders only *execution*; every per-outlier
-  /// search performs identical work to a plain Save() call (the nested
-  /// chunk merges are bit-identical by construction, and the cost
-  /// estimates run outside the per-search SearchStats), and results are
-  /// merged by input order — so the returned vector, including the
-  /// attached stats (SearchStats::SameWork), is bit-identical for every
-  /// thread count (including pool == nullptr). The estimate queries do
-  /// bump the process-wide disc_index_* metrics; that telemetry is the
-  /// only observable difference between the parallel and sequential
-  /// paths. `outliers` and `options` must stay alive and unmodified until
-  /// SaveAll returns.
-  ///
-  /// Batch budget: `batch.deadline` bounds the whole batch. Each task
-  /// computes a fair slice of the remaining time when it starts (remaining
-  /// wall clock × worker parallelism ÷ outliers left), intersected with
-  /// `batch.per_outlier_limit` and the per-search budget in `options`.
-  /// Once the batch deadline passes or `batch.cancellation` fires, queued
-  /// tasks drain-and-skip: they still pop off the pool queue but complete
-  /// immediately with an untouched tuple and termination kDeadline /
-  /// kCancelled, so pool shutdown is never blocked. A batch with an
-  /// unlimited budget is bit-identical to one saved without this
-  /// parameter.
-  ///
-  /// Observability (DESIGN.md §13–§14): a BatchObservation
-  /// (core/observation.h) owns everything the batch reports: a "save_all"
-  /// /statusz tracker, a "search" span per outlier with its phase and chunk
-  /// spans (`trace` sink or global TraceRecorder), the final attempt's
-  /// decision log (`explain` sink or global ExplainRecorder; skipped and
-  /// journal-restored ordinals log nothing) and the disc_sched_* metrics,
-  /// drained at batch end in a deterministic order. Observers never touch
-  /// the search: results and logs are bit-identical at every thread count
-  /// (explain_determinism_test, trace_determinism_test).
-  ///
-  /// Recovery: with `recovery.journal` each definitive result is made
-  /// durable as it lands; with `recovery.resume` journaled ordinals are
-  /// restored instead of searched; `recovery.retry` re-runs transient
-  /// failures. See BatchRecovery — the default is a strict no-op.
+  /// Saves a batch of outliers with Save() through SaveBatch, scheduled by
+  /// each outlier's η−1-NN distance (how far it sits from the inlier mass
+  /// predicts how much bound work the B&B search needs). `options` must
+  /// stay alive and unmodified until SaveAll returns.
   std::vector<SaveResult> SaveAll(const std::vector<Tuple>& outliers,
                                   const SaveOptions& options = {},
                                   WorkStealingPool* pool = nullptr,
@@ -221,16 +257,6 @@ class DiscSaver {
 
  private:
   struct SearchState;
-  /// `nested`, when non-null, serves the chunked bound scans of this search
-  /// (results bit-identical with or without it). `observer`, when non-null,
-  /// rides on the BudgetGauge through every bound computation and receives
-  /// the search's decisions, wall phases and spans (core/observation.h);
-  /// observing never changes what is computed.
-  SaveResult SaveImpl(const Tuple& outlier, const SaveOptions& options,
-                      Deadline task_deadline,
-                      const CancellationToken& batch_cancellation,
-                      WorkStealingPool* nested = nullptr,
-                      SearchObserver* observer = nullptr) const;
   /// Scheduling cost estimate for one outlier: its η−1-NN distance in r.
   /// Cheap (one kd-tree kNN query), correlates with how much of
   /// the space the B&B search must cover, and runs outside any BudgetGauge

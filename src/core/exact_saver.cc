@@ -99,12 +99,13 @@ void ExactSaver::Enumerate(const Tuple& outlier, std::size_t attr,
   }
 }
 
-SaveResult ExactSaver::Save(const Tuple& outlier, const ExactOptions& options,
-                            Deadline extra_deadline,
-                            const CancellationToken& extra_cancellation) const {
+SaveResult ExactSaver::Save(const Tuple& outlier, const SaveOptions& options,
+                            Deadline deadline,
+                            const CancellationToken& cancellation,
+                            SearchObserver* observer) const {
   const std::uint64_t start_ns = TraceNowNs();
-  BudgetGauge gauge(&options.budget, extra_deadline, extra_cancellation);
-  gauge.set_observer(options.observer);
+  BudgetGauge gauge(&options.budget, deadline, cancellation);
+  gauge.set_observer(observer);
   EnumState state;
   state.gauge = &gauge;
   Tuple candidate = outlier;
@@ -121,13 +122,16 @@ SaveResult ExactSaver::Save(const Tuple& outlier, const ExactOptions& options,
   } else {
     result.termination = SaveTermination::kInfeasible;
   }
-  if (state.found) {
+  const AttributeSet changed =
+      state.found ? ChangedAttributes(outlier, state.best_adjusted)
+                  : AttributeSet();
+  result.kappa_exceeded = options.kappa != 0 && changed.size() > options.kappa;
+  if (state.found && !result.kappa_exceeded) {
     result.feasible = true;
     result.adjusted = state.best_adjusted;
     result.cost = state.best_cost;
-    result.adjusted_attributes = ChangedAttributes(outlier, state.best_adjusted);
+    result.adjusted_attributes = changed;
   } else {
-    result.feasible = false;
     result.adjusted = outlier;
   }
   return result;

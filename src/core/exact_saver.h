@@ -11,30 +11,10 @@
 #include "common/tuple.h"
 #include "constraints/distance_constraint.h"
 #include "core/disc_saver.h"
-#include "core/search_budget.h"
 #include "distance/evaluator.h"
 #include "index/neighbor_index.h"
 
 namespace disc {
-
-/// Knobs for ExactSaver.
-struct ExactOptions {
-  /// Execution budget. The exact enumerator checks it once per fully
-  /// evaluated candidate, so budget.max_visited_sets caps the candidates
-  /// (kVisitBudget once exceeded); deadline and cancellation additionally
-  /// interrupt long enumerations between leaves. On any limit the best
-  /// candidate so far is returned with the termination recording why — the
-  /// result may then be suboptimal, but it is still a fully verified
-  /// feasible adjustment (or the untouched input).
-  SearchBudget budget;
-  /// Optional observer (core/observation.h). Feasibility-check index
-  /// queries are charged to the index_query wall phase (the enumerator has
-  /// no bound scans, so that is its only phased work). The enumerator has
-  /// no bounds either, so its decisions are incumbent_update events (x_bits
-  /// = the candidate's *changed*-attribute mask, ub = its cost) and a
-  /// prune_budget event when the budget layer stops it. Not owned.
-  SearchObserver* observer = nullptr;
-};
 
 /// The straightforward exact algorithm of §2.3: enumerate, per attribute,
 /// every value occurring in r (plus the outlier's own value), test each
@@ -52,25 +32,35 @@ class ExactSaver {
              DistanceConstraint constraint);
 
   /// Finds the minimum-cost feasible adjustment of `outlier` over the
-  /// cross-product of attribute domains. `extra_deadline` and
-  /// `extra_cancellation` are intersected with options.budget — batch
-  /// drivers use them to impose per-task slices without mutating the shared
-  /// options (see BatchBudget::TaskDeadline for the slicing policy).
+  /// cross-product of attribute domains. Of `options` it honours `kappa`
+  /// and `budget`: budget.max_visited_sets caps the fully evaluated
+  /// candidates (kVisitBudget once exceeded), and the search also stops at
+  /// `deadline` or when `cancellation` fires, polled between leaves. On any
+  /// limit the best candidate so far is returned with the termination
+  /// recording why — possibly suboptimal, but still a fully verified
+  /// feasible adjustment (or the untouched input).
   ///
   /// The result has the DISC saver's shape. Termination kCompleted means
-  /// the full cross-product was covered and `adjusted` is optimal;
-  /// kInfeasible means it was covered and no feasible adjustment exists;
-  /// any other value means truncation (candidate cap, deadline,
-  /// cancellation) and `adjusted` is the best fully verified candidate so
-  /// far, or the unmodified input. `stats.nodes_expanded` counts the
-  /// candidates whose feasibility was checked; the DISC-only fields
-  /// (`lower_bound`, `stats.visited_sets`, `stats.lb_prunes`,
-  /// `kappa_exceeded`) stay zero. (SaveOutliers applies κ to the result
-  /// afterwards — see OutlierSavingOptions::save.)
-  SaveResult Save(const Tuple& outlier, const ExactOptions& options = {},
-                  Deadline extra_deadline = Deadline::Infinite(),
-                  const CancellationToken& extra_cancellation =
-                      CancellationToken()) const;
+  /// the full cross-product was covered and the optimum found; kInfeasible
+  /// means it was covered and no feasible adjustment exists; any other
+  /// value means truncation. κ applies to the optimum as in the DISC
+  /// verdict: one that changes more than `options.kappa` attributes (0 =
+  /// unrestricted) becomes `kappa_exceeded` and keeps the input tuple.
+  /// `stats.nodes_expanded` counts the candidates whose feasibility was
+  /// checked; the DISC-only fields (`lower_bound`, `stats.visited_sets`,
+  /// `stats.lb_prunes`) stay zero.
+  ///
+  /// `observer` (core/observation.h), when non-null, receives the
+  /// decisions and phases. Feasibility-check index queries are charged to
+  /// the index_query wall phase (the enumerator has no bound scans, so that
+  /// is its only phased work). The enumerator has no bounds either, so its
+  /// decisions are incumbent_update events (x_bits = the candidate's
+  /// *changed*-attribute mask, ub = its cost) and a prune_budget event when
+  /// the budget layer stops it.
+  SaveResult Save(const Tuple& outlier, const SaveOptions& options = {},
+                  Deadline deadline = Deadline::Infinite(),
+                  const CancellationToken& cancellation = {},
+                  SearchObserver* observer = nullptr) const;
 
  private:
   struct EnumState;

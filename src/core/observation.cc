@@ -35,19 +35,6 @@ void SearchObserver::FlushPhases() const {
   }
 }
 
-void SearchObserver::RecordChunkSpan(TracePhase phase, std::uint64_t scan_span,
-                                     std::size_t chunk, std::uint64_t start_ns,
-                                     std::size_t rows) const {
-  TraceSpan span{.name = "pool_chunk",
-                 .start_ns = start_ns,
-                 .duration_ns = TraceNowNs() - start_ns,
-                 .trace_id = trace_id,
-                 .span_id = DeriveSpanId(scan_span, TraceSpanKind::kChunk,
-                                         chunk),
-                 .parent_id = PhaseSpanId(phase)};
-  spans->Record(std::move(span.Int("chunk", chunk).Int("rows", rows)));
-}
-
 PhaseScope::PhaseScope(SearchObserver* observer, TracePhase phase)
     : observer_(observer != nullptr && observer->timed() ? observer : nullptr),
       phase_(phase) {

@@ -27,9 +27,9 @@ struct SaveResult;
 /// log, its wall-phase accounting and its span identity. It rides on the
 /// BudgetGauge, which already reaches every decision site, bound scan, cache
 /// fill and index query, and like the gauge it is owned by the search's
-/// thread; only the chunk bodies of nested scans touch `spans` from other
-/// threads, each through its own slot. A search nothing observes carries no
-/// observer, so every site costs one null check.
+/// thread; the chunk bodies of nested scans never touch it. A search
+/// nothing observes carries no observer, so every site costs one null
+/// check.
 struct SearchObserver {
   PerWorkerBuffer<TraceSpan>* spans = nullptr;  ///< null = no span export
   WallPhaseProfiler* profiler = nullptr;        ///< null = /profilez detached
@@ -37,9 +37,6 @@ struct SearchObserver {
   bool capture = false;
   std::uint64_t trace_id = 0;
   std::uint64_t search_span_id = 0;  ///< parent of every phase span
-  /// Chunked scans started so far; names each scan's kScan id, so chunk
-  /// ids don't depend on scheduling.
-  std::uint64_t scan_ordinal = 0;
 
   /// The decision log. Beyond kExplainMaxEventsPerSearch, events are
   /// counted in `dropped_events` instead of stored, so the stored prefix
@@ -74,12 +71,6 @@ struct SearchObserver {
   /// Emits one aggregated span per touched phase, under the search span,
   /// and folds the totals into the profiler. Once per attempt.
   void FlushPhases() const;
-
-  /// Records the `pool_chunk` span of chunk `chunk` of scan `scan_span`.
-  /// Any thread; the span lands in that thread's slot.
-  void RecordChunkSpan(TracePhase phase, std::uint64_t scan_span,
-                       std::size_t chunk, std::uint64_t start_ns,
-                       std::size_t rows) const;
 };
 
 /// RAII wall-phase marker. Entering a phase pauses the enclosing one (its
@@ -103,44 +94,19 @@ class PhaseScope {
   std::uint64_t banked_ns_ = 0;  ///< finished segments (excludes children)
 };
 
-/// Runs `body(begin, end, chunk)` over [0, count) as `grain`-row chunks on
-/// `pool`. When the observer exports spans, each chunk whose body returns
-/// true records a `pool_chunk` span under `phase`. Whether chunks exist at
-/// all depends on the pool size, so chunk spans are outside the
-/// cross-thread-count parity contract (DESIGN.md §13).
-template <class Body>
-void ObservedParallelFor(WorkStealingPool& pool, std::size_t count,
-                         std::size_t grain, SearchObserver* observer,
-                         TracePhase phase, Body&& body) {
-  const bool spans = observer != nullptr && observer->spans != nullptr;
-  const std::uint64_t scan_span =
-      spans ? DeriveSpanId(observer->PhaseSpanId(phase), TraceSpanKind::kScan,
-                           observer->scan_ordinal++)
-            : 0;
-  pool.ParallelFor(
-      0, count, grain,
-      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        const std::uint64_t start_ns = spans ? TraceNowNs() : 0;
-        if (body(begin, end, chunk) && spans) {
-          observer->RecordChunkSpan(phase, scan_span, chunk, start_ns,
-                                    end - begin);
-        }
-      });
-}
-
-/// Observation of one save batch, shared by DiscSaver::SaveAll and the
-/// exact loop of SaveOutliers: the batch seed and id derivation, the
-/// per-worker span and decision-log buffers, the /tracez active slots, the
-/// progress tracker and the per-attempt SearchObservers. Finish() drains
-/// the buffers sorted — spans by (trace_id, span_id), logs by (ordinal,
-/// attempt) — to the sinks, the /tracez ring and /explainz, and flushes the
-/// disc_explain_* and disc_sched_* metrics.
+/// Observation of one save batch, built once per SaveBatch call for either
+/// saver: the batch seed and id derivation, the per-worker span and
+/// decision-log buffers, the /tracez active slots, the progress tracker and
+/// the per-attempt SearchObservers. Finish() drains the buffers sorted —
+/// spans by (trace_id, span_id), logs by (ordinal, attempt) — to the sinks,
+/// the /tracez ring and /explainz, and flushes the disc_explain_* and
+/// disc_sched_* metrics.
 ///
 /// A sink or live recorder of either kind derives the batch's ids, so logs,
 /// spans and exemplars join on one trace id. Ids derive from (batch seed,
 /// input ordinal), never from time or scheduling, so the exports are the
-/// same at every thread count (the pool_chunk and estimate spans of the
-/// parallel paths excepted).
+/// same at every thread count (the estimate spans of the parallel path
+/// excepted).
 class BatchObservation {
  public:
   /// `exact` tags the logs "exact" and the /statusz batch "save_exact"

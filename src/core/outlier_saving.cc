@@ -1,6 +1,5 @@
 #include "core/outlier_saving.h"
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
@@ -11,7 +10,6 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
-#include "core/observation.h"
 #include "core/save_journal.h"
 #include "core/search_stats.h"
 #include "index/index_factory.h"
@@ -162,56 +160,6 @@ void FlushBatchMetrics(MetricsRegistry* metrics, const SavedDataset& out) {
   }
 }
 
-/// Saves every outlier with the exact enumerator, in input order, under the
-/// fair slicing of DiscSaver::SaveAll with one worker, draining-and-skipping
-/// once the budget is gone. The same BatchObservation as the DISC batch
-/// observes it, so exact saves carry trace ids, spans and decision logs.
-/// κ (`options.save.kappa`) applies to each result before the search is
-/// observed: a feasible optimum changing more than κ attributes becomes
-/// `kappa_exceeded` and keeps the untouched tuple — the DISC verdict for an
-/// outlier whose only feasible adjustments exceed the budget — so the
-/// decision log, the search span and the record agree.
-std::vector<SaveResult> SaveExactBatch(const Relation& inliers,
-                                       const DistanceEvaluator& evaluator,
-                                       const std::vector<Tuple>& outliers,
-                                       const OutlierSavingOptions& options,
-                                       const BatchBudget& batch) {
-  const ExactSaver saver(inliers, evaluator, options.constraint);
-  const std::size_t n = outliers.size();
-  std::vector<SaveResult> results(n);
-  BatchObservation observation(/*exact=*/true, n, batch.deadline,
-                               options.trace, options.explain, nullptr);
-  for (std::size_t i = 0; i < n; ++i) {
-    BatchObservation::Search search(&observation, i);
-    SaveResult& result = results[i];
-    result.adjusted = outliers[i];
-    if (batch.cancellation.cancelled()) {
-      result.termination = SaveTermination::kCancelled;
-    } else if (batch.deadline.expired()) {
-      result.termination = SaveTermination::kDeadline;
-    } else {
-      ExactOptions exact_options;
-      exact_options.budget = options.save.budget;
-      exact_options.observer = search.Attempt(1);
-      result = saver.Save(outliers[i], exact_options,
-                          batch.TaskDeadline(/*workers=*/1, n - i),
-                          batch.cancellation);
-      const std::size_t kappa = options.save.kappa;
-      if (result.feasible && kappa != 0 &&
-          result.adjusted_attributes.size() > kappa) {
-        result.feasible = false;
-        result.kappa_exceeded = true;
-        result.adjusted = outliers[i];
-        result.cost = 0;
-        result.adjusted_attributes = AttributeSet();
-      }
-    }
-    search.Finish(&result);
-  }
-  observation.Finish();
-  return results;
-}
-
 }  // namespace
 
 SavedDataset SaveOutliers(const Relation& data,
@@ -291,21 +239,14 @@ SavedDataset SaveOutliers(const Relation& data,
 
   Relation inliers = data.Select(split.inlier_rows);
 
-  // Build the saver once; save each outlier against the fixed inlier set.
-  DiscSaver disc_saver(inliers, evaluator, options.constraint);
-
   BatchBudget batch;
   batch.deadline = batch_deadline;
-  if (options.per_outlier_deadline_ms > 0) {
-    batch.per_outlier_limit =
-        std::chrono::milliseconds(options.per_outlier_deadline_ms);
-  }
   batch.cancellation = options.cancellation;
 
-  // Each outlier's search is independent against the fixed inlier set.
-  // The DISC batch fans out across a work-stealing pool (cost-ordered,
-  // hardest searches first — see DiscSaver::SaveAll); the merge below walks
-  // `split.outlier_rows` in input order either way, so the records are
+  // Each outlier's search is independent against the fixed inlier set. Both
+  // savers run the one batch loop (SaveBatch); the DISC batch fans out
+  // across a work-stealing pool (cost-ordered, hardest searches first), and
+  // results come back in input order either way, so the records are
   // bit-identical for every thread count.
   std::vector<Tuple> outlier_tuples;
   outlier_tuples.reserve(split.outlier_rows.size());
@@ -314,9 +255,20 @@ SavedDataset SaveOutliers(const Relation& data,
   }
   std::vector<SaveResult> results;
   if (options.use_exact) {
-    results =
-        SaveExactBatch(inliers, evaluator, outlier_tuples, options, batch);
+    const ExactSaver saver(inliers, evaluator, options.constraint);
+    results = SaveBatch(
+        outlier_tuples,
+        [&](const Tuple& outlier, Deadline deadline,
+            const CancellationToken& cancellation, WorkStealingPool*,
+            SearchObserver* observer) {
+          return saver.Save(outlier, options.save, deadline, cancellation,
+                            observer);
+        },
+        /*estimate=*/nullptr, /*exact=*/true, /*pool=*/nullptr, batch,
+        options.trace, /*recovery=*/{}, options.explain);
   } else {
+    // Build the saver once; save each outlier against the fixed inlier set.
+    DiscSaver disc_saver(inliers, evaluator, options.constraint);
     // Crash-safety plumbing (DESIGN.md §11): optionally restore journaled
     // verdicts from a previous interrupted run, then append this run's
     // definitive results to the same journal. All-default BatchRecovery
@@ -386,36 +338,22 @@ SavedDataset SaveOutliers(const Relation& data,
 
   out.records.reserve(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const std::size_t row = split.outlier_rows[i];
-    SaveResult& res = results[i];
-    OutlierRecord rec;
-    rec.row = row;
-    rec.termination = res.termination;
-    rec.stats = res.stats;
-    rec.adjusted = std::move(res.adjusted);
-    rec.cost = res.cost;
-    rec.adjusted_attributes = res.adjusted_attributes;
-    rec.lower_bound = res.lower_bound;
-    rec.trace_id = res.trace_id;
-
-    if (res.feasible) {
-      rec.disposition = OutlierDisposition::kSaved;
-      out.repaired[row] = rec.adjusted;
-    } else {
-      // A feasible adjustment needing more attributes than trusted marks a
-      // natural outlier (paper §1.2 — flag rather than over-adjust).
-      rec.disposition = res.kappa_exceeded ? OutlierDisposition::kNaturalOutlier
-                                           : OutlierDisposition::kInfeasible;
-      rec.adjusted = data[row];
-      rec.cost = 0;
-      rec.adjusted_attributes = AttributeSet();
-    }
+    // A feasible adjustment needing more attributes than trusted marks a
+    // natural outlier (paper §1.2 — flag rather than over-adjust). An
+    // unsaved result already holds the untouched tuple at zero cost.
+    const OutlierDisposition disposition =
+        results[i].feasible         ? OutlierDisposition::kSaved
+        : results[i].kappa_exceeded ? OutlierDisposition::kNaturalOutlier
+                                    : OutlierDisposition::kInfeasible;
+    OutlierRecord rec{std::move(results[i]), split.outlier_rows[i],
+                      disposition};
+    if (rec.feasible) out.repaired[rec.row] = rec.adjusted;
     TraceRecorder* recorder = GlobalTraceRecorder();
     if (options.trace != nullptr ||
         (recorder != nullptr && rec.trace_id != 0)) {
       // The root of the outlier's span tree: the per-attempt search spans
-      // and their phase/chunk children (emitted by the batch drain) parent
-      // up to this span via DeriveSpanId(trace_id, kRoot, 0).
+      // and their phase children (emitted by the batch drain) parent up to
+      // this span via DeriveSpanId(trace_id, kRoot, 0).
       TraceSpan span;
       span.name = "save_outlier";
       span.start_ns = rec.stats.start_ns;

@@ -22,17 +22,19 @@ class MetricsRegistry;
 struct OutlierSavingOptions {
   /// The distance constraint (ε, η).
   DistanceConstraint constraint;
-  /// Per-outlier search options (pruning, budget, and κ). `save.kappa` is
-  /// the one attribute budget of the pipeline: an outlier whose only
-  /// feasible adjustments change more than κ attributes is deemed a
-  /// natural outlier and left unchanged (0 = unrestricted). Errors are
-  /// expected to touch only a few attributes (§1.2); natural outliers are
-  /// separable in many. The DISC search optimizes within the budget
-  /// (§3.3.3); the exact path keeps its unrestricted optimum when it fits
-  /// the budget and flags the outlier otherwise.
+  /// Per-outlier search options (pruning, budget, and κ), passed to either
+  /// saver. `save.kappa` is the one attribute budget of the pipeline: an
+  /// outlier whose only feasible adjustments change more than κ attributes
+  /// is deemed a natural outlier and left unchanged (0 = unrestricted).
+  /// Errors are expected to touch only a few attributes (§1.2); natural
+  /// outliers are separable in many. The DISC search optimizes within the
+  /// budget (§3.3.3); the exact saver keeps its unrestricted optimum when
+  /// it fits the budget and flags the outlier otherwise.
   SaveOptions save;
   /// Use the exact enumeration algorithm instead of the DISC approximation
-  /// (only tractable for small m and small attribute domains).
+  /// (only tractable for small m and small attribute domains). Only its
+  /// ExactSaver is built; it runs the same batch loop (SaveBatch) in input
+  /// order on one worker, without journal or retries.
   bool use_exact = false;
   /// Worker threads for batch saving (DISC path only; the exact saver stays
   /// sequential). 1 = in-caller sequential saving, 0 = one worker per
@@ -48,9 +50,6 @@ struct OutlierSavingOptions {
   /// with OutlierRecord::termination saying what happened. The overall
   /// status stays OK — degradation is reported, not failed.
   std::int64_t batch_deadline_ms = 0;
-  /// Per-outlier wall-clock cap in milliseconds (0 = unlimited),
-  /// intersected with the fair batch share.
-  std::int64_t per_outlier_deadline_ms = 0;
   /// Cooperative cancellation for the whole pipeline. Fires between index
   /// scans and node expansions; already-running searches return their
   /// incumbent, queued ones drain-and-skip.
@@ -62,8 +61,8 @@ struct OutlierSavingOptions {
   MetricsRegistry* metrics = nullptr;
   /// Optional trace sink (null = tracing disabled, the default). Receives
   /// one "split" span and, on the DISC and the exact path alike, each
-  /// save's span tree: the "save_outlier" root, its "search" child and
-  /// their phase/chunk spans. Must outlive the call.
+  /// save's span tree: the "save_outlier" root, its "search" child and the
+  /// search's phase spans. Must outlive the call.
   TraceSink* trace = nullptr;
   /// Optional explain sink (null = explain disabled, the default). Receives
   /// one decision log per searched outlier (obs/explain.h) in input order —
@@ -101,29 +100,20 @@ enum class OutlierDisposition {
 /// "infeasible").
 const char* OutlierDispositionName(OutlierDisposition d);
 
-/// Per-outlier record of what happened.
-struct OutlierRecord {
+/// Per-outlier record of what happened: the search's SaveResult plus where
+/// the outlier sits and what became of it. `termination` kCompleted /
+/// kInfeasible is a definitive verdict; kDeadline / kCancelled /
+/// kVisitBudget / kQueryBudget mean the search was truncated and the
+/// record holds the best anytime answer — when `disposition` is kSaved the
+/// adjustment is still fully feasible, it just may not be the cheapest one
+/// a full search would find. `stats` is bit-identical across thread counts
+/// except for the timing fields (SearchStats::SameWork); `trace_id` links
+/// the record to its span tree, the /tracez ring and the wall-time
+/// histogram exemplars (0 when tracing and explain were off, or the record
+/// was restored from a journal).
+struct OutlierRecord : SaveResult {
   std::size_t row = 0;  ///< row in the original relation
   OutlierDisposition disposition = OutlierDisposition::kInfeasible;
-  /// How this outlier's search ended. kCompleted/kInfeasible are definitive
-  /// verdicts; kDeadline/kCancelled/kVisitBudget/kQueryBudget mean the
-  /// search was truncated and the record holds the best anytime answer —
-  /// when `disposition` is kSaved the adjustment is still fully feasible,
-  /// it just may not be the cheapest one a full search would find.
-  SaveTermination termination = SaveTermination::kCompleted;
-  Tuple adjusted;
-  double cost = 0;
-  AttributeSet adjusted_attributes;
-  double lower_bound = 0;
-  /// Full per-search work counters (`stats.index_queries` is the logical
-  /// neighbor-index queries the search spent). Bit-identical across thread
-  /// counts except for the timing fields — see SearchStats::SameWork.
-  SearchStats stats;
-  /// Trace id of this outlier's span tree (0 when tracing and explain were
-  /// off, or the record was restored from a journal). Links the
-  /// record to its spans in the trace sink, the /tracez ring, and the
-  /// wall-time histogram exemplars. Excluded from work parity.
-  std::uint64_t trace_id = 0;
 };
 
 /// Result of saving all outliers of a dataset.
@@ -180,12 +170,11 @@ struct SavedDataset {
 /// Check `SavedDataset::status` first: a schema wider than
 /// kMaxSaveableAttributes is rejected rather than silently truncated.
 ///
-/// Anytime contract: with `batch_deadline_ms` / `per_outlier_deadline_ms` /
-/// `cancellation` set, the call still returns a complete SavedDataset —
-/// every outlier row gets a record, every applied adjustment is fully
-/// feasible (≥ η ε-neighbors), and truncated searches are marked via
-/// OutlierRecord::termination. See DESIGN.md, "Anytime saving &
-/// degradation contract".
+/// Anytime contract: with `batch_deadline_ms` / `cancellation` set, the
+/// call still returns a complete SavedDataset — every outlier row gets a
+/// record, every applied adjustment is fully feasible (≥ η ε-neighbors),
+/// and truncated searches are marked via OutlierRecord::termination. See
+/// DESIGN.md, "Anytime saving & degradation contract".
 SavedDataset SaveOutliers(const Relation& data,
                           const DistanceEvaluator& evaluator,
                           const OutlierSavingOptions& options);

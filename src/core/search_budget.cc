@@ -1,7 +1,8 @@
 #include "core/search_budget.h"
 
 #include <algorithm>
-#include <string>
+#include <chrono>
+#include <utility>
 
 #include "core/observation.h"
 
@@ -14,6 +15,11 @@ namespace {
 /// the per-row distance evaluation, while a stop is still noticed within
 /// microseconds.
 constexpr std::size_t kScanPollStride = 64;
+
+/// RetryPolicy's backoff schedule: kInitialBackoff doubling per retry,
+/// capped at kMaxBackoff.
+constexpr std::chrono::milliseconds kInitialBackoff{10};
+constexpr std::chrono::milliseconds kMaxBackoff{1000};
 
 }  // namespace
 
@@ -37,54 +43,27 @@ const char* SaveTerminationName(SaveTermination t) {
   return "unknown";
 }
 
-Status SaveTerminationStatus(SaveTermination t) {
-  switch (t) {
-    case SaveTermination::kCompleted:
-    case SaveTermination::kInfeasible:
-      return Status::OK();
-    case SaveTermination::kVisitBudget:
-      return Status::ResourceExhausted("visited-set budget exhausted");
-    case SaveTermination::kQueryBudget:
-      return Status::ResourceExhausted("index-query budget exhausted");
-    case SaveTermination::kDeadline:
-      return Status::DeadlineExceeded("save deadline expired");
-    case SaveTermination::kCancelled:
-      return Status::Cancelled("save cancelled");
-    case SaveTermination::kFault:
-      return Status::ResourceExhausted("search aborted by a transient fault");
-  }
-  return Status::Internal("unknown termination");
-}
-
 Deadline BatchBudget::TaskDeadline(std::size_t workers,
                                   std::size_t left) const {
-  Deadline task = deadline;
-  if (!deadline.is_infinite()) {
-    left = std::max<std::size_t>(1, left);
-    const auto rem = deadline.remaining();
-    // The clamp skips the multiply for absurdly long deadlines (overflow
-    // safety).
-    auto slice = rem;
-    if (rem < std::chrono::hours(1)) {
-      slice = rem * static_cast<std::int64_t>(std::min(workers, left)) /
-              static_cast<std::int64_t>(left);
-    }
-    task = Deadline::Min(deadline, Deadline::After(slice));
+  if (deadline.is_infinite()) return deadline;
+  left = std::max<std::size_t>(1, left);
+  const auto rem = deadline.remaining();
+  // The clamp skips the multiply for absurdly long deadlines (overflow
+  // safety).
+  auto slice = rem;
+  if (rem < std::chrono::hours(1)) {
+    slice = rem * static_cast<std::int64_t>(std::min(workers, left)) /
+            static_cast<std::int64_t>(left);
   }
-  if (per_outlier_limit.count() > 0) {
-    task = Deadline::Min(task, Deadline::After(per_outlier_limit));
-  }
-  return task;
+  return Deadline::Min(deadline, Deadline::After(slice));
 }
 
-std::chrono::milliseconds RetryPolicy::BackoffFor(
-    std::size_t retry_index) const {
-  double ms = static_cast<double>(initial_backoff.count());
-  for (std::size_t i = 0; i < retry_index; ++i) ms *= backoff_multiplier;
-  const double cap = static_cast<double>(max_backoff.count());
-  if (!(ms < cap)) ms = cap;
-  if (ms < 0.0) ms = 0.0;
-  return std::chrono::milliseconds(static_cast<std::int64_t>(ms));
+std::chrono::milliseconds RetryPolicy::BackoffFor(std::size_t retry_index) {
+  std::chrono::milliseconds backoff = kInitialBackoff;
+  for (std::size_t i = 0; i < retry_index && backoff < kMaxBackoff; ++i) {
+    backoff *= 2;
+  }
+  return std::min(backoff, kMaxBackoff);
 }
 
 bool RetryPolicy::IsTransient(SaveTermination t) {
@@ -92,13 +71,11 @@ bool RetryPolicy::IsTransient(SaveTermination t) {
          t == SaveTermination::kQueryBudget;
 }
 
-BudgetGauge::BudgetGauge(const SearchBudget* budget, Deadline extra_deadline,
-                         CancellationToken extra_cancellation)
+BudgetGauge::BudgetGauge(const SearchBudget* budget, Deadline deadline,
+                         CancellationToken cancellation)
     : budget_(budget),
-      deadline_(Deadline::Min(
-          budget != nullptr ? budget->deadline : Deadline::Infinite(),
-          extra_deadline)),
-      extra_cancellation_(std::move(extra_cancellation)),
+      deadline_(deadline),
+      cancellation_(std::move(cancellation)),
       fault_node_(FaultSiteFor("search.node")),
       fault_scan_(FaultSiteFor("bounds.scan")) {}
 
@@ -110,16 +87,11 @@ bool BudgetGauge::Stop(SaveTermination why) {
   return false;
 }
 
-bool BudgetGauge::Cancelled() const {
-  return (budget_ != nullptr && budget_->cancellation.cancelled()) ||
-         extra_cancellation_.cancelled();
-}
-
 bool BudgetGauge::Poll(FaultInjector::Site* fault) {
   if (fault != nullptr && !fault->Hit().ok()) {
     return Stop(SaveTermination::kFault);
   }
-  if (Cancelled()) return Stop(SaveTermination::kCancelled);
+  if (cancellation_.cancelled()) return Stop(SaveTermination::kCancelled);
   if (deadline_.expired()) return Stop(SaveTermination::kDeadline);
   return true;
 }
@@ -145,11 +117,12 @@ bool BudgetGauge::KeepScanning() {
 }
 
 bool BudgetGauge::HardStopRequested() const {
-  return Cancelled() || deadline_.expired();
+  return cancellation_.cancelled() || deadline_.expired();
 }
 
 void BudgetGauge::RecordHardStop() {
-  Stop(Cancelled() ? SaveTermination::kCancelled : SaveTermination::kDeadline);
+  Stop(cancellation_.cancelled() ? SaveTermination::kCancelled
+                                 : SaveTermination::kDeadline);
 }
 
 void BudgetGauge::RecordDecision(const ExplainEvent& event) {

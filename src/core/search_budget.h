@@ -8,7 +8,6 @@
 #include "common/cancellation.h"
 #include "common/deadline.h"
 #include "common/fault.h"
-#include "common/status.h"
 #include "core/search_stats.h"
 
 namespace disc {
@@ -46,22 +45,15 @@ enum class SaveTermination {
 /// Lower-case identifier for logs/JSON ("completed", "visit_budget", ...).
 const char* SaveTerminationName(SaveTermination t);
 
-/// Maps a termination to a Status: OK for kCompleted/kInfeasible (the search
-/// gave its definitive answer), DeadlineExceeded / Cancelled /
-/// ResourceExhausted for the degraded exits.
-Status SaveTerminationStatus(SaveTermination t);
-
-/// Cooperative execution budget for one save. All limits are optional; the
-/// default SearchBudget is unlimited. Checked at node-expansion granularity
-/// (one branch-and-bound node / one exact-enumeration candidate), plus a
-/// strided poll inside the O(n) bound scans, so a search stops within one
-/// node of the limit being hit — and on stop the best incumbent found so
-/// far is returned instead of an error (graceful degradation).
+/// Work caps for one save. Both are optional; the default SearchBudget is
+/// unlimited. The wall clock and cancellation are not part of it: each
+/// search takes exactly one deadline and one cancellation token from its
+/// caller (the batch slice, or the arguments of Save()). The caps are
+/// checked at node-expansion granularity (one branch-and-bound node / one
+/// exact-enumeration candidate), so a search stops within one node of a
+/// limit being hit — and on stop the best incumbent found so far is
+/// returned instead of an error (graceful degradation).
 struct SearchBudget {
-  /// Wall-clock limit (infinite by default).
-  Deadline deadline;
-  /// Cooperative cancellation (never cancelled by default).
-  CancellationToken cancellation;
   /// Cap on distinct attribute sets X visited by the branch-and-bound
   /// search, and on the candidates the exact enumeration checks
   /// (0 = unlimited).
@@ -69,15 +61,6 @@ struct SearchBudget {
   /// Cap on logical neighbor-index queries — kNN/range/feasibility calls
   /// and full-relation bound scans (0 = unlimited).
   std::size_t max_index_queries = 0;
-
-  /// True iff no limit or token is set. (Fault injection at the search
-  /// sites — `search.node`, `bounds.scan` — is orthogonal: it is armed via
-  /// AttachGlobalFaultInjector, not per budget, and a gauge over an
-  /// unlimited budget still honors it.)
-  bool IsUnlimited() const {
-    return deadline.is_infinite() && !cancellation.can_be_cancelled() &&
-           max_visited_sets == 0 && max_index_queries == 0;
-  }
 };
 
 /// Whole-batch budget for SaveAll / SaveOutliers. The batch deadline is
@@ -89,50 +72,31 @@ struct SearchBudget {
 struct BatchBudget {
   /// Wall clock for the whole batch (infinite by default).
   Deadline deadline;
-  /// Per-outlier wall-clock cap, measured from that outlier's search start
-  /// (zero = none). Applies on top of the fair batch slice.
-  std::chrono::milliseconds per_outlier_limit{0};
   /// Cooperative cancellation of the whole batch.
   CancellationToken cancellation;
 
-  /// True iff no limit or token is set.
-  bool IsUnlimited() const {
-    return deadline.is_infinite() && per_outlier_limit.count() == 0 &&
-           !cancellation.can_be_cancelled();
-  }
-
   /// The deadline of a task starting now while `left` outliers (this one
   /// included) have yet to start on `workers` workers: the fair share
-  /// remaining × min(workers, left) ÷ left of the batch clock, intersected
-  /// with per_outlier_limit. A task finishing under its share leaves the
-  /// rest to later ones.
+  /// remaining × min(workers, left) ÷ left of the batch clock. A task
+  /// finishing under its share leaves the rest to later ones.
   Deadline TaskDeadline(std::size_t workers, std::size_t left) const;
 };
 
-/// Retry policy for transient per-outlier failures inside SaveAll
+/// Retry policy for transient per-outlier failures inside a batch
 /// (DESIGN.md §11). A search whose termination is transient (see
 /// IsTransient) is re-run up to `max_attempts` times total, with
-/// exponential backoff between attempts. The retry budget is carved from
-/// the batch deadline slack: SaveAll only sleeps-and-retries while the
-/// batch clock comfortably covers the backoff, so retries can never push a
-/// batch past its deadline. The final attempt's result is reported, with
-/// SearchStats::retries = attempts − 1.
+/// exponential backoff between attempts (BackoffFor). The retry budget is
+/// carved from the batch deadline slack: the batch only sleeps-and-retries
+/// while its clock comfortably covers the backoff, so retries can never
+/// push a batch past its deadline. The final attempt's result is
+/// reported, with SearchStats::retries = attempts − 1.
 struct RetryPolicy {
   /// Total attempts per outlier (1 = no retries, the default).
   std::size_t max_attempts = 1;
-  /// Backoff before the first retry.
-  std::chrono::milliseconds initial_backoff{10};
-  /// Multiplier applied per subsequent retry.
-  double backoff_multiplier = 2.0;
-  /// Backoff ceiling.
-  std::chrono::milliseconds max_backoff{1000};
 
-  /// True iff retries are enabled.
-  bool enabled() const { return max_attempts > 1; }
-
-  /// Backoff before retry `retry_index` (0-based): initial × multiplier^i,
-  /// clamped to max_backoff.
-  std::chrono::milliseconds BackoffFor(std::size_t retry_index) const;
+  /// Backoff before retry `retry_index` (0-based): 10 ms × 2^i, capped at
+  /// 1 s.
+  static std::chrono::milliseconds BackoffFor(std::size_t retry_index);
 
   /// True for terminations worth re-running: injected/transient faults and
   /// the non-time resource budgets (the kResourceExhausted family). Hard
@@ -140,21 +104,17 @@ struct RetryPolicy {
   static bool IsTransient(SaveTermination t);
 };
 
-/// Per-search enforcement state for one SearchBudget: counts node
-/// expansions and index queries, polls deadline/cancellation, and records
-/// the first stop reason. One gauge per save; never shared across threads.
-///
-/// The two-token design (budget token + batch token) lets a single search
-/// observe both its caller's cancellation and the batch-wide one without
-/// allocating a combined source.
+/// Per-search enforcement state for one SearchBudget, one deadline and one
+/// cancellation token: counts node expansions and index queries, polls the
+/// deadline and the token, and records the first stop reason. One gauge per
+/// save; never shared across threads.
 class BudgetGauge {
  public:
-  /// A gauge over `budget` (may be null → unlimited) with an optional
-  /// additional deadline and cancellation token from the batch layer. The
-  /// effective deadline is the earlier of the two.
+  /// A gauge over `budget` (may be null → unlimited), stopping at
+  /// `deadline` or when `cancellation` fires.
   explicit BudgetGauge(const SearchBudget* budget,
-                       Deadline extra_deadline = Deadline::Infinite(),
-                       CancellationToken extra_cancellation = {});
+                       Deadline deadline = Deadline::Infinite(),
+                       CancellationToken cancellation = {});
 
   /// Called once per node expansion with the running visited-set count.
   /// Hits the `search.node` fault site (when an injector is attached), then
@@ -195,9 +155,6 @@ class BudgetGauge {
   /// (and thus one stats struct) per search.
   SearchStats& stats() { return stats_; }
   const SearchStats& stats() const { return stats_; }
-  std::size_t query_count() const {
-    return static_cast<std::size_t>(stats_.index_queries);
-  }
 
   /// Node expansions so far.
   std::size_t nodes_expanded() const {
@@ -224,15 +181,13 @@ class BudgetGauge {
 
  private:
   bool Stop(SaveTermination why);
-  /// True when the budget's or the batch's cancellation token fired.
-  bool Cancelled() const;
   /// Hits `fault` (when armed), then checks cancellation and the deadline,
   /// in that order; records the first stop and returns false on one.
   bool Poll(FaultInjector::Site* fault);
 
   const SearchBudget* budget_;  ///< may be null (unlimited)
-  Deadline deadline_;           ///< effective: min(budget, batch slice)
-  CancellationToken extra_cancellation_;
+  Deadline deadline_;
+  CancellationToken cancellation_;
   /// Fault sites resolved once at construction (null when no injector is
   /// attached): `search.node` hit per node expansion, `bounds.scan` hit per
   /// strided scan poll.

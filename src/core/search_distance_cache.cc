@@ -47,12 +47,10 @@ SearchDistanceCache::SearchDistanceCache(const Relation& relation,
     }
   };
   if (pool != nullptr && pool->size() > 1 && n >= 2 * kFillGrain) {
-    ObservedParallelFor(*pool, n, kFillGrain, observer_,
-                        TracePhase::kDcacheFill,
-                        [&](std::size_t begin, std::size_t end, std::size_t) {
-                          fill(begin, end);
-                          return true;
-                        });
+    pool->ParallelFor(0, n, kFillGrain,
+                      [&](std::size_t begin, std::size_t end, std::size_t) {
+                        fill(begin, end);
+                      });
   } else {
     fill(0, n);
   }

@@ -56,8 +56,7 @@ class SearchDistanceCache {
   /// writes produce the identical vector; the lazy attribute rows stay
   /// single-threaded (they mutate under const and must only ever be touched
   /// by the owning search thread). `observer` (optional) charges the eager
-  /// and lazy fills to the dcache_fill wall phase and records per-chunk
-  /// spans of the parallel fill.
+  /// and lazy fills to the dcache_fill wall phase.
   SearchDistanceCache(const Relation& relation,
                       const DistanceEvaluator& evaluator, const Tuple& outlier,
                       const ColumnarView* view = nullptr,

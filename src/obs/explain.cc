@@ -77,21 +77,28 @@ void AppendSummaryJson(JsonWriter& json, const ExplainSummary& summary) {
   json.EndObject();
 }
 
-/// The /explainz per-search entry: the summary plus its identity fields.
-void AppendRecorderEntryJson(JsonWriter& json, const ExplainSummary& summary) {
+/// Events the summary counted: one action each.
+std::uint64_t EventCount(const ExplainSummary& summary) {
+  std::uint64_t events = 0;
+  for (std::uint64_t count : summary.action_counts) events += count;
+  return events;
+}
+
+/// The /explainz per-search entry: the log's identity fields plus its
+/// summary.
+void AppendRecorderEntryJson(JsonWriter& json, const ExplainSearchLog& log,
+                             const ExplainSummary& summary) {
   json.BeginObject();
-  json.Key("ordinal").Uint(summary.ordinal);
-  json.Key("trace_id").Uint(summary.trace_id);
-  json.Key("algo").String(summary.algo);
-  json.Key("termination").String(summary.termination);
-  json.Key("feasible").Bool(summary.feasible);
-  if (std::isfinite(summary.final_cost)) {
-    json.Key("cost").Number(summary.final_cost);
-  }
-  json.Key("wall_nanos").Uint(summary.wall_nanos);
-  json.Key("events").Uint(summary.events);
-  json.Key("dropped_events").Uint(summary.dropped_events);
-  json.Key("abandoned_scans").Uint(summary.abandoned_scans);
+  json.Key("ordinal").Uint(log.ordinal);
+  json.Key("trace_id").Uint(log.trace_id);
+  json.Key("algo").String(log.algo);
+  json.Key("termination").String(log.termination);
+  json.Key("feasible").Bool(log.feasible);
+  if (std::isfinite(log.final_cost)) json.Key("cost").Number(log.final_cost);
+  json.Key("wall_nanos").Uint(log.wall_nanos);
+  json.Key("events").Uint(EventCount(summary));
+  json.Key("dropped_events").Uint(log.dropped_events);
+  json.Key("abandoned_scans").Uint(log.abandoned_scans);
   json.Key("summary");
   AppendSummaryJson(json, summary);
   json.EndObject();
@@ -134,17 +141,6 @@ double ExplainEvent::gap() const {
 
 ExplainSummary Summarize(const ExplainSearchLog& log) {
   ExplainSummary summary;
-  summary.ordinal = log.ordinal;
-  summary.trace_id = log.trace_id;
-  summary.algo = log.algo;
-  summary.termination = log.termination;
-  summary.feasible = log.feasible;
-  summary.final_cost = log.final_cost;
-  summary.wall_nanos = log.wall_nanos;
-  summary.events = log.events.size();
-  summary.dropped_events = log.dropped_events;
-  summary.abandoned_scans = log.abandoned_scans;
-
   double max_lb = std::numeric_limits<double>::quiet_NaN();
   double first_ub = std::numeric_limits<double>::quiet_NaN();
   double gap_sum = 0;
@@ -239,26 +235,26 @@ ExplainRecorder::ExplainRecorder(std::size_t recent_capacity,
       recent_(recent_capacity) {}
 
 void ExplainRecorder::RecordSearch(const ExplainSearchLog& log) {
-  ExplainSummary summary = Summarize(log);
+  Entry entry{.log = log, .summary = Summarize(log)};
+  entry.log.events = std::vector<ExplainEvent>();
 
   std::lock_guard<std::mutex> lock(mu_);
   ++searches_;
-  events_ += summary.events;
-  dropped_events_ += summary.dropped_events;
-  abandoned_scans_ += summary.abandoned_scans;
+  events_ += log.events.size();
+  dropped_events_ += log.dropped_events;
+  abandoned_scans_ += log.abandoned_scans;
   for (std::size_t a = 0; a < kExplainActionCount; ++a) {
-    action_totals_[a] += summary.action_counts[a];
+    action_totals_[a] += entry.summary.action_counts[a];
   }
-  recent_.Push(summary);
+  recent_.Push(entry);
   // Slowest table: insert sorted by wall time, descending; ties keep the
   // earlier entry (stable for repeated scrapes).
-  auto pos = std::upper_bound(
-      slowest_.begin(), slowest_.end(), summary,
-      [](const ExplainSummary& a, const ExplainSummary& b) {
-        return a.wall_nanos > b.wall_nanos;
-      });
+  auto pos = std::upper_bound(slowest_.begin(), slowest_.end(), entry,
+                              [](const Entry& a, const Entry& b) {
+                                return a.log.wall_nanos > b.log.wall_nanos;
+                              });
   if (pos != slowest_.end() || slowest_.size() < slowest_capacity_) {
-    slowest_.insert(pos, std::move(summary));
+    slowest_.insert(pos, std::move(entry));
     if (slowest_.size() > slowest_capacity_) slowest_.pop_back();
   }
 }
@@ -280,13 +276,13 @@ std::string ExplainRecorder::ToJson() const {
   }
   json.EndObject();
   json.Key("recent").BeginArray();
-  recent_.ForEach([&](const ExplainSummary& summary) {
-    AppendRecorderEntryJson(json, summary);
+  recent_.ForEach([&](const Entry& entry) {
+    AppendRecorderEntryJson(json, entry.log, entry.summary);
   });
   json.EndArray();
   json.Key("slowest").BeginArray();
-  for (const ExplainSummary& summary : slowest_) {
-    AppendRecorderEntryJson(json, summary);
+  for (const Entry& entry : slowest_) {
+    AppendRecorderEntryJson(json, entry.log, entry.summary);
   }
   json.EndArray();
   json.EndObject();

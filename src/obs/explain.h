@@ -162,19 +162,11 @@ struct ExplainIncumbentStep {
 /// Derived analytics of one ExplainSearchLog: prune-reason breakdown, the
 /// incumbent-evolution timeline, and bound-tightness ratios against the
 /// final cost (the "opt" the search settled on). Ratios are NaN when
-/// undefined (no feasible answer, zero cost, or no finite bound).
+/// undefined (no feasible answer, zero cost, or no finite bound). Holds only
+/// what it derives; the log's own fields stay on the log.
 struct ExplainSummary {
-  std::uint64_t ordinal = 0;
-  std::uint64_t trace_id = 0;
-  std::string algo = "disc";
-  std::string termination = "completed";
-  bool feasible = false;
-  double final_cost = std::numeric_limits<double>::quiet_NaN();
-  std::uint64_t wall_nanos = 0;
-  std::uint64_t events = 0;
-  std::uint64_t dropped_events = 0;
-  std::uint64_t abandoned_scans = 0;
-  /// Per-action event counts, indexed by ExplainAction.
+  /// Per-action event counts, indexed by ExplainAction; they sum to the
+  /// log's stored event count.
   std::array<std::uint64_t, kExplainActionCount> action_counts{};
   /// |X| of the event that produced the first incumbent (including the
   /// seed, whose depth is 0); -1 when the search never found one.
@@ -260,8 +252,14 @@ class ExplainRecorder {
   std::uint64_t dropped_events_ = 0;
   std::uint64_t abandoned_scans_ = 0;
   std::array<std::uint64_t, kExplainActionCount> action_totals_{};
-  RecentRing<ExplainSummary> recent_;
-  std::vector<ExplainSummary> slowest_;  ///< sorted by wall time, desc
+  /// One /explainz entry: the log's own fields (its events dropped) next to
+  /// its summary.
+  struct Entry {
+    ExplainSearchLog log;
+    ExplainSummary summary;
+  };
+  RecentRing<Entry> recent_;
+  std::vector<Entry> slowest_;  ///< sorted by wall time, desc
 };
 
 /// Process-global recorder hook (mirrors GlobalMetrics /

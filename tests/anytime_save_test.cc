@@ -118,9 +118,8 @@ TEST(AnytimeSave, DiscCancellationSweepEveryNodeIsSound) {
     FaultInjector injector;
     injector.Add(CancelAtNode(k));
     AttachGlobalFaultInjector(&injector);
-    SaveOptions opts;
-    opts.budget.cancellation = injector.token();
-    SaveResult res = saver.Save(outlier, opts);
+    SaveResult res =
+        saver.Save(outlier, {}, Deadline::Infinite(), injector.token());
     AttachGlobalFaultInjector(nullptr);
     EXPECT_EQ(res.termination, SaveTermination::kCancelled) << "node " << k;
     ExpectSoundResult(saver, ev, outlier, res);
@@ -154,10 +153,8 @@ TEST(AnytimeSave, DiscCancellationSweepKappaRestricted) {
     FaultInjector injector;
     injector.Add(CancelAtNode(k));
     AttachGlobalFaultInjector(&injector);
-    SaveOptions opts;
-    opts.kappa = 2;
-    opts.budget.cancellation = injector.token();
-    SaveResult res = saver.Save(outlier, opts);
+    SaveResult res =
+        saver.Save(outlier, counting, Deadline::Infinite(), injector.token());
     AttachGlobalFaultInjector(nullptr);
     EXPECT_EQ(res.termination, SaveTermination::kCancelled) << "node " << k;
     ExpectSoundResult(saver, ev, outlier, res);
@@ -183,9 +180,8 @@ TEST(AnytimeSave, ExactCancellationSweepEveryCandidateIsSound) {
     FaultInjector injector;
     injector.Add(CancelAtNode(k));
     AttachGlobalFaultInjector(&injector);
-    ExactOptions opts;
-    opts.budget.cancellation = injector.token();
-    SaveResult res = saver.Save(outlier, opts);
+    SaveResult res =
+        saver.Save(outlier, {}, Deadline::Infinite(), injector.token());
     AttachGlobalFaultInjector(nullptr);
     EXPECT_EQ(res.termination, SaveTermination::kCancelled) << "leaf " << k;
     if (res.feasible) {
@@ -202,9 +198,7 @@ TEST(AnytimeSave, AlreadyExpiredDeadlineReturnsSoundRecordImmediately) {
   DistanceEvaluator ev(inliers.schema());
   DiscSaver saver(inliers, ev, {1.5, 4});
   const Tuple outlier = Tuple::Numeric({0.1, 9.0, -0.3});
-  SaveOptions opts;
-  opts.budget.deadline = Deadline::AfterMillis(-1);
-  SaveResult res = saver.Save(outlier, opts);
+  SaveResult res = saver.Save(outlier, {}, Deadline::AfterMillis(-1));
   EXPECT_EQ(res.termination, SaveTermination::kDeadline);
   ExpectSoundResult(saver, ev, outlier, res);
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -205,17 +206,24 @@ TEST_P(SimdNormTest, AllEntryPointsMatchScalarBitForBit) {
     ASSERT_NE(view, nullptr);
     for (int qi = 0; qi < 3; ++qi) {
       Tuple query = RandomQuery(shape.m, &rng);
-      const double eps = rng.Uniform(0.5, 6.0);
 
       // Materialize every scalar reference value BEFORE switching tiers:
       // FlatKernel dispatches on the view's current tier at call time, so
       // reference calls made after set_simd_tier would compare a tier to
       // itself.
       view->set_simd_tier(SimdTier::kScalar);
-      const ScanResult ref = ScanOn(*view, query, eps);
       FlatKernel ref_kernel(*view, query);
       std::vector<double> ref_fill(shape.n);
       ref_kernel.FillDistances(ref_fill.data(), 0, shape.n);
+      // ε at a random rank in the top quarter of the distances, so most
+      // rows are accepted and every accepted distance is compared bit for
+      // bit (a last-bit difference in a rejected row would not show).
+      std::vector<double> ranked = ref_fill;
+      std::sort(ranked.begin(), ranked.end());
+      const double eps = ranked[static_cast<std::size_t>(
+          rng.Uniform(0.75, 1.0) * static_cast<double>(shape.n - 1))];
+      const ScanResult ref = ScanOn(*view, query, eps);
+      ASSERT_GT(2 * ref.rows.size(), shape.n) << "eps=" << eps;
       std::vector<double> ref_attr(shape.n);
       ref_kernel.FillAttributeDistances(shape.m / 2, ref_attr.data());
 

@@ -97,15 +97,47 @@ TEST(ExactSaver, BudgetCapReported) {
   ExactSaver saver(inliers, ev, {1.5, 4});
   SearchObserver observer;
   observer.capture = true;
-  ExactOptions opts;
+  SaveOptions opts;
   opts.budget.max_visited_sets = 3;
-  opts.observer = &observer;
-  SaveResult res = saver.Save(Tuple::Numeric({10, 10}), opts);
+  SaveResult res = saver.Save(Tuple::Numeric({10, 10}), opts,
+                              Deadline::Infinite(), {}, &observer);
   EXPECT_EQ(res.termination, SaveTermination::kVisitBudget);
   EXPECT_EQ(res.stats.nodes_expanded, 4u);
   // The budget layer logs where it stopped the enumeration.
   ASSERT_FALSE(observer.events.empty());
   EXPECT_EQ(observer.events.back().action, ExplainAction::kPruneBudget);
+}
+
+TEST(ExactSaver, KappaFlagsAnOptimumBeyondTheBudget) {
+  // (10, 10) is off the lattice on both attributes, so its optimum changes
+  // two. κ = 1 keeps the input and flags it; κ = 2 and κ = 0 (unrestricted)
+  // return the optimum itself.
+  Relation inliers = LatticeInliers(5);
+  DistanceEvaluator ev(inliers.schema());
+  ExactSaver saver(inliers, ev, {1.5, 4});
+  const Tuple outlier = Tuple::Numeric({10, 10});
+  const SaveResult optimum = saver.Save(outlier);
+  ASSERT_TRUE(optimum.feasible);
+  ASSERT_EQ(optimum.adjusted_attributes.size(), 2u);
+  EXPECT_FALSE(optimum.kappa_exceeded);
+
+  SaveOptions opts;
+  opts.kappa = 1;
+  const SaveResult flagged = saver.Save(outlier, opts);
+  EXPECT_FALSE(flagged.feasible);
+  EXPECT_TRUE(flagged.kappa_exceeded);
+  EXPECT_EQ(flagged.termination, SaveTermination::kCompleted);
+  EXPECT_EQ(flagged.adjusted, outlier);
+  EXPECT_EQ(flagged.cost, 0.0);
+  EXPECT_TRUE(flagged.adjusted_attributes.empty());
+  EXPECT_TRUE(flagged.stats.SameWork(optimum.stats));
+
+  opts.kappa = 2;
+  const SaveResult within = saver.Save(outlier, opts);
+  EXPECT_TRUE(within.feasible);
+  EXPECT_FALSE(within.kappa_exceeded);
+  EXPECT_EQ(within.adjusted, optimum.adjusted);
+  EXPECT_EQ(within.cost, optimum.cost);
 }
 
 TEST(ExactSaver, CompletedSearchReportsDefinitiveTermination) {

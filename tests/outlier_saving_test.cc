@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/metrics.h"
 #include "common/random.h"
 #include "data/generators.h"
 #include "index/index_factory.h"
@@ -167,6 +168,28 @@ TEST(SaveOutliers, ExactModeAgreesOnFeasibility) {
       EXPECT_LE(b.records[i].cost, a.records[i].cost + 1e-9);
     }
   }
+}
+
+TEST(SaveOutliers, ExactPathIssuesNoKnnQuery) {
+  // The exact path builds only its ExactSaver: no DISC saver, so no kNN
+  // cache and no kNN query. Its split and feasibility checks still query
+  // the kd-tree, which the count counter shows.
+  Scenario s = MakeScenario();
+  DistanceEvaluator ev(s.data.schema());
+  OutlierSavingOptions opts = DefaultOptions();
+  opts.use_exact = true;
+  opts.save.budget.max_visited_sets = 2000000;
+  MetricsRegistry registry;
+  AttachGlobalMetrics(&registry);
+  SavedDataset out = SaveOutliers(s.data, ev, opts);
+  AttachGlobalMetrics(nullptr);
+  ASSERT_FALSE(out.records.empty());
+  EXPECT_GT(
+      registry.GetCounter("disc_index_kd_tree_count_queries_total")->Value(),
+      0u);
+  EXPECT_EQ(
+      registry.GetCounter("disc_index_kd_tree_knn_queries_total")->Value(),
+      0u);
 }
 
 TEST(SaveOutliers, StatsHelpers) {

@@ -481,7 +481,6 @@ TEST(SaveJournal, TransientFaultIsRetriedToCompletion) {
     AttachGlobalFaultInjector(&injector);
     BatchRecovery recovery;
     recovery.retry.max_attempts = 3;
-    recovery.retry.initial_backoff = std::chrono::milliseconds(1);
     const std::vector<SaveResult> retried =
         fx.saver->SaveAll(one, fx.options, nullptr, {}, nullptr, recovery);
     AttachGlobalFaultInjector(nullptr);
@@ -498,19 +497,15 @@ TEST(SaveJournal, TransientFaultIsRetriedToCompletion) {
   }
 }
 
-TEST(RetryPolicy, BackoffGrowsAndClamps) {
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.initial_backoff = std::chrono::milliseconds(10);
-  policy.backoff_multiplier = 2.0;
-  policy.max_backoff = std::chrono::milliseconds(35);
-  EXPECT_TRUE(policy.enabled());
-  EXPECT_EQ(policy.BackoffFor(0), std::chrono::milliseconds(10));
-  EXPECT_EQ(policy.BackoffFor(1), std::chrono::milliseconds(20));
-  EXPECT_EQ(policy.BackoffFor(2), std::chrono::milliseconds(35));  // clamped
-  EXPECT_EQ(policy.BackoffFor(3), std::chrono::milliseconds(35));
+TEST(RetryPolicy, BackoffDoublesFromTenMillisecondsUpToOneSecond) {
+  EXPECT_EQ(RetryPolicy::BackoffFor(0), std::chrono::milliseconds(10));
+  EXPECT_EQ(RetryPolicy::BackoffFor(1), std::chrono::milliseconds(20));
+  EXPECT_EQ(RetryPolicy::BackoffFor(2), std::chrono::milliseconds(40));
+  EXPECT_EQ(RetryPolicy::BackoffFor(6), std::chrono::milliseconds(640));
+  EXPECT_EQ(RetryPolicy::BackoffFor(7), std::chrono::milliseconds(1000));
+  EXPECT_EQ(RetryPolicy::BackoffFor(1000), std::chrono::milliseconds(1000));
 
-  EXPECT_FALSE(RetryPolicy().enabled());
+  EXPECT_EQ(RetryPolicy().max_attempts, 1u);  // retries off by default
   EXPECT_TRUE(RetryPolicy::IsTransient(SaveTermination::kFault));
   EXPECT_TRUE(RetryPolicy::IsTransient(SaveTermination::kVisitBudget));
   EXPECT_TRUE(RetryPolicy::IsTransient(SaveTermination::kQueryBudget));

@@ -151,24 +151,10 @@ TEST(SaveTermination, NamesAreStable) {
                "infeasible");
 }
 
-TEST(SaveTermination, StatusMapping) {
-  EXPECT_TRUE(SaveTerminationStatus(SaveTermination::kCompleted).ok());
-  EXPECT_TRUE(SaveTerminationStatus(SaveTermination::kInfeasible).ok());
-  EXPECT_EQ(SaveTerminationStatus(SaveTermination::kVisitBudget).code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(SaveTerminationStatus(SaveTermination::kQueryBudget).code(),
-            StatusCode::kResourceExhausted);
-  EXPECT_EQ(SaveTerminationStatus(SaveTermination::kDeadline).code(),
-            StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(SaveTerminationStatus(SaveTermination::kCancelled).code(),
-            StatusCode::kCancelled);
-}
-
 // --- BudgetGauge ---
 
 TEST(BudgetGauge, UnlimitedBudgetNeverStops) {
   SearchBudget budget;
-  EXPECT_TRUE(budget.IsUnlimited());
   BudgetGauge gauge(&budget);
   for (std::size_t i = 1; i <= 1000; ++i) {
     EXPECT_TRUE(gauge.OnNodeExpanded(i));
@@ -199,7 +185,7 @@ TEST(BudgetGauge, QueryBudgetTrips) {
   budget.max_index_queries = 2;
   BudgetGauge gauge(&budget);
   gauge.stats().index_queries += 3;
-  EXPECT_EQ(gauge.query_count(), 3u);
+  EXPECT_EQ(gauge.stats().index_queries, 3u);
   EXPECT_FALSE(gauge.OnNodeExpanded(1));
   EXPECT_EQ(gauge.reason(), SaveTermination::kQueryBudget);
   EXPECT_TRUE(gauge.ContinueRefinement());  // soft stop
@@ -207,8 +193,7 @@ TEST(BudgetGauge, QueryBudgetTrips) {
 
 TEST(BudgetGauge, ExpiredDeadlineStopsEverything) {
   SearchBudget budget;
-  budget.deadline = Deadline::AfterMillis(-1);
-  BudgetGauge gauge(&budget);
+  BudgetGauge gauge(&budget, Deadline::AfterMillis(-1));
   EXPECT_FALSE(gauge.OnNodeExpanded(1));
   EXPECT_EQ(gauge.reason(), SaveTermination::kDeadline);
   EXPECT_FALSE(gauge.ContinueRefinement());  // hard stop
@@ -217,38 +202,28 @@ TEST(BudgetGauge, ExpiredDeadlineStopsEverything) {
 TEST(BudgetGauge, CancellationWinsOverOtherLimits) {
   CancellationSource source;
   SearchBudget budget;
-  budget.cancellation = source.token();
   budget.max_visited_sets = 1;
   source.RequestCancel();
-  BudgetGauge gauge(&budget);
+  BudgetGauge gauge(&budget, Deadline::Infinite(), source.token());
   EXPECT_FALSE(gauge.OnNodeExpanded(5));  // would also trip the visit cap
   EXPECT_EQ(gauge.reason(), SaveTermination::kCancelled);
   EXPECT_FALSE(gauge.ContinueRefinement());
 }
 
-TEST(BudgetGauge, ExtraTokenFromBatchLayerObserved) {
-  CancellationSource batch_source;
-  SearchBudget budget;  // the per-search budget itself is unlimited
-  BudgetGauge gauge(&budget, Deadline::Infinite(), batch_source.token());
+TEST(BudgetGauge, TokenCancelledMidSearchObserved) {
+  CancellationSource source;
+  SearchBudget budget;  // the work caps themselves are unlimited
+  BudgetGauge gauge(&budget, Deadline::Infinite(), source.token());
   EXPECT_TRUE(gauge.OnNodeExpanded(1));
-  batch_source.RequestCancel();
+  source.RequestCancel();
   EXPECT_FALSE(gauge.OnNodeExpanded(2));
   EXPECT_EQ(gauge.reason(), SaveTermination::kCancelled);
-}
-
-TEST(BudgetGauge, ExtraDeadlineIntersectsBudgetDeadline) {
-  SearchBudget budget;
-  budget.deadline = Deadline::AfterMillis(60'000);
-  BudgetGauge gauge(&budget, Deadline::AfterMillis(-1));  // batch slice over
-  EXPECT_FALSE(gauge.OnNodeExpanded(1));
-  EXPECT_EQ(gauge.reason(), SaveTermination::kDeadline);
 }
 
 TEST(BudgetGauge, KeepScanningDetectsCancellationWithinStride) {
   CancellationSource source;
   SearchBudget budget;
-  budget.cancellation = source.token();
-  BudgetGauge gauge(&budget);
+  BudgetGauge gauge(&budget, Deadline::Infinite(), source.token());
   source.RequestCancel();
   // The poll is strided: the stop must land within one stride (64 rows).
   bool stopped = false;
@@ -261,8 +236,7 @@ TEST(BudgetGauge, KeepScanningDetectsCancellationWithinStride) {
 TEST(BudgetGauge, FirstStopReasonIsSticky) {
   SearchBudget budget;
   budget.max_visited_sets = 1;
-  budget.deadline = Deadline::AfterMillis(60'000);
-  BudgetGauge gauge(&budget);
+  BudgetGauge gauge(&budget, Deadline::AfterMillis(60'000));
   EXPECT_FALSE(gauge.OnNodeExpanded(2));
   EXPECT_EQ(gauge.reason(), SaveTermination::kVisitBudget);
   // Later checks must not overwrite the recorded reason.
@@ -273,7 +247,7 @@ TEST(BudgetGauge, FirstStopReasonIsSticky) {
 TEST(BudgetGauge, CancelFaultAtNthNodeStopsTheSearch) {
   // The injected-cancel equivalent of the old per-node hook: a kCancel
   // fault at the 2nd `search.node` hit trips the injector's cancellation
-  // source, which the budget observes via its token on the same call (the
+  // source, which the gauge observes via its token on the same call (the
   // fault site is hit before the cancellation check).
   FaultInjector injector;
   FaultSpec spec;
@@ -283,9 +257,7 @@ TEST(BudgetGauge, CancelFaultAtNthNodeStopsTheSearch) {
   injector.Add(spec);
   AttachGlobalFaultInjector(&injector);
   SearchBudget budget;
-  budget.cancellation = injector.token();
-  EXPECT_FALSE(budget.IsUnlimited());
-  BudgetGauge gauge(&budget);
+  BudgetGauge gauge(&budget, Deadline::Infinite(), injector.token());
   EXPECT_TRUE(gauge.OnNodeExpanded(1));   // hit 0
   EXPECT_TRUE(gauge.OnNodeExpanded(2));   // hit 1
   EXPECT_FALSE(gauge.OnNodeExpanded(3));  // hit 2: cancel fires, then check

@@ -1,11 +1,10 @@
 // Span-set determinism of the hierarchical trace through the full save
 // pipeline (DESIGN.md §13). The contract: with the batch counter pinned,
 // the set of (trace_id, span_id, parent_id, name) identities is
-// bit-identical across thread counts — excluding the two span kinds that
-// only exist on the scheduler path (pool_chunk, estimate) when comparing
-// sequential vs parallel, and including them between two parallel runs
-// (chunking is sized by input, not by worker count). Parent links must be
-// complete and acyclic in every configuration. Runs in the tsan-obs CI
+// bit-identical across thread counts — excluding the one span kind that
+// only exists on the scheduler path (estimate) when comparing sequential vs
+// parallel, and including it between two parallel runs. Parent links must
+// be complete and acyclic in every configuration. Runs in the tsan-obs CI
 // shard so the lock-free collector path is also raced under TSan.
 
 #include <gtest/gtest.h>
@@ -104,9 +103,9 @@ std::multiset<SpanIdentity> Identities(const std::vector<TraceSpan>& spans,
 
 TEST(TraceDeterminism, SpanSetIdenticalAcross148Threads) {
   Relation data = MakeNoisyDataset(/*seed=*/97);
-  // pool_chunk and estimate spans only exist when the scheduler runs the
-  // batch; everything else must match the sequential run exactly.
-  const std::set<std::string> scheduler_only = {"pool_chunk", "estimate"};
+  // Estimate spans only exist when the scheduler runs the batch; everything
+  // else must match the sequential run exactly.
+  const std::set<std::string> scheduler_only = {"estimate"};
   const std::multiset<SpanIdentity> baseline =
       Identities(RunTraced(data, 1), scheduler_only);
   ASSERT_FALSE(baseline.empty());
@@ -118,15 +117,15 @@ TEST(TraceDeterminism, SpanSetIdenticalAcross148Threads) {
   }
 }
 
-TEST(TraceDeterminism, FullSpanSetIncludingChunksIdentical4v8Threads) {
+TEST(TraceDeterminism, FullSpanSetIncludingEstimatesIdentical4v8Threads) {
   Relation data = MakeNoisyDataset(/*seed=*/97);
   const std::multiset<SpanIdentity> four = Identities(RunTraced(data, 4), {});
   const std::multiset<SpanIdentity> eight =
       Identities(RunTraced(data, 8), {});
   ASSERT_FALSE(four.empty());
-  // Chunk ids derive from (scan ordinal, chunk index), both functions of
-  // the input — not of which worker ran the chunk — so even the
-  // scheduler-only spans agree between parallel runs.
+  // Estimate ids derive from the input ordinal — not from which worker ran
+  // the estimate — so even the scheduler-only spans agree between parallel
+  // runs.
   EXPECT_EQ(four, eight);
 }
 

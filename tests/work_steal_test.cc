@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -26,6 +27,7 @@
 #include "common/fault.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "common/trace.h"
 #include "core/disc_saver.h"
 #include "core/outlier_saving.h"
 #include "data/generators.h"
@@ -229,6 +231,12 @@ SaverFixture MakeSaver(Relation data, const DistanceEvaluator& evaluator,
   return f;
 }
 
+/// Trace sink keeping every span (the batch drain emits from one thread).
+struct SpanCapture : TraceSink {
+  void Emit(const TraceSpan& span) override { spans.push_back(span); }
+  std::vector<TraceSpan> spans;
+};
+
 void ExpectBitIdentical(const std::vector<SaveResult>& a,
                         const std::vector<SaveResult>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -340,12 +348,26 @@ TEST(CostOrderedSaveAll, NestedScansDeterministicOnLargeRelation) {
 
   WorkStealingPool pool(4);
   const WorkStealingPool::SchedStats before = pool.stats();
+  SpanCapture trace;
   std::vector<SaveResult> parallel =
-      f.saver->SaveAll(f.outliers, options, &pool);
+      f.saver->SaveAll(f.outliers, options, &pool, {}, &trace);
   ExpectBitIdentical(reference, parallel);
   const WorkStealingPool::SchedStats after = pool.stats();
   EXPECT_GT(after.nested_chunks - before.nested_chunks, 0u)
       << "nested scan path never engaged on a 20k-row relation";
+
+  // Nested chunks export no spans: below each search the tree ends at its
+  // phase spans.
+  std::set<std::uint64_t> searches;
+  for (const TraceSpan& span : trace.spans) {
+    if (span.name == "search") searches.insert(span.span_id);
+  }
+  ASSERT_EQ(searches.size(), f.outliers.size());
+  for (const TraceSpan& span : trace.spans) {
+    if (span.name == "search" || span.name == "estimate") continue;
+    EXPECT_EQ(searches.count(span.parent_id), 1u)
+        << span.name << " span below a search's phase spans";
+  }
 }
 
 // ---------------------------------------------------------------------------
