@@ -5,8 +5,7 @@
 //            [--kappa K] [--threads T] [--normalize] [--exact]
 //            [--deadline-ms D]
 //            [--metrics-json PATH] [--trace PATH] [--explain[=PATH]]
-//            [--journal PATH] [--resume] [--retries N]
-//            [--fault-spec SPEC] [--fault-seed N]
+//            [--journal PATH] [--resume] [--fault-spec SPEC]
 //            [--strict-csv] [--max-input-bytes N]
 //            [--serve[=PORT]] [--log-level LEVEL] [--quiet]
 //   disc_cli --serve-idle[=PORT] [--log-level LEVEL] [--quiet]
@@ -22,7 +21,7 @@
 // --metrics-json PATH attaches a MetricsRegistry to the run and writes its
 // JSON snapshot to PATH on exit (see DESIGN.md §8 for the metric names).
 // --trace PATH streams the hierarchical span trees of the run to PATH as
-// JSONL: per outlier a "save_outlier" root, its per-attempt "search" span
+// JSONL: per outlier a "save_outlier" root, its "search" span
 // and the per-phase children (index_query/bounds_scan/dcache_fill/verdict),
 // all linked by trace_id/span_id/parent_id (analyze with
 // scripts/analyze_trace.py).
@@ -34,17 +33,20 @@
 // and a derived summary with prune breakdown, incumbent timeline and
 // bound-tightness ratios (schemas/explain.schema.json; analyze with
 // scripts/analyze_explain.py). Capture is bit-identical for any --threads.
+// An export written to stdout (--metrics-json -, or --explain without a
+// path) owns that stream: the human-readable report then goes to stderr,
+// so stdout parses as one JSON document or as JSONL. The two together
+// would put two documents on one stream and are rejected.
 //
 // Crash safety & chaos testing (DESIGN.md §11):
 // --journal PATH appends every definitively finished outlier to a JSONL
 // save journal; --resume restores journaled verdicts from a previous
-// interrupted run of the same batch (the merged output is bit-identical
-// to an uninterrupted run). --retries N re-runs transiently failed
-// searches up to N attempts with exponential backoff.
+// interrupted run of the same batch and searches every other outlier
+// again, including the faulted and budget-stopped ones the journal never
+// holds (the merged output is bit-identical to an uninterrupted run).
 // --fault-spec SPEC arms the deterministic fault injector (grammar in
-// common/fault.h, e.g. "search.node:cancel:nth=100"); --fault-seed N
-// seeds its probability triggers. Injected kCancel faults cancel the
-// batch cooperatively, like Ctrl-C.
+// common/fault.h, e.g. "search.node:cancel:nth=100"). Injected kCancel
+// faults cancel the batch cooperatively, like Ctrl-C.
 // --strict-csv rejects mixed numeric/non-numeric CSV columns instead of
 // demoting them to strings; --max-input-bytes N caps the input file size.
 //
@@ -98,8 +100,7 @@ void PrintUsage(const char* argv0) {
                "          [--deadline-ms D]\n"
                "          [--metrics-json PATH] [--trace PATH]\n"
                "          [--explain[=PATH]]\n"
-               "          [--journal PATH] [--resume] [--retries N]\n"
-               "          [--fault-spec SPEC] [--fault-seed N]\n"
+               "          [--journal PATH] [--resume] [--fault-spec SPEC]\n"
                "          [--strict-csv] [--max-input-bytes N]\n"
                "          [--serve[=PORT]] [--log-level LEVEL] [--quiet]\n"
                "       %s --serve-idle[=PORT] [--log-level LEVEL] [--quiet]\n",
@@ -150,9 +151,7 @@ int main(int argc, char** argv) {
   std::string explain_path;
   std::string journal_path;
   bool resume = false;
-  std::size_t retries = 0;
   std::string fault_spec;
-  long long fault_seed = 0;
   bool strict_csv = false;
   long long max_input_bytes = 0;
   bool metrics_requested = false;
@@ -188,10 +187,6 @@ int main(int argc, char** argv) {
     } else if (path_flag(&i, "--fault-spec", &fault_spec)) {
     } else if (std::strcmp(argv[i], "--resume") == 0) {
       resume = true;
-    } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      retries = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--fault-seed") == 0 && i + 1 < argc) {
-      fault_seed = std::atoll(argv[++i]);
     } else if (std::strcmp(argv[i], "--strict-csv") == 0) {
       strict_csv = true;
     } else if (std::strcmp(argv[i], "--max-input-bytes") == 0 &&
@@ -256,6 +251,20 @@ int main(int argc, char** argv) {
     PrintUsage(argv[0]);
     return 2;
   }
+  const bool metrics_to_stdout =
+      metrics_requested &&
+      (metrics_json_path.empty() || metrics_json_path == "-");
+  const bool explain_to_stdout =
+      explain_requested && (explain_path.empty() || explain_path == "-");
+  if (metrics_to_stdout && explain_to_stdout) {
+    std::fprintf(stderr,
+                 "--metrics-json - and --explain without a path both write "
+                 "to stdout; give one of them a path\n");
+    return 2;
+  }
+  // The human-readable report: stdout, unless an export owns stdout.
+  std::FILE* const report =
+      metrics_to_stdout || explain_to_stdout ? stderr : stdout;
 
   // Fault injection (DESIGN.md §11): configure-then-attach. Armed before
   // the observability plane and the pipeline so every fault site in the
@@ -264,8 +273,7 @@ int main(int argc, char** argv) {
   CancellationSource cancel;
   std::unique_ptr<FaultInjector> fault_injector;
   if (!fault_spec.empty()) {
-    fault_injector =
-        std::make_unique<FaultInjector>(static_cast<std::uint64_t>(fault_seed));
+    fault_injector = std::make_unique<FaultInjector>();
     Status armed = fault_injector->AddFromString(fault_spec);
     if (!armed.ok()) {
       std::fprintf(stderr, "invalid --fault-spec: %s\n",
@@ -274,8 +282,7 @@ int main(int argc, char** argv) {
     }
     fault_injector->MirrorCancelTo(cancel);
     AttachGlobalFaultInjector(fault_injector.get());
-    std::printf("fault injection armed: %s (seed %lld)\n", fault_spec.c_str(),
-                fault_seed);
+    std::fprintf(report, "fault injection armed: %s\n", fault_spec.c_str());
   }
 
   // Observability plane (DESIGN.md §8). The registries attach globally
@@ -318,10 +325,11 @@ int main(int argc, char** argv) {
                    started.ToString().c_str());
       return 1;
     }
-    std::printf("serving /metrics /metrics.json /tracez /profilez /explainz "
-                "/healthz /statusz on http://127.0.0.1:%u\n",
-                static_cast<unsigned>(server->port()));
-    std::fflush(stdout);
+    std::fprintf(report,
+                 "serving /metrics /metrics.json /tracez /profilez /explainz "
+                 "/healthz /statusz on http://127.0.0.1:%u\n",
+                 static_cast<unsigned>(server->port()));
+    std::fflush(report);
     // Install the graceful-shutdown path only in serve mode: without the
     // server a Ctrl-C should keep its default kill-the-process meaning.
     g_cancel = &cancel;
@@ -360,8 +368,8 @@ int main(int argc, char** argv) {
                    input_path.c_str());
       return 1;
     }
-    std::printf("loaded %zu tuples x %zu attributes from %s\n", raw.size(),
-                raw.arity(), input_path.c_str());
+    std::fprintf(report, "loaded %zu tuples x %zu attributes from %s\n",
+                 raw.size(), raw.arity(), input_path.c_str());
 
     Normalizer normalizer = Normalizer::Fit(raw);
     Relation working = normalize ? normalizer.Apply(raw) : raw;
@@ -372,14 +380,15 @@ int main(int argc, char** argv) {
       ParameterSelection sel = SelectParametersPoisson(working, evaluator);
       if (epsilon <= 0) constraint.epsilon = sel.constraint.epsilon;
       if (eta == 0) constraint.eta = sel.constraint.eta;
-      std::printf(
+      std::fprintf(
+          report,
           "fitted constraint via Poisson rule: eps=%.4f eta=%zu "
           "(lambda=%.2f, confidence=%.3f)\n",
           constraint.epsilon, constraint.eta, sel.lambda_epsilon,
           sel.confidence);
     } else {
-      std::printf("using constraint: eps=%.4f eta=%zu\n", constraint.epsilon,
-                  constraint.eta);
+      std::fprintf(report, "using constraint: eps=%.4f eta=%zu\n",
+                   constraint.epsilon, constraint.eta);
     }
 
     OutlierSavingOptions options;
@@ -395,7 +404,6 @@ int main(int argc, char** argv) {
     options.explain = explain_sink.get();
     options.journal_path = journal_path;
     options.resume_from_journal = resume;
-    if (retries > 0) options.retry.max_attempts = retries + 1;
 
     SavedDataset saved = SaveOutliers(working, evaluator, options);
     if (!saved.status.ok()) {
@@ -404,19 +412,21 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    std::printf("outliers: %zu flagged / %zu tuples; %zu saved, %zu natural, "
-                "%zu infeasible; mean cost %.4f, mean #attrs %.2f\n",
-                saved.outlier_rows.size(), working.size(),
-                saved.CountDisposition(OutlierDisposition::kSaved),
-                saved.CountDisposition(OutlierDisposition::kNaturalOutlier),
-                saved.CountDisposition(OutlierDisposition::kInfeasible),
-                saved.MeanAdjustmentCost(), saved.MeanAdjustedAttributes());
+    std::fprintf(report,
+                 "outliers: %zu flagged / %zu tuples; %zu saved, %zu natural, "
+                 "%zu infeasible; mean cost %.4f, mean #attrs %.2f\n",
+                 saved.outlier_rows.size(), working.size(),
+                 saved.CountDisposition(OutlierDisposition::kSaved),
+                 saved.CountDisposition(OutlierDisposition::kNaturalOutlier),
+                 saved.CountDisposition(OutlierDisposition::kInfeasible),
+                 saved.MeanAdjustmentCost(), saved.MeanAdjustedAttributes());
 
     // Degradation summary: which searches were truncated and why. Every
     // applied adjustment is fully feasible regardless — a truncated search
     // just may have settled for a costlier repair (anytime contract).
     if (saved.degraded()) {
-      std::printf(
+      std::fprintf(
+          report,
           "degraded: %s\n  completed %zu, deadline %zu, cancelled %zu, "
           "visit-budget %zu, query-budget %zu, faulted %zu, infeasible %zu\n",
           saved.DegradationStatus().ToString().c_str(),
@@ -428,8 +438,9 @@ int main(int argc, char** argv) {
           saved.CountTermination(SaveTermination::kFault),
           saved.CountTermination(SaveTermination::kInfeasible));
     } else if (deadline_ms > 0) {
-      std::printf("no degradation: all %zu searches finished in budget\n",
-                  saved.records.size());
+      std::fprintf(report,
+                   "no degradation: all %zu searches finished in budget\n",
+                   saved.records.size());
     }
 
     Relation repaired =
@@ -440,13 +451,13 @@ int main(int argc, char** argv) {
     for (const OutlierRecord& rec : saved.records) {
       if (rec.disposition != OutlierDisposition::kSaved || shown >= 20)
         continue;
-      std::printf("  row %zu:", rec.row);
+      std::fprintf(report, "  row %zu:", rec.row);
       for (std::size_t a : rec.adjusted_attributes.ToIndices()) {
-        std::printf(" %s %s->%s", raw.schema().name(a).c_str(),
-                    raw[rec.row][a].ToString().c_str(),
-                    repaired[rec.row][a].ToString().c_str());
+        std::fprintf(report, " %s %s->%s", raw.schema().name(a).c_str(),
+                     raw[rec.row][a].ToString().c_str(),
+                     repaired[rec.row][a].ToString().c_str());
       }
-      std::printf("  (cost %.4f)\n", rec.cost);
+      std::fprintf(report, "  (cost %.4f)\n", rec.cost);
       ++shown;
     }
 
@@ -456,7 +467,8 @@ int main(int argc, char** argv) {
                    write_status.ToString().c_str());
       return 1;
     }
-    std::printf("wrote repaired relation to %s\n", output_path.c_str());
+    std::fprintf(report, "wrote repaired relation to %s\n",
+                 output_path.c_str());
   }
 
   if (serve) {
@@ -466,14 +478,14 @@ int main(int argc, char** argv) {
     // HttpServer::Stop's contract: stop accepting scrapes first, then
     // detach the global registries (record sites become no-ops), then
     // flush the durable outputs.
-    std::printf(run_pipeline
-                    ? "pipeline done; serving until SIGINT/SIGTERM\n"
-                    : "idle; serving until SIGINT/SIGTERM\n");
-    std::fflush(stdout);
+    std::fprintf(report, run_pipeline
+                             ? "pipeline done; serving until SIGINT/SIGTERM\n"
+                             : "idle; serving until SIGINT/SIGTERM\n");
+    std::fflush(report);
     while (!g_shutdown.load(std::memory_order_acquire)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
-    std::printf("shutdown signal received; stopping server\n");
+    std::fprintf(report, "shutdown signal received; stopping server\n");
     server->Stop();
     // Detach order mirrors attach: the server no longer answers, so the
     // live hooks can go first; record sites degrade to no-ops instantly.
@@ -488,8 +500,8 @@ int main(int argc, char** argv) {
     if (metrics_requested) {
       if (WriteTextTo(metrics_json_path, metrics->ToJson())) {
         if (metrics_json_path != "-" && !metrics_json_path.empty()) {
-          std::printf("wrote metrics snapshot to %s\n",
-                      metrics_json_path.c_str());
+          std::fprintf(report, "wrote metrics snapshot to %s\n",
+                       metrics_json_path.c_str());
         }
       } else {
         std::fprintf(stderr, "error writing metrics to %s\n",
@@ -500,15 +512,15 @@ int main(int argc, char** argv) {
   }
   if (fault_injector != nullptr) {
     AttachGlobalFaultInjector(nullptr);
-    std::printf("fault injection: %llu fires (%s)\n",
-                static_cast<unsigned long long>(fault_injector->total_fires()),
-                fault_injector->cancel_fired() ? "cancel fired"
-                                               : "no cancel fired");
+    std::fprintf(report, "fault injection: %llu fires (%s)\n",
+                 static_cast<unsigned long long>(fault_injector->total_fires()),
+                 fault_injector->cancel_fired() ? "cancel fired"
+                                                : "no cancel fired");
   }
   if (trace != nullptr) {
     Status trace_status = trace->Close();
     if (trace_status.ok()) {
-      std::printf("wrote trace to %s\n", trace_path.c_str());
+      std::fprintf(report, "wrote trace to %s\n", trace_path.c_str());
     } else {
       std::fprintf(stderr, "error writing trace to %s: %s\n",
                    trace_path.c_str(), trace_status.ToString().c_str());
@@ -522,7 +534,7 @@ int main(int argc, char** argv) {
                    explain_status.ToString().c_str());
       exit_code = 1;
     } else if (!explain_path.empty() && explain_path != "-") {
-      std::printf("wrote explain log to %s\n", explain_path.c_str());
+      std::fprintf(report, "wrote explain log to %s\n", explain_path.c_str());
     }
   }
   return exit_code;

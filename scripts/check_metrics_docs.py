@@ -4,10 +4,14 @@
 Scans `src/` for every metric registration site — the first string literal
 of a `GetCounter` / `GetGauge` / `GetHistogram` call, plus `std::string(
 "disc_..._")` prefix compositions that build family names at runtime
-(per-termination, per-disposition, per-action, per-stats-field,
-per-index-impl) — and compares the result against the reference table in
-DESIGN.md (the markdown table rows whose first column is a backticked
-`disc_...` name; `<placeholder>` segments match any `[a-z0-9_]+`).
+(per-termination, per-disposition, per-action, per-index-impl) — and
+compares the result against the reference table in DESIGN.md (the
+markdown table rows whose first column is a backticked `disc_...` name;
+`<placeholder>` segments match any `[a-z0-9_]+`).
+The per-stats-field family `disc_save_<field>_total`, which
+`SearchStats::FlushTo` composes at run time, is expanded from the
+`kSearchStatsWorkFields` table in `core/search_stats.h` and checked as
+exact names, so a row for a removed counter fails.
 
 Enforced both directions:
   * every metric the source can emit must be documented — an exact
@@ -31,6 +35,7 @@ REGISTRATION = re.compile(
     r'"(disc_[a-z0-9_]*)"')
 COMPOSED_PREFIX = re.compile(r'std::string\(\s*"(disc_[a-z0-9_]*_)"\s*\)')
 DOC_ROW = re.compile(r"^\|\s*`(disc_[a-z0-9_<>]*)`")
+STATS_FIELD = re.compile(r'\{"([a-z0-9_]+)",\s*&SearchStats::')
 
 
 def scan_source(src_root):
@@ -44,6 +49,13 @@ def scan_source(src_root):
             for name in REGISTRATION.findall(text):
                 (prefixes if name.endswith("_") else exact).add(name)
             prefixes.update(COMPOSED_PREFIX.findall(text))
+    # SearchStats::FlushTo's disc_save_<field>_total: one name per field.
+    prefixes.discard("disc_save_")
+    with open(os.path.join(src_root, "core", "search_stats.h")) as f:
+        fields = STATS_FIELD.findall(f.read())
+    if not fields:
+        sys.exit(f"FAIL: no kSearchStatsWorkFields entries in {src_root}/")
+    exact.update(f"disc_save_{field}_total" for field in fields)
     return exact, prefixes
 
 

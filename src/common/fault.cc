@@ -14,37 +14,9 @@ namespace {
 
 std::atomic<FaultInjector*> g_fault_injector{nullptr};
 
-// SplitMix64: enough mixing to turn (seed, site, hit) into an independent
-// uniform draw; deterministic and allocation-free.
-std::uint64_t Mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t HashName(std::string_view name) {
-  std::uint64_t h = 0xCBF29CE484222325ull;  // FNV-1a
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
-// Uniform draw in [0, 1) from (seed, site, hit index).
-double UnitDraw(std::uint64_t seed, std::uint64_t site_hash, std::uint64_t h) {
-  const std::uint64_t bits = Mix64(seed ^ Mix64(site_hash) ^ Mix64(h));
-  return static_cast<double>(bits >> 11) * 0x1.0p-53;
-}
-
-bool TriggerMatches(const FaultSpec& spec, std::uint64_t h, std::uint64_t seed,
-                    std::uint64_t site_hash) {
+bool TriggerMatches(const FaultSpec& spec, std::uint64_t h) {
   if (!spec.schedule.empty()) {
     return std::binary_search(spec.schedule.begin(), spec.schedule.end(), h);
-  }
-  if (spec.probability > 0.0) {
-    return UnitDraw(seed, site_hash, h) < spec.probability;
   }
   if (h < spec.nth) return false;
   if (spec.every == 0) return h == spec.nth;
@@ -166,10 +138,6 @@ Result<std::vector<FaultSpec>> ParseFaultSpecs(std::string_view text) {
           std::uint64_t ms = 0;
           ok = ParseUint64(value, &ms) && ms <= 60'000;
           spec.latency_ms = static_cast<std::uint32_t>(ms);
-        } else if (key == "p") {
-          double p = 0.0;
-          ok = ParseDouble(value, &p) && p >= 0.0 && p <= 1.0;
-          spec.probability = p;
         } else if (key == "code") {
           ok = ParseCodeName(value, &spec.code);
         } else if (key == "at") {
@@ -200,13 +168,13 @@ Result<std::vector<FaultSpec>> ParseFaultSpecs(std::string_view text) {
 }
 
 FaultInjector::Site::Site(FaultInjector* owner, std::string name)
-    : owner_(owner), name_(std::move(name)), name_hash_(HashName(name_)) {}
+    : owner_(owner), name_(std::move(name)) {}
 
 Status FaultInjector::Site::Hit() {
   const std::uint64_t h = hits_.fetch_add(1, std::memory_order_relaxed);
   for (const std::unique_ptr<Rule>& rule : rules_) {
     const FaultSpec& spec = rule->spec;
-    if (!TriggerMatches(spec, h, owner_->seed_, name_hash_)) continue;
+    if (!TriggerMatches(spec, h)) continue;
     // Claim one of the spec's allowed fires; the fetch_add makes the
     // max_fires cap exact even when hits race.
     if (rule->fires.fetch_add(1, std::memory_order_relaxed) >=
@@ -248,8 +216,6 @@ Status FaultInjector::Site::Hit() {
   }
   return Status::OK();
 }
-
-FaultInjector::FaultInjector(std::uint64_t seed) : seed_(seed) {}
 
 void FaultInjector::Add(FaultSpec spec) {
   std::sort(spec.schedule.begin(), spec.schedule.end());

@@ -22,17 +22,16 @@ namespace disc {
 /// at the seams where real systems fail (index build, cache fill, task
 /// dispatch, socket reads). A test or the CLI attaches a FaultInjector armed
 /// with FaultSpecs; each spec selects a site, a trigger (nth hit, periodic,
-/// explicit schedule, or seeded probability) and a fault kind. With no
-/// injector attached every site is a single null-pointer check, mirroring
-/// the IndexQueryMetrics zero-overhead-when-disabled pattern.
+/// or explicit schedule) and a fault kind. With no injector attached every
+/// site is a single null-pointer check, mirroring the IndexQueryMetrics
+/// zero-overhead-when-disabled pattern.
 ///
-/// Determinism: triggers depend only on the per-site hit index and the
-/// injector seed, never on wall clock or global RNG state, so a given
-/// (seed, specs, workload) tuple fires the same faults on every run as long
-/// as the per-site hit order is itself deterministic (true for all
-/// single-threaded sites; for concurrent sites such as `pool.task`, hit
-/// indices are assigned by atomic increment and nth-hit triggers still fire
-/// exactly once, on *some* task).
+/// Determinism: triggers depend only on the per-site hit index, never on
+/// wall clock or RNG state, so a given (specs, workload) pair fires the same
+/// faults on every run as long as the per-site hit order is itself
+/// deterministic (true for all single-threaded sites; for concurrent sites
+/// such as `pool.task`, hit indices are assigned by atomic increment and
+/// nth-hit triggers still fire exactly once, on *some* task).
 
 /// What happens when a fault fires.
 enum class FaultKind {
@@ -67,10 +66,8 @@ class FaultInjectedError : public std::runtime_error {
 
 /// One armed fault: a site, a trigger, and a kind.
 ///
-/// Trigger evaluation for per-site hit index `h` (0-based), first match
-/// wins across the spec's trigger forms:
+/// Trigger evaluation for per-site hit index `h` (0-based):
 ///   - `schedule` non-empty: fires when `h` is in the list;
-///   - `probability` > 0: fires on a seeded per-hit Bernoulli draw;
 ///   - otherwise: fires at `h == nth`, and every `every` hits after that
 ///     when `every` > 0.
 /// `max_fires` caps the total fires of this spec across all triggers.
@@ -80,7 +77,6 @@ struct FaultSpec {
 
   std::uint64_t nth = 0;
   std::uint64_t every = 0;
-  double probability = 0.0;
   std::vector<std::uint64_t> schedule;
   std::uint64_t max_fires = std::numeric_limits<std::uint64_t>::max();
 
@@ -93,15 +89,15 @@ struct FaultSpec {
 /// Parses a `--fault-spec` string into FaultSpecs.
 ///
 /// Grammar: specs separated by ';', each `site:kind[:key=value[,...]]`.
-/// Kinds: error, latency, cancel, alloc, kill. Keys: nth, every, p
-/// (probability), max (max_fires), ms (latency_ms), code (error code name,
-/// e.g. resource_exhausted), at (explicit schedule, '+'-separated hit
-/// indices, e.g. at=3+9+12).
+/// Kinds: error, latency, cancel, alloc, kill. Keys: nth, every, max
+/// (max_fires), ms (latency_ms), code (error code name, e.g.
+/// resource_exhausted), at (explicit schedule, '+'-separated hit indices,
+/// e.g. at=3+9+12).
 ///
 /// Example: "search.node:cancel:nth=100;dcache.fill:latency:ms=5,every=10"
 Result<std::vector<FaultSpec>> ParseFaultSpecs(std::string_view text);
 
-/// Seeded registry of fault sites. Configure with Add()/AddFromString()
+/// Registry of fault sites. Configure with Add()/AddFromString()
 /// *before* sharing with other threads (attaching via
 /// AttachGlobalFaultInjector is a sufficient synchronization point); Hit()
 /// is then safe to call concurrently from any thread.
@@ -135,13 +131,10 @@ class FaultInjector {
 
     FaultInjector* owner_;
     std::string name_;
-    std::uint64_t name_hash_;
     std::vector<std::unique_ptr<Rule>> rules_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> fires_{0};
   };
-
-  explicit FaultInjector(std::uint64_t seed = 0);
 
   /// Arms one fault. Must not race with Hit() (configure-then-attach).
   void Add(FaultSpec spec);
@@ -179,12 +172,9 @@ class FaultInjector {
   /// Hits at one site (0 when the site was never hit).
   std::uint64_t hit_count(std::string_view name);
 
-  std::uint64_t seed() const { return seed_; }
-
  private:
   friend class Site;
 
-  std::uint64_t seed_;
   CancellationSource cancel_;
   std::vector<CancellationSource> cancel_mirrors_;
   std::atomic<std::uint64_t> total_fires_{0};

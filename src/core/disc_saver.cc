@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -30,9 +29,9 @@ SaveResult SkippedResult(const Tuple& outlier, SaveTermination why) {
   return result;
 }
 
-/// Record for a search aborted by an injected/transient fault before any
-/// real work: untouched tuple, kFault termination (retry-eligible), wall
-/// time covering only the aborted setup.
+/// Record for a search aborted by an injected fault before any real work:
+/// untouched tuple, kFault termination (not journaled, so a resumed batch
+/// searches it again), wall time covering only the aborted setup.
 SaveResult FaultedResult(const Tuple& outlier, std::uint64_t start_ns) {
   SaveResult result = SkippedResult(outlier, SaveTermination::kFault);
   result.stats.start_ns = start_ns;
@@ -287,7 +286,7 @@ SaveResult DiscSaver::Save(const Tuple& outlier, const SaveOptions& options,
   // relation qualifies, the scalar evaluator otherwise; bit-identical
   // either way. `dcache.fill` fault site: the eager full-space fill is the
   // search's single biggest allocation, so a simulated allocation failure
-  // lands here and aborts the search as retryable.
+  // lands here and aborts the search as kFault.
   if (Status s = DISC_FAULT_POINT("dcache.fill"); !s.ok()) {
     return FaultedResult(outlier, start_ns);
   }
@@ -512,29 +511,10 @@ std::vector<SaveResult> SaveBatch(
     } else if (batch.deadline.expired()) {
       result = SkippedResult(outlier, SaveTermination::kDeadline);
     } else {
-      // Retry-with-backoff: transient terminations (injected faults, the
-      // non-time budgets) are re-run while the retry policy and the batch
-      // deadline slack allow. Each attempt computes a fresh fair slice;
-      // the final attempt's result — and only its work counters — stands.
-      std::size_t attempt = 1;
-      for (;; ++attempt) {
-        result = save(outlier,
-                      batch.TaskDeadline(
-                          workers, remaining.load(std::memory_order_relaxed)),
-                      batch.cancellation, nested, search.Attempt(attempt));
-        if (attempt >= recovery.retry.max_attempts ||
-            !RetryPolicy::IsTransient(result.termination)) {
-          break;
-        }
-        const auto backoff = RetryPolicy::BackoffFor(attempt - 1);
-        if (batch.cancellation.cancelled() ||
-            (!batch.deadline.is_infinite() &&
-             batch.deadline.remaining() < 2 * backoff)) {
-          break;  // no slack left to carve the retry from
-        }
-        std::this_thread::sleep_for(backoff);
-      }
-      result.stats.retries = attempt - 1;
+      result = save(outlier,
+                    batch.TaskDeadline(
+                        workers, remaining.load(std::memory_order_relaxed)),
+                    batch.cancellation, nested, search.Start());
     }
     remaining.fetch_sub(1, std::memory_order_relaxed);
     if (recovery.journal != nullptr &&

@@ -107,16 +107,17 @@ struct SaveResult {
   std::uint64_t trace_id = 0;
 };
 
-/// Crash-safety and self-healing controls for one SaveBatch call
-/// (DESIGN.md §11). The all-default value is a strict no-op: no journal,
-/// no resume, no retries.
+/// Crash-safety controls for one SaveBatch call (DESIGN.md §11): the
+/// journal plus resume is the one recovery path. The all-default value is a
+/// strict no-op: no journal, no resume.
 struct BatchRecovery {
   /// When non-null, every definitively finished outlier (termination
   /// kCompleted or kInfeasible) is appended — and flushed — as it
-  /// completes, so a crash loses at most in-flight searches. Degraded
-  /// results are not journaled: a resumed run re-attempts them with a
-  /// fresh budget, which is what makes the merged output of
-  /// crash-then-resume bit-identical to an uninterrupted run.
+  /// completes, so a crash loses at most in-flight searches. Faulted,
+  /// budget-stopped, deadline-stopped and cancelled results are not
+  /// journaled: a resumed run searches them again with a fresh budget,
+  /// which is what makes the merged output of crash-then-resume
+  /// bit-identical to an uninterrupted run.
   SaveJournalWriter* journal = nullptr;
   /// When non-null, ordinals recorded in the journal restore their results
   /// verbatim and skip their searches (no estimate query, no search span).
@@ -124,17 +125,12 @@ struct BatchRecovery {
   /// SaveJournal::Matches first; entries whose ordinal is out of range are
   /// ignored.
   const SaveJournal* resume = nullptr;
-  /// Re-runs searches ending in a transient termination (injected faults,
-  /// visit/query budget) with exponential backoff, while batch deadline
-  /// slack allows. The final attempt's result is reported with
-  /// SearchStats::retries = attempts − 1.
-  RetryPolicy retry;
 };
 
 /// One outlier's search as a batch runs it: a saver's Save() under the
 /// task's `deadline` (its fair slice of the batch clock) and the batch's
 /// `cancellation` token, with `nested` serving chunked scans (null =
-/// inline) and `observer` receiving the attempt's decisions and phases
+/// inline) and `observer` receiving the search's decisions and phases
 /// (null = nothing observes).
 using BatchSearch = std::function<SaveResult(
     const Tuple& outlier, Deadline deadline,
@@ -142,10 +138,10 @@ using BatchSearch = std::function<SaveResult(
     SearchObserver* observer)>;
 
 /// The batch loop both savers run (DESIGN.md §6): saves each outlier of
-/// `outliers` with one independent `save` call and returns the results in
-/// input order. Only `save` and `estimate` differ by saver: DiscSaver::
-/// SaveAll passes the DISC search, SaveOutliers the exact enumerator (input
-/// order, one worker, no journal, no retry).
+/// `outliers` with exactly one independent `save` call and returns the
+/// results in input order. Only `save` and `estimate` differ by saver:
+/// DiscSaver::SaveAll passes the DISC search, SaveOutliers the exact
+/// enumerator (input order, one worker, no journal).
 ///
 /// Scheduling: with a `pool` of more than one worker the searches run
 /// concurrently, cost-ordered: `estimate` gives each outlier's search cost
@@ -179,8 +175,8 @@ using BatchSearch = std::function<SaveResult(
 /// Observability (DESIGN.md §13–§14): a BatchObservation
 /// (core/observation.h) owns everything the batch reports: a /statusz
 /// tracker ("save_all", or "save_exact" when `exact`), a "search" span per
-/// outlier with its phase spans (`trace` sink or global TraceRecorder), the
-/// final attempt's decision log (`explain` sink or global ExplainRecorder;
+/// outlier with its phase spans (`trace` sink or global TraceRecorder), its
+/// decision log (`explain` sink or global ExplainRecorder;
 /// skipped and journal-restored ordinals log nothing) and the disc_sched_*
 /// metrics, drained at batch end in a deterministic order. Observers never
 /// touch the search: results and logs are bit-identical at every thread
@@ -188,8 +184,8 @@ using BatchSearch = std::function<SaveResult(
 ///
 /// Recovery: with `recovery.journal` each definitive result is made
 /// durable as it lands; with `recovery.resume` journaled ordinals are
-/// restored instead of searched; `recovery.retry` re-runs transient
-/// failures. See BatchRecovery — the default is a strict no-op.
+/// restored instead of searched, and every other ordinal is searched
+/// again. See BatchRecovery — the default is a strict no-op.
 std::vector<SaveResult> SaveBatch(
     const std::vector<Tuple>& outliers, const BatchSearch& save,
     const std::function<double(const Tuple&)>& estimate, bool exact,

@@ -134,8 +134,7 @@ void BatchObservation::Finish() {
   if (logs_.has_value()) {
     const std::vector<ExplainSearchLog> logs = logs_->Drain(
         [](const ExplainSearchLog& a, const ExplainSearchLog& b) {
-          if (a.ordinal != b.ordinal) return a.ordinal < b.ordinal;
-          return a.attempt < b.attempt;
+          return a.ordinal < b.ordinal;
         });
     for (const ExplainSearchLog& log : logs) {
       if (explain_recorder_ != nullptr) explain_recorder_->RecordSearch(log);
@@ -175,30 +174,22 @@ BatchObservation::Search::Search(BatchObservation* batch, std::size_t ordinal)
                      ? DeriveSpanId(trace_id_, TraceSpanKind::kRoot, 0)
                      : 0) {}
 
-SearchObserver* BatchObservation::Search::Attempt(std::size_t attempt) {
-  if (attempt_ == 0 && batch_->recorder_ != nullptr) {
+SearchObserver* BatchObservation::Search::Start() {
+  if (batch_->recorder_ != nullptr) {
     active_slot_ = batch_->recorder_->BeginActive(
         "search", trace_id_,
         DeriveSpanId(root_span_, TraceSpanKind::kSearch, 0), TraceNowNs());
   }
-  if (attempt_ != 0 && batch_->progress_ != nullptr) {
-    batch_->progress_->RecordRetry();
-  }
-  attempt_ = attempt;
-  if (observer_.has_value()) observer_->FlushPhases();
   if (!batch_->spans_.has_value() && !batch_->logs_.has_value() &&
       batch_->profiler_ == nullptr) {
     return nullptr;
   }
-  // Fresh per attempt, and the search span id carries the attempt ordinal:
-  // a retried search never aliases the spans or log of an aborted attempt.
   return &observer_.emplace(SearchObserver{
       .spans = batch_->spans_.has_value() ? &*batch_->spans_ : nullptr,
       .profiler = batch_->profiler_,
       .capture = batch_->logs_.has_value(),
       .trace_id = trace_id_,
-      .search_span_id =
-          DeriveSpanId(root_span_, TraceSpanKind::kSearch, attempt - 1)});
+      .search_span_id = DeriveSpanId(root_span_, TraceSpanKind::kSearch, 0)});
 }
 
 void BatchObservation::Search::Finish(SaveResult* saved) {
@@ -206,13 +197,12 @@ void BatchObservation::Search::Finish(SaveResult* saved) {
   saved->trace_id = trace_id_;
   if (observer_.has_value()) observer_->FlushPhases();
   if (batch_->recorder_ != nullptr) batch_->recorder_->EndActive(active_slot_);
-  if (attempt_ != 0 && batch_->logs_.has_value()) {
-    // The final attempt's events, the verdict, and the SearchStats mirrors
+  if (observer_.has_value() && batch_->logs_.has_value()) {
+    // The search's events, the verdict, and the SearchStats mirrors
     // scripts/analyze_explain.py cross-checks the events against.
     batch_->logs_->Record(ExplainSearchLog{
         .ordinal = ordinal_,
         .trace_id = trace_id_,
-        .attempt = attempt_,
         .algo = batch_->algo_,
         .termination = SaveTerminationName(result.termination),
         .feasible = result.feasible,
@@ -243,8 +233,8 @@ void BatchObservation::Search::Finish(SaveResult* saved) {
                    .start_ns = result.stats.start_ns,
                    .duration_ns = result.stats.wall_nanos,
                    .trace_id = trace_id_,
-                   .span_id = DeriveSpanId(root_span_, TraceSpanKind::kSearch,
-                                           attempt_ != 0 ? attempt_ - 1 : 0),
+                   .span_id =
+                       DeriveSpanId(root_span_, TraceSpanKind::kSearch, 0),
                    .parent_id = root_span_};
     span.Int("ordinal", ordinal_)
         .Str("termination", SaveTerminationName(result.termination));

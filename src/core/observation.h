@@ -23,7 +23,7 @@ class MetricsRegistry;
 class PhaseScope;
 struct SaveResult;
 
-/// The observer of one search attempt (DESIGN.md §13–§14): its decision
+/// The observer of one search (DESIGN.md §13–§14): its decision
 /// log, its wall-phase accounting and its span identity. It rides on the
 /// BudgetGauge, which already reaches every decision site, bound scan, cache
 /// fill and index query, and like the gauge it is owned by the search's
@@ -69,7 +69,7 @@ struct SearchObserver {
   }
 
   /// Emits one aggregated span per touched phase, under the search span,
-  /// and folds the totals into the profiler. Once per attempt.
+  /// and folds the totals into the profiler. Once per search.
   void FlushPhases() const;
 };
 
@@ -97,8 +97,8 @@ class PhaseScope {
 /// Observation of one save batch, built once per SaveBatch call for either
 /// saver: the batch seed and id derivation, the per-worker span and
 /// decision-log buffers, the /tracez active slots, the progress tracker and
-/// the per-attempt SearchObservers. Finish() drains the buffers sorted —
-/// spans by (trace_id, span_id), logs by (ordinal, attempt) — to the sinks,
+/// the per-search SearchObservers. Finish() drains the buffers sorted —
+/// spans by (trace_id, span_id), logs by ordinal — to the sinks,
 /// the /tracez ring and /explainz, and flushes the disc_explain_* and
 /// disc_sched_* metrics.
 ///
@@ -142,15 +142,14 @@ class BatchObservation {
     Search(const Search&) = delete;
     Search& operator=(const Search&) = delete;
 
-    /// A fresh observer for attempt `attempt` (1-based), or null when
-    /// nothing observes. The first attempt lists the search on /tracez; a
-    /// later one counts a retry and flushes its predecessor's phases.
-    SearchObserver* Attempt(std::size_t attempt);
+    /// Starts the search: lists it on /tracez and returns its observer, or
+    /// null when nothing observes. Called at most once; a skipped outlier
+    /// never starts.
+    SearchObserver* Start();
 
     /// Stamps the save's trace id on `result` (0 when no span or log
     /// consumer is attached) and records the `search` span, progress, the
-    /// pool's queue depth and, for a searched outlier, the final attempt's
-    /// decision log.
+    /// pool's queue depth and, for a searched outlier, its decision log.
     void Finish(SaveResult* result);
 
    private:
@@ -158,8 +157,8 @@ class BatchObservation {
     std::size_t ordinal_;
     std::uint64_t trace_id_;
     std::uint64_t root_span_;
-    std::size_t attempt_ = 0;  ///< 0 = never searched (skipped)
     int active_slot_ = -1;
+    /// Set by Start() when something observes; empty for a skipped outlier.
     std::optional<SearchObserver> observer_;
   };
 

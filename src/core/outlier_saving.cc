@@ -274,7 +274,6 @@ SavedDataset SaveOutliers(const Relation& data,
     // definitive results to the same journal. All-default BatchRecovery
     // (no journal path) keeps SaveAll on its strict no-op path.
     BatchRecovery recovery;
-    recovery.retry = options.retry;
     SaveJournal resume_journal;
     SaveJournalWriter journal_writer;
     if (!options.journal_path.empty()) {
@@ -351,9 +350,9 @@ SavedDataset SaveOutliers(const Relation& data,
     TraceRecorder* recorder = GlobalTraceRecorder();
     if (options.trace != nullptr ||
         (recorder != nullptr && rec.trace_id != 0)) {
-      // The root of the outlier's span tree: the per-attempt search spans
-      // and their phase children (emitted by the batch drain) parent up to
-      // this span via DeriveSpanId(trace_id, kRoot, 0).
+      // The root of the outlier's span tree: the search span and its phase
+      // children (emitted by the batch drain) parent up to this span via
+      // DeriveSpanId(trace_id, kRoot, 0).
       TraceSpan span;
       span.name = "save_outlier";
       span.start_ns = rec.stats.start_ns;

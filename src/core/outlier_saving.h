@@ -34,7 +34,7 @@ struct OutlierSavingOptions {
   /// Use the exact enumeration algorithm instead of the DISC approximation
   /// (only tractable for small m and small attribute domains). Only its
   /// ExactSaver is built; it runs the same batch loop (SaveBatch) in input
-  /// order on one worker, without journal or retries.
+  /// order on one worker, without a journal.
   bool use_exact = false;
   /// Worker threads for batch saving (DISC path only; the exact saver stays
   /// sequential). 1 = in-caller sequential saving, 0 = one worker per
@@ -83,10 +83,6 @@ struct OutlierSavingOptions {
   /// FailedPrecondition error). A missing journal file simply starts
   /// fresh.
   bool resume_from_journal = false;
-  /// Retry policy for transiently-failed searches (kFault terminations;
-  /// also re-runs budget-truncated searches when deadline slack remains).
-  /// Default = disabled. DISC path only.
-  RetryPolicy retry;
 };
 
 /// Why an outlier ended up saved or not.

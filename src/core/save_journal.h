@@ -19,9 +19,9 @@ namespace disc {
 /// File format: one JSON object per line. The first line is a header
 /// identifying the batch; every following line records one outlier whose
 /// search reached a *definitive* answer (termination kCompleted or
-/// kInfeasible — degraded results are deliberately not journaled, so a
-/// resumed run re-attempts them with a fresh budget and the merged output
-/// matches an uninterrupted run):
+/// kInfeasible — faulted and other degraded results are deliberately not
+/// journaled, so a resumed run searches them again with a fresh budget and
+/// the merged output matches an uninterrupted run):
 ///
 ///   {"kind":"header","schema_version":1,"n_outliers":12,"arity":4,
 ///    "epsilon":"0x1.999999999999ap-1","eta":5,"kappa":2}
@@ -35,8 +35,9 @@ namespace disc {
 /// hexfloat (printf "%a"), which round-trips the exact bit pattern through
 /// text — the foundation of the resume bit-identity guarantee. Appends are
 /// flushed line-atomically; a torn final line (crash mid-write) is detected
-/// and ignored on read. Duplicate ordinals are legal (a retried-and-crashed
-/// batch may re-journal an outlier); the last occurrence wins.
+/// and ignored on read. Keys the reader does not know are ignored, so a
+/// journal whose stats carry a since-removed counter still resumes.
+/// Duplicate ordinals are legal; the last occurrence wins.
 struct SaveJournalHeader {
   std::uint32_t schema_version = 1;
   std::uint64_t n_outliers = 0;

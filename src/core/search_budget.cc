@@ -16,11 +16,6 @@ namespace {
 /// microseconds.
 constexpr std::size_t kScanPollStride = 64;
 
-/// RetryPolicy's backoff schedule: kInitialBackoff doubling per retry,
-/// capped at kMaxBackoff.
-constexpr std::chrono::milliseconds kInitialBackoff{10};
-constexpr std::chrono::milliseconds kMaxBackoff{1000};
-
 }  // namespace
 
 const char* SaveTerminationName(SaveTermination t) {
@@ -56,19 +51,6 @@ Deadline BatchBudget::TaskDeadline(std::size_t workers,
             static_cast<std::int64_t>(left);
   }
   return Deadline::Min(deadline, Deadline::After(slice));
-}
-
-std::chrono::milliseconds RetryPolicy::BackoffFor(std::size_t retry_index) {
-  std::chrono::milliseconds backoff = kInitialBackoff;
-  for (std::size_t i = 0; i < retry_index && backoff < kMaxBackoff; ++i) {
-    backoff *= 2;
-  }
-  return std::min(backoff, kMaxBackoff);
-}
-
-bool RetryPolicy::IsTransient(SaveTermination t) {
-  return t == SaveTermination::kFault || t == SaveTermination::kVisitBudget ||
-         t == SaveTermination::kQueryBudget;
 }
 
 BudgetGauge::BudgetGauge(const SearchBudget* budget, Deadline deadline,

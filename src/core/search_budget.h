@@ -1,7 +1,6 @@
 #ifndef DISC_CORE_SEARCH_BUDGET_H_
 #define DISC_CORE_SEARCH_BUDGET_H_
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
@@ -36,9 +35,9 @@ enum class SaveTermination {
   /// The search exhausted its space and proved no feasible adjustment
   /// exists under the constraint.
   kInfeasible,
-  /// Stopped by an injected or transient fault (FaultInjector error /
-  /// allocation-failure kinds at a search site); incumbent returned.
-  /// Transient: eligible for RetryPolicy re-runs inside SaveAll.
+  /// Stopped by an injected fault (FaultInjector error / allocation-failure
+  /// kinds at a search site); incumbent returned. Not journaled, so a
+  /// resumed batch searches the outlier again.
   kFault,
 };
 
@@ -80,28 +79,6 @@ struct BatchBudget {
   /// remaining × min(workers, left) ÷ left of the batch clock. A task
   /// finishing under its share leaves the rest to later ones.
   Deadline TaskDeadline(std::size_t workers, std::size_t left) const;
-};
-
-/// Retry policy for transient per-outlier failures inside a batch
-/// (DESIGN.md §11). A search whose termination is transient (see
-/// IsTransient) is re-run up to `max_attempts` times total, with
-/// exponential backoff between attempts (BackoffFor). The retry budget is
-/// carved from the batch deadline slack: the batch only sleeps-and-retries
-/// while its clock comfortably covers the backoff, so retries can never
-/// push a batch past its deadline. The final attempt's result is
-/// reported, with SearchStats::retries = attempts − 1.
-struct RetryPolicy {
-  /// Total attempts per outlier (1 = no retries, the default).
-  std::size_t max_attempts = 1;
-
-  /// Backoff before retry `retry_index` (0-based): 10 ms × 2^i, capped at
-  /// 1 s.
-  static std::chrono::milliseconds BackoffFor(std::size_t retry_index);
-
-  /// True for terminations worth re-running: injected/transient faults and
-  /// the non-time resource budgets (the kResourceExhausted family). Hard
-  /// stops (deadline, cancellation) and definitive answers are final.
-  static bool IsTransient(SaveTermination t);
 };
 
 /// Per-search enforcement state for one SearchBudget, one deadline and one

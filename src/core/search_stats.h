@@ -62,10 +62,6 @@ struct SearchStats {
   /// cheaper). Deterministic; cross-checked against the explain layer's
   /// revert_refine events (obs/explain.h).
   std::uint64_t revert_refines = 0;
-  /// Retry attempts consumed by this search under SaveAll's RetryPolicy
-  /// (attempts − 1; zero when retries are disabled or the first attempt
-  /// stood). The reported counters describe the final attempt only.
-  std::uint64_t retries = 0;
   /// Wall clock of the search. Summed by MergeFrom; excluded from
   /// SameWork() — timing is the one nondeterministic measurement.
   std::uint64_t wall_nanos = 0;
@@ -115,7 +111,6 @@ inline constexpr SearchStatsField kSearchStatsWorkFields[] = {
     {"index_knn_queries", &SearchStats::index_knn_queries},
     {"index_queries", &SearchStats::index_queries},
     {"revert_refines", &SearchStats::revert_refines},
-    {"retries", &SearchStats::retries},
 };
 
 /// Decorator that meters every query against a wrapped NeighborIndex into a

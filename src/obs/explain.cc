@@ -198,7 +198,6 @@ void AppendExplainSearchJson(JsonWriter& json, const ExplainSearchLog& log) {
   json.Key("schema_version").Int(1);
   json.Key("ordinal").Uint(log.ordinal);
   json.Key("trace_id").Uint(log.trace_id);
-  json.Key("attempt").Uint(log.attempt);
   json.Key("algo").String(log.algo);
   json.Key("termination").String(log.termination);
   json.Key("feasible").Bool(log.feasible);

@@ -105,8 +105,7 @@ inline constexpr std::size_t kExplainMaxEventsPerSearch = 65536;
 // ---------------------------------------------------------------------------
 
 /// The decision log of one finished search, assembled by the batch
-/// observation from the final attempt's SearchObserver plus the search
-/// verdict. This is
+/// observation from the search's SearchObserver plus its verdict. This is
 /// the unit emitted to sinks (one JSONL line) and fed to the recorder.
 struct ExplainSearchLog {
   /// Input position of the outlier in its batch — the deterministic
@@ -115,9 +114,6 @@ struct ExplainSearchLog {
   /// Trace id of the same save (0 when ids were never derived); links the
   /// log to spans and exemplars.
   std::uint64_t trace_id = 0;
-  /// Final attempt number under SaveAll's RetryPolicy (1 = no retries).
-  /// The events below describe only that final attempt.
-  std::uint64_t attempt = 1;
   /// "disc" (branch-and-bound) or "exact" (domain enumeration). Node-count
   /// cross-checks apply only to "disc" — the exact path records incumbent
   /// updates and budget stops, not per-candidate events.

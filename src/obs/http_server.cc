@@ -89,19 +89,6 @@ HttpResponse ErrorResponse(int status, const std::string& message) {
 
 }  // namespace
 
-std::size_t HttpRequest::QueryUint(const std::string& key,
-                                   std::size_t fallback) const {
-  auto it = query.find(key);
-  if (it == query.end() || it->second.empty()) return fallback;
-  std::size_t value = 0;
-  for (char c : it->second) {
-    if (c < '0' || c > '9') return fallback;
-    value = value * 10 + static_cast<std::size_t>(c - '0');
-    if (value > 1000000) return fallback;  // sanity cap for an N-lines knob
-  }
-  return value;
-}
-
 HttpResponse HttpResponse::Json(std::string body, int status) {
   HttpResponse r;
   r.status = status;

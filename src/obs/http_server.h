@@ -20,10 +20,6 @@ struct HttpRequest {
   std::string method;
   std::string path;                          ///< target up to '?'
   std::map<std::string, std::string> query;  ///< decoded key → value
-
-  /// Query parameter as a non-negative integer, or `fallback` when absent
-  /// or malformed.
-  std::size_t QueryUint(const std::string& key, std::size_t fallback) const;
 };
 
 struct HttpResponse {

@@ -59,11 +59,6 @@ void BatchProgressTracker::RecordOutlier(SaveTermination termination,
   }
 }
 
-void BatchProgressTracker::RecordRetry() {
-  shards_[ThisThreadShard(kShards)].retries.fetch_add(
-      1, std::memory_order_relaxed);
-}
-
 void BatchProgressTracker::RecordResumed(SaveTermination termination) {
   Shard& shard = shards_[ThisThreadShard(kShards)];
   shard.completed.fetch_add(1, std::memory_order_relaxed);
@@ -86,7 +81,6 @@ BatchProgressTracker::Snapshot BatchProgressTracker::Snap() const {
     snap.completed += s.completed.load(std::memory_order_acquire);
     snap.degraded += s.degraded.load(std::memory_order_acquire);
     snap.infeasible += s.infeasible.load(std::memory_order_acquire);
-    snap.retries += s.retries.load(std::memory_order_acquire);
     snap.resumed += s.resumed.load(std::memory_order_acquire);
   }
   snap.finished = snap.completed + snap.degraded;
@@ -129,7 +123,6 @@ void BatchProgressTracker::Snapshot::AppendJson(JsonWriter* json) const {
   json->Key("infeasible").Uint(infeasible);
   json->Key("finished").Uint(finished);
   json->Key("queued").Uint(queued);
-  json->Key("retries").Uint(retries);
   json->Key("resumed").Uint(resumed);
   json->Key("done").Bool(done);
   json->Key("elapsed_seconds").Number(elapsed_seconds);

@@ -46,10 +46,6 @@ class BatchProgressTracker {
   /// are excluded from the percentile samples but counted as degraded).
   void RecordOutlier(SaveTermination termination, std::uint64_t wall_nanos);
 
-  /// Records one retry attempt of a transient-failed search (SaveAll's
-  /// RetryPolicy). Thread-safe, lock-free.
-  void RecordRetry();
-
   /// Records one outlier restored from a SaveJournal instead of searched.
   /// Counts toward `completed` (its recorded verdict was definitive) and
   /// toward `resumed`; contributes no wall-time sample.
@@ -75,8 +71,6 @@ class BatchProgressTracker {
     /// total − finished: outliers still queued or in flight on the pool —
     /// the live queue-depth view of the batch.
     std::size_t queued = 0;
-    /// Retry attempts spent on transient failures (RetryPolicy).
-    std::size_t retries = 0;
     /// Outliers restored from a SaveJournal (a subset of `completed`).
     std::size_t resumed = 0;
     bool done = false;
@@ -107,7 +101,6 @@ class BatchProgressTracker {
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> degraded{0};
     std::atomic<std::uint64_t> infeasible{0};
-    std::atomic<std::uint64_t> retries{0};
     std::atomic<std::uint64_t> resumed{0};
   };
 

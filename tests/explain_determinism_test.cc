@@ -127,8 +127,8 @@ TEST(ExplainDeterminism, EmissionOrderAndTraceIdsAreDeterministic) {
   Relation data = MakeNoisyDataset(/*seed=*/97);
   const std::vector<ExplainSearchLog> logs = RunExplained(data, 8);
   ASSERT_FALSE(logs.empty());
-  // The batch-end drain sorts by (ordinal, attempt): emission order is the
-  // input order regardless of which worker ran which search.
+  // The batch-end drain sorts by ordinal: emission order is the input
+  // order regardless of which worker ran which search.
   for (std::size_t i = 1; i < logs.size(); ++i) {
     EXPECT_LT(logs[i - 1].ordinal, logs[i].ordinal);
   }

@@ -225,30 +225,32 @@ TEST(Summarize, TimelineCapKeepsEarliestAdoptionsPlusTheFinalOne) {
 }
 
 bool LogLess(const ExplainSearchLog& a, const ExplainSearchLog& b) {
-  if (a.ordinal != b.ordinal) return a.ordinal < b.ordinal;
-  return a.attempt < b.attempt;
+  return a.ordinal < b.ordinal;
 }
 
-TEST(PerWorkerBufferTest, DrainSortsLogsByOrdinalThenAttemptAndClamps) {
+TEST(PerWorkerBufferTest, DrainSortsLogsByOrdinalKeepsSlotOrderAndClamps) {
   PerWorkerBuffer<ExplainSearchLog> collector(3);
-  auto log = [](std::uint64_t ordinal, std::uint64_t attempt) {
+  auto log = [](std::uint64_t ordinal, std::uint64_t trace_id) {
     ExplainSearchLog l;
     l.ordinal = ordinal;
-    l.attempt = attempt;
+    l.trace_id = trace_id;
     return l;
   };
-  collector.Record(0, log(5, 1));
-  collector.Record(2, log(1, 2));
-  collector.Record(1, log(1, 1));
-  collector.Record(99, log(3, 1));  // out-of-range slot clamps to the last
+  collector.Record(0, log(5, 50));
+  collector.Record(2, log(1, 12));
+  collector.Record(1, log(1, 11));
+  collector.Record(99, log(3, 30));  // out-of-range slot clamps to the last
 
   std::vector<ExplainSearchLog> drained = collector.Drain(LogLess);
   ASSERT_EQ(drained.size(), 4u);
+  // Equal ordinals keep their slot order: slot 1's log before slot 2's,
+  // whatever order they were recorded in.
   EXPECT_EQ(drained[0].ordinal, 1u);
-  EXPECT_EQ(drained[0].attempt, 1u);
+  EXPECT_EQ(drained[0].trace_id, 11u);
   EXPECT_EQ(drained[1].ordinal, 1u);
-  EXPECT_EQ(drained[1].attempt, 2u);
+  EXPECT_EQ(drained[1].trace_id, 12u);
   EXPECT_EQ(drained[2].ordinal, 3u);
+  EXPECT_EQ(drained[2].trace_id, 30u);
   EXPECT_EQ(drained[3].ordinal, 5u);
   // drain moves, nothing remains
   EXPECT_TRUE(collector.Drain(LogLess).empty());

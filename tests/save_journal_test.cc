@@ -65,7 +65,6 @@ SaveResult AwkwardResult() {
   r.stats.index_count_queries = 11;
   r.stats.index_knn_queries = 12;
   r.stats.index_queries = 41;
-  r.stats.retries = 2;
   r.stats.wall_nanos = 123456789;
   r.stats.start_ns = 42;
   return r;
@@ -93,7 +92,6 @@ void ExpectSameResult(const SaveResult& a, const SaveResult& b) {
   EXPECT_EQ(a.adjusted_attributes.bits(), b.adjusted_attributes.bits());
   EXPECT_EQ(a.kappa_exceeded, b.kappa_exceeded);
   EXPECT_TRUE(a.stats.SameWork(b.stats));
-  EXPECT_EQ(a.stats.retries, b.stats.retries);
   EXPECT_EQ(a.stats.wall_nanos, b.stats.wall_nanos);
   EXPECT_EQ(a.stats.start_ns, b.stats.start_ns);
 }
@@ -443,76 +441,117 @@ TEST(SaveJournal, KillFaultCrashUnwindsAndResumeRecovers) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry-with-backoff.
+// Injected faults recover through resume.
 
-TEST(SaveJournal, TransientFaultIsRetriedToCompletion) {
+TEST(SaveJournal, FaultedSearchIsSearchedAgainOnResume) {
   BatchFixture fx(47);
   ASSERT_GT(fx.outliers.size(), 1u);
-  const std::vector<Tuple> one(fx.outliers.begin(), fx.outliers.begin() + 1);
-  const std::vector<SaveResult> clean = fx.saver->SaveAll(one, fx.options);
-  ASSERT_EQ(clean[0].termination, SaveTermination::kCompleted);
+  const std::vector<SaveResult> baseline =
+      fx.saver->SaveAll(fx.outliers, fx.options);
+  for (const SaveResult& r : baseline) {
+    ASSERT_TRUE(r.termination == SaveTermination::kCompleted ||
+                r.termination == SaveTermination::kInfeasible);
+  }
 
-  // A one-shot allocation failure at the distance-cache fill aborts the
-  // first attempt as kFault (transient).
+  // A one-shot allocation failure at the distance-cache fill. The
+  // sequential batch reaches it first in ordinal 0's search, which ends as
+  // kFault with its untouched tuple; every later search runs clean.
+  const std::string path = ::testing::TempDir() + "/disc_journal_fault.jsonl";
+  SaveJournalWriter writer;
+  ASSERT_TRUE(writer.Open(path, fx.Header()).ok());
+  FaultInjector injector;
   FaultSpec alloc;
   alloc.site = "dcache.fill";
   alloc.kind = FaultKind::kAllocFail;
   alloc.nth = 0;
   alloc.max_fires = 1;
+  injector.Add(alloc);
+  AttachGlobalFaultInjector(&injector);
+  BatchRecovery journaled;
+  journaled.journal = &writer;
+  const std::vector<SaveResult> faulted = fx.saver->SaveAll(
+      fx.outliers, fx.options, nullptr, {}, nullptr, journaled);
+  AttachGlobalFaultInjector(nullptr);
+  writer.Close();
+  EXPECT_EQ(injector.total_fires(), 1u);
+  ASSERT_EQ(faulted.size(), fx.outliers.size());
+  EXPECT_EQ(faulted[0].termination, SaveTermination::kFault);
+  EXPECT_FALSE(faulted[0].feasible);
+  EXPECT_EQ(faulted[0].adjusted, fx.outliers[0]);
 
-  {
-    // Without a retry policy the fault stands.
-    FaultInjector injector;
-    injector.Add(alloc);
-    AttachGlobalFaultInjector(&injector);
-    const std::vector<SaveResult> faulted = fx.saver->SaveAll(one, fx.options);
-    AttachGlobalFaultInjector(nullptr);
-    ASSERT_EQ(faulted.size(), 1u);
-    EXPECT_EQ(faulted[0].termination, SaveTermination::kFault);
-    EXPECT_FALSE(faulted[0].feasible);
-    EXPECT_EQ(faulted[0].adjusted, one[0]);
-    EXPECT_EQ(faulted[0].stats.retries, 0u);
+  // The faulted result is not definitive, so the journal holds every
+  // ordinal but 0.
+  Result<SaveJournal> loaded = ReadSaveJournal(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  SaveJournal journal = std::move(loaded).value();
+  ASSERT_EQ(journal.entries.size(), fx.outliers.size() - 1);
+  for (std::size_t k = 0; k < journal.entries.size(); ++k) {
+    EXPECT_EQ(journal.entries[k].ordinal, k + 1);
   }
-  {
-    // With retries, the second attempt (hit index 1, past the one-shot
-    // fault) completes — and its answer is bit-identical to a clean run.
-    FaultInjector injector;
-    injector.Add(alloc);
-    AttachGlobalFaultInjector(&injector);
-    BatchRecovery recovery;
-    recovery.retry.max_attempts = 3;
-    const std::vector<SaveResult> retried =
-        fx.saver->SaveAll(one, fx.options, nullptr, {}, nullptr, recovery);
-    AttachGlobalFaultInjector(nullptr);
-    ASSERT_EQ(retried.size(), 1u);
-    EXPECT_EQ(retried[0].termination, SaveTermination::kCompleted);
-    EXPECT_EQ(retried[0].stats.retries, 1u);
-    EXPECT_EQ(retried[0].adjusted, clean[0].adjusted);
-    EXPECT_TRUE(SameBits(retried[0].cost, clean[0].cost));
-    // The final attempt's counters stand alone — no double counting from
-    // the aborted attempt.
-    SearchStats final_only = retried[0].stats;
-    final_only.retries = clean[0].stats.retries;
-    EXPECT_TRUE(final_only.SameWork(clean[0].stats));
-  }
+
+  // Resume searches ordinal 0 again; the batch equals the clean run.
+  BatchRecovery resume;
+  resume.resume = &journal;
+  const std::vector<SaveResult> resumed = fx.saver->SaveAll(
+      fx.outliers, fx.options, nullptr, {}, nullptr, resume);
+  ExpectBitIdenticalBatch(baseline, resumed);
 }
 
-TEST(RetryPolicy, BackoffDoublesFromTenMillisecondsUpToOneSecond) {
-  EXPECT_EQ(RetryPolicy::BackoffFor(0), std::chrono::milliseconds(10));
-  EXPECT_EQ(RetryPolicy::BackoffFor(1), std::chrono::milliseconds(20));
-  EXPECT_EQ(RetryPolicy::BackoffFor(2), std::chrono::milliseconds(40));
-  EXPECT_EQ(RetryPolicy::BackoffFor(6), std::chrono::milliseconds(640));
-  EXPECT_EQ(RetryPolicy::BackoffFor(7), std::chrono::milliseconds(1000));
-  EXPECT_EQ(RetryPolicy::BackoffFor(1000), std::chrono::milliseconds(1000));
+TEST(SaveJournal, EntriesWithARetiredStatsKeyStillResume) {
+  // Journals written before the retry counter was removed carry
+  // "retries":0 in every entry's stats. The reader ignores unknown keys,
+  // so such a journal still restores its ordinals bit-exactly.
+  BatchFixture fx(53);
+  ASSERT_GT(fx.outliers.size(), 2u);
+  const std::vector<SaveResult> baseline =
+      fx.saver->SaveAll(fx.outliers, fx.options);
 
-  EXPECT_EQ(RetryPolicy().max_attempts, 1u);  // retries off by default
-  EXPECT_TRUE(RetryPolicy::IsTransient(SaveTermination::kFault));
-  EXPECT_TRUE(RetryPolicy::IsTransient(SaveTermination::kVisitBudget));
-  EXPECT_TRUE(RetryPolicy::IsTransient(SaveTermination::kQueryBudget));
-  EXPECT_FALSE(RetryPolicy::IsTransient(SaveTermination::kCompleted));
-  EXPECT_FALSE(RetryPolicy::IsTransient(SaveTermination::kInfeasible));
-  EXPECT_FALSE(RetryPolicy::IsTransient(SaveTermination::kDeadline));
-  EXPECT_FALSE(RetryPolicy::IsTransient(SaveTermination::kCancelled));
+  const std::string path =
+      ::testing::TempDir() + "/disc_journal_retired_key.jsonl";
+  SaveJournalWriter writer;
+  ASSERT_TRUE(writer.Open(path, fx.Header()).ok());
+  std::size_t written = 0;
+  for (std::size_t i = 0; i < baseline.size(); i += 2) {
+    ASSERT_TRUE(writer.Append(i, baseline[i]).ok());
+    ++written;
+  }
+  writer.Close();
+
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const std::string key = ",\"wall_nanos\":";
+  const std::string with_retries = ",\"retries\":0" + key;
+  std::size_t inserted = 0;
+  for (std::size_t at = text.find(key); at != std::string::npos;
+       at = text.find(key, at + with_retries.size())) {
+    text.replace(at, key.size(), with_retries);
+    ++inserted;
+  }
+  ASSERT_EQ(inserted, written);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  }
+
+  Result<SaveJournal> loaded = ReadSaveJournal(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  SaveJournal journal = std::move(loaded).value();
+  ASSERT_EQ(journal.entries.size(), written);
+  ASSERT_TRUE(journal
+                  .Matches(fx.outliers.size(), fx.data.arity(), fx.constraint,
+                           fx.options.kappa)
+                  .ok());
+
+  // Even ordinals restore from the edited lines; odd ones are searched.
+  BatchRecovery resume;
+  resume.resume = &journal;
+  const std::vector<SaveResult> resumed = fx.saver->SaveAll(
+      fx.outliers, fx.options, nullptr, {}, nullptr, resume);
+  ExpectBitIdenticalBatch(baseline, resumed);
 }
 
 }  // namespace

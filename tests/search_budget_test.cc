@@ -281,7 +281,6 @@ TEST(BudgetGauge, ErrorFaultAtNodeStopsWithFaultReason) {
   EXPECT_FALSE(gauge.OnNodeExpanded(2));
   AttachGlobalFaultInjector(nullptr);
   EXPECT_EQ(gauge.reason(), SaveTermination::kFault);
-  EXPECT_TRUE(RetryPolicy::IsTransient(gauge.reason()));
 }
 
 TEST(BudgetGauge, NullBudgetIsUnlimited) {
