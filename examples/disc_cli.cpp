@@ -20,10 +20,10 @@
 // many outliers degraded (anytime saving — see DESIGN.md).
 // --metrics-json PATH attaches a MetricsRegistry to the run and writes its
 // JSON snapshot to PATH on exit (see DESIGN.md §8 for the metric names).
-// --trace PATH streams the hierarchical span trees of the run to PATH as
-// JSONL: per outlier a "save_outlier" root, its "search" span
-// and the per-phase children (index_query/bounds_scan/dcache_fill/verdict),
-// all linked by trace_id/span_id/parent_id (analyze with
+// --trace PATH streams the hierarchical span trees of the run to PATH (or
+// stdout for "-") as JSONL: per outlier a "save_outlier" root, its "search"
+// span and the per-phase children (index_query/bounds_scan/dcache_fill/
+// verdict), all linked by trace_id/span_id/parent_id (analyze with
 // scripts/analyze_trace.py).
 // --explain[=PATH] streams per-search decision provenance to PATH (or
 // stdout when PATH is omitted) as JSONL, one object per saved outlier:
@@ -33,10 +33,10 @@
 // and a derived summary with prune breakdown, incumbent timeline and
 // bound-tightness ratios (schemas/explain.schema.json; analyze with
 // scripts/analyze_explain.py). Capture is bit-identical for any --threads.
-// An export written to stdout (--metrics-json -, or --explain without a
-// path) owns that stream: the human-readable report then goes to stderr,
-// so stdout parses as one JSON document or as JSONL. The two together
-// would put two documents on one stream and are rejected.
+// An export written to stdout (--metrics-json -, --trace -, or --explain
+// without a path) owns that stream: the human-readable report then goes to
+// stderr, so stdout parses as one JSON document or as JSONL. Any two of
+// them would put two documents on one stream and are rejected.
 //
 // Crash safety & chaos testing (DESIGN.md §11):
 // --journal PATH appends every definitively finished outlier to a JSONL
@@ -256,15 +256,17 @@ int main(int argc, char** argv) {
       (metrics_json_path.empty() || metrics_json_path == "-");
   const bool explain_to_stdout =
       explain_requested && (explain_path.empty() || explain_path == "-");
-  if (metrics_to_stdout && explain_to_stdout) {
+  const bool trace_to_stdout = trace_path == "-";
+  const int stdout_exports =
+      metrics_to_stdout + explain_to_stdout + trace_to_stdout;
+  if (stdout_exports > 1) {
     std::fprintf(stderr,
-                 "--metrics-json - and --explain without a path both write "
-                 "to stdout; give one of them a path\n");
+                 "--metrics-json -, --trace - and --explain without a path "
+                 "all write to stdout; give all but one of them a path\n");
     return 2;
   }
   // The human-readable report: stdout, unless an export owns stdout.
-  std::FILE* const report =
-      metrics_to_stdout || explain_to_stdout ? stderr : stdout;
+  std::FILE* const report = stdout_exports > 0 ? stderr : stdout;
 
   // Fault injection (DESIGN.md §11): configure-then-attach. Armed before
   // the observability plane and the pipeline so every fault site in the
@@ -520,7 +522,9 @@ int main(int argc, char** argv) {
   if (trace != nullptr) {
     Status trace_status = trace->Close();
     if (trace_status.ok()) {
-      std::fprintf(report, "wrote trace to %s\n", trace_path.c_str());
+      if (!trace_to_stdout) {
+        std::fprintf(report, "wrote trace to %s\n", trace_path.c_str());
+      }
     } else {
       std::fprintf(stderr, "error writing trace to %s: %s\n",
                    trace_path.c_str(), trace_status.ToString().c_str());

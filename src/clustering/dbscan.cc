@@ -16,48 +16,39 @@ Labels Dbscan(const Relation& relation, const DistanceEvaluator& evaluator,
   std::unique_ptr<NeighborIndex> index =
       MakeNeighborIndex(relation, evaluator, params.epsilon);
 
-  // Each row's ε-neighbourhood is visited at most once (`queried`). A row
-  // is claimed — labelled, for good — by the first cluster with a core row
-  // within ε of it, and queued then if its own neighbourhood is still
-  // unvisited, so every row is queued at most once. A cluster therefore
-  // holds its density-connected core rows plus every row still unclaimed
-  // within ε of one of them, a set no expansion order changes; seeds run
-  // in row order, so clusters are numbered by their first core row.
-  std::vector<bool> queried(n, false);
-  std::vector<std::size_t> unclaimed;  // the last visit's unclaimed hits
-  std::vector<std::size_t> queue;
-  // Visits p's neighbourhood; true when p is a core row, with its still
-  // unclaimed neighbours in `unclaimed`.
-  auto visit_core = [&](std::size_t p) {
-    queried[p] = true;
-    unclaimed.clear();
-    std::size_t count = 0;
-    index->ForEachWithin(relation[p], params.epsilon,
-                         [&](std::size_t row, double /*distance*/) {
-                           ++count;
-                           if (labels[row] == kNoise) unclaimed.push_back(row);
-                         });
-    return count >= params.min_pts;
-  };
-  auto claim = [&](int cluster) {
-    for (std::size_t row : unclaimed) {
-      if (labels[row] != kNoise) continue;
-      labels[row] = cluster;
-      if (!queried[row]) queue.push_back(row);
-    }
-  };
-
+  // The labels are a function of three things (dbscan.h), computed here
+  // one after the other. 1. The core flags: a count capped at min_pts
+  // gives the same verdict as a full count (min_pts = 0 counts all rows).
+  std::vector<bool> core(n);
+  for (std::size_t row = 0; row < n; ++row) {
+    core[row] = index->CountWithin(relation[row], params.epsilon,
+                                   params.min_pts) >= params.min_pts;
+  }
+  // 2. The components of the core ε-graph, numbered by their lowest core
+  // row: a core row that is its component's lowest opens the next cluster,
+  // and a later one joins it.
+  const std::vector<std::size_t> lowest =
+      index->CoreComponents(relation, core, params.epsilon);
   int next_cluster = 0;
-  for (std::size_t seed = 0; seed < n; ++seed) {
-    // A claimed row was queued when claimed, so it has been visited too.
-    if (queried[seed] || !visit_core(seed)) continue;
-    const int cluster = next_cluster++;
-    labels[seed] = cluster;
-    queue.clear();
-    claim(cluster);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      if (visit_core(queue[head])) claim(cluster);
+  for (std::size_t row = 0; row < n; ++row) {
+    if (core[row]) {
+      labels[row] = lowest[row] == row ? next_cluster++ : labels[lowest[row]];
     }
+  }
+  // 3. Each non-core row joins the lowest-numbered cluster with a core row
+  // within ε of it, or stays noise. The ε-relation is symmetric, so that is
+  // the cluster of the lowest-labelled core row among its own hits.
+  for (std::size_t row = 0; row < n; ++row) {
+    if (core[row]) continue;
+    int cluster = kNoise;
+    index->ForEachWithin(relation[row], params.epsilon,
+                         [&](std::size_t hit, double /*distance*/) {
+                           if (!core[hit]) return;
+                           if (cluster == kNoise || labels[hit] < cluster) {
+                             cluster = labels[hit];
+                           }
+                         });
+    labels[row] = cluster;
   }
   return labels;
 }

@@ -24,7 +24,7 @@ class Sink {
 
 /// JSON-Lines sink: one object per emitted item, serialized by `append`.
 /// Lines are buffered and written on Close()/destruction to `path`, or to
-/// stdout when `path` is empty. Close() reports every I/O failure (an
+/// stdout when `path` is empty or "-". Close() reports every I/O failure (an
 /// unopenable path, a short fwrite, a failed fflush or fclose) for a file
 /// and for stdout alike; the exports are best-effort, so a failed write
 /// never fails a save, but the caller learns of it.
@@ -35,7 +35,7 @@ class JsonlSink : public Sink<T> {
 
   /// `kind` names the export in error messages ("trace", "explain").
   JsonlSink(std::string path, std::string kind, Append append)
-      : path_(std::move(path)),
+      : path_(path == "-" ? "" : std::move(path)),
         kind_(std::move(kind)),
         append_(std::move(append)) {}
   ~JsonlSink() override { Close(); }

@@ -236,7 +236,8 @@ using TraceSink = Sink<TraceSpan>;
 void AppendTraceSpanJson(JsonWriter& json, const TraceSpan& span,
                          std::uint64_t epoch_ns);
 
-/// JSON-Lines file sink: one object per span, e.g.
+/// JSON-Lines sink to a file, or to stdout for "-" (`disc_cli --trace -`):
+/// one object per span, e.g.
 ///   {"span":"search","t_ns":812,"dur_ns":51023,"trace_id":1234,
 ///    "span_id":77,"parent_id":12,"ordinal":3,...}
 /// `t_ns` is rebased to the sink's construction time. See JsonlSink for

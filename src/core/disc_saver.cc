@@ -68,11 +68,11 @@ bool SameValue(const Value& a, const Value& b) {
 
 DiscSaver::DiscSaver(const Relation& inliers,
                      const DistanceEvaluator& evaluator,
-                     DistanceConstraint constraint)
+                     DistanceConstraint constraint, WorkStealingPool* pool)
     : inliers_(inliers), evaluator_(evaluator), constraint_(constraint) {
   index_ = MakeNeighborIndex(inliers_, evaluator_, constraint_.epsilon);
   cache_ = std::make_unique<KthNeighborCache>(inliers_, *index_,
-                                              constraint_.eta);
+                                              constraint_.eta, pool);
   bounds_ = std::make_unique<BoundsEngine>(inliers_, evaluator_, *index_,
                                            *cache_, constraint_);
   columnar_ = ColumnarView::Build(inliers_, evaluator_);

@@ -216,9 +216,10 @@ class DiscSaver {
   /// (ColumnarView::Eligible: all-numeric, 1–64 attributes, the unit
   /// absolute-difference metric throughout) — the same rule that gives the
   /// saver a kd-tree — and by the scalar evaluator otherwise, with
-  /// bit-identical results either way.
+  /// bit-identical results either way. `pool`, when non-null, builds the
+  /// δ_η cache (KthNeighborCache), bit-identical for every pool size.
   DiscSaver(const Relation& inliers, const DistanceEvaluator& evaluator,
-            DistanceConstraint constraint);
+            DistanceConstraint constraint, WorkStealingPool* pool = nullptr);
 
   /// Finds a near-optimal adjustment of `outlier` under the constraint.
   /// Anytime: the search stops at `deadline`, when `cancellation` fires, or

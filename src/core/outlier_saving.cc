@@ -267,8 +267,16 @@ SavedDataset SaveOutliers(const Relation& data,
         /*estimate=*/nullptr, /*exact=*/true, /*pool=*/nullptr, batch,
         options.trace, /*recovery=*/{}, options.explain);
   } else {
-    // Build the saver once; save each outlier against the fixed inlier set.
-    DiscSaver disc_saver(inliers, evaluator, options.constraint);
+    std::size_t threads = options.num_threads == 0
+                              ? WorkStealingPool::DefaultThreadCount()
+                              : options.num_threads;
+    std::unique_ptr<WorkStealingPool> pool;
+    if (threads > 1 && outlier_tuples.size() > 1) {
+      pool = std::make_unique<WorkStealingPool>(threads);
+    }
+    // Build the saver once, its δ_η cache on the batch pool; save each
+    // outlier against the fixed inlier set.
+    DiscSaver disc_saver(inliers, evaluator, options.constraint, pool.get());
     // Crash-safety plumbing (DESIGN.md §11): optionally restore journaled
     // verdicts from a previous interrupted run, then append this run's
     // definitive results to the same journal. All-default BatchRecovery
@@ -323,13 +331,6 @@ SavedDataset SaveOutliers(const Relation& data,
       }
     }
 
-    std::size_t threads = options.num_threads == 0
-                              ? WorkStealingPool::DefaultThreadCount()
-                              : options.num_threads;
-    std::unique_ptr<WorkStealingPool> pool;
-    if (threads > 1 && outlier_tuples.size() > 1) {
-      pool = std::make_unique<WorkStealingPool>(threads);
-    }
     results =
         disc_saver.SaveAll(outlier_tuples, options.save, pool.get(), batch,
                            options.trace, recovery, options.explain);

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <optional>
 #include <utility>
+
+#include "common/relation.h"
+#include "index/lowest_root_sets.h"
 
 namespace disc {
 
@@ -229,6 +233,199 @@ std::vector<Neighbor> KdTree::KNearest(const Tuple& query,
   KnnSink sink{kInf, order_.data(), NearestHeap(k, order_.size())};
   Search(kernel, &sink);
   return sink.heap.TakeSorted();
+}
+
+/// CoreComponents' state, all of it local to the call. Node `node` is
+/// represented once every core row of its subtree is known to share one
+/// component: rep[node] then holds one of those rows. Union-find only
+/// merges, so a representative never turns wrong; a walk from a core row
+/// skips each node represented in that row's own component, where a scan
+/// could only join rows already joined. A leaf is checked after a scan that
+/// joined something; an internal node is represented when both children
+/// are, in one component (a child without core rows agrees with anything).
+struct KdTree::ComponentWalk {
+  /// rep[] markers besides a row: not (yet) known to be one component, and
+  /// a subtree without core rows.
+  static constexpr std::size_t kUnknown =
+      std::numeric_limits<std::size_t>::max();
+  static constexpr std::size_t kNoCore = kUnknown - 1;
+
+  const KdTree& tree;
+  const Relation& relation;
+  double epsilon;
+  LowestRootSets sets;
+  std::vector<std::uint8_t> core_at;  ///< core flag per tree position
+  std::vector<std::size_t> rep;       ///< per node
+  simd::ScanDelta delta;
+  // The current scan: its query row and tree position, whether it stops at
+  // its first core hit (a represented leaf: one witness joins all of it),
+  // and how many of its hits joined two components.
+  std::size_t query_row = 0;
+  std::size_t query_pos = 0;
+  bool stop_at_core = false;
+  std::size_t joins = 0;
+
+  ComponentWalk(const KdTree& t, const Relation& r,
+                const std::vector<bool>& core, double eps)
+      : tree(t),
+        relation(r),
+        epsilon(eps),
+        sets(t.order_.size()),
+        core_at(t.order_.size()),
+        rep(t.nodes_.size(), kNoCore) {
+    for (std::size_t pos = 0; pos < core_at.size(); ++pos) {
+      core_at[pos] = core[t.order_[pos]] ? 1 : 0;
+    }
+  }
+
+  static bool Hit(void* ctx, std::size_t pos, double /*distance*/) {
+    auto* w = static_cast<ComponentWalk*>(ctx);
+    if (w->core_at[pos] == 0) return true;
+    if (w->sets.Union(w->query_row, w->tree.order_[pos])) ++w->joins;
+    return !w->stop_at_core;
+  }
+
+  /// Scans the leaf rows [begin, end) against the query row, joining it
+  /// with every core row it hits.
+  void Scan(std::size_t begin, std::size_t end, const FlatKernel& kernel) {
+    joins = 0;
+    kernel.VisitWithin(epsilon, begin, end, &Hit, this, &delta);
+  }
+
+  /// Represents internal node `node` when both children are represented in
+  /// one component.
+  void MergeChildren(std::size_t node) {
+    const std::size_t a = rep[node + 1];
+    const std::size_t b =
+        rep[static_cast<std::size_t>(tree.nodes_[node].right)];
+    if (a == kNoCore || b == kNoCore) {
+      rep[node] = a == kNoCore ? b : a;
+    } else if (a != kUnknown && b != kUnknown &&
+               sets.Find(a) == sets.Find(b)) {
+      rep[node] = a;
+    } else {
+      rep[node] = kUnknown;
+    }
+  }
+
+  /// Pass 1: each core row against its own leaf only, until the leaf's core
+  /// rows form one component. Every join here is inside one leaf, so the
+  /// leaf's component count is its core rows less its joins. Then every
+  /// node starts represented when its subtree is.
+  void JoinWithinLeaves() {
+    for (std::size_t node = 0; node < tree.nodes_.size(); ++node) {
+      const Node& n = tree.nodes_[node];
+      if (n.right >= 0) continue;
+      std::size_t components = 0;
+      std::size_t first = kNoCore;
+      for (std::size_t pos = n.begin; pos < n.end; ++pos) {
+        if (core_at[pos] == 0) continue;
+        ++components;
+        if (first == kNoCore) first = tree.order_[pos];
+      }
+      rep[node] = components == 0   ? kNoCore
+                  : components == 1 ? first
+                                    : kUnknown;
+      for (std::size_t pos = n.begin; pos < n.end && components > 1; ++pos) {
+        if (core_at[pos] == 0) continue;
+        query_pos = pos;
+        query_row = tree.order_[pos];
+        Scan(n.begin, n.end, FlatKernel(*tree.view_, relation[query_row]));
+        components -= joins;
+        if (components == 1) rep[node] = first;
+      }
+    }
+    // Preorder puts both children after their parent.
+    for (std::size_t node = tree.nodes_.size(); node-- > 0;) {
+      if (tree.nodes_[node].right >= 0) MergeChildren(node);
+    }
+  }
+
+  /// True when `node` holds nothing the current walk could join: no core
+  /// row, every core row already in the query row's component, or the
+  /// query row's own leaf, which pass 1 covered.
+  bool Skip(std::size_t node) {
+    const std::size_t r = rep[node];
+    if (r == kNoCore) return true;
+    if (r != kUnknown && sets.Find(r) == sets.Find(query_row)) return true;
+    const Node& n = tree.nodes_[node];
+    return n.right < 0 && n.begin <= query_pos && query_pos < n.end;
+  }
+
+  /// Pass 2, from one node whose box is within ε of the query row.
+  void Walk(std::size_t node, const FlatKernel& kernel) {
+    const Node& n = tree.nodes_[node];
+    if (n.right < 0) {
+      stop_at_core = rep[node] != kUnknown;
+      Scan(n.begin, n.end, kernel);
+      stop_at_core = false;
+      if (joins > 0 && rep[node] == kUnknown) CheckLeaf(node);
+      return;
+    }
+    const double* q = kernel.query().data();
+    std::size_t near = node + 1;
+    auto far = static_cast<std::size_t>(n.right);
+    std::optional<double> near_box;
+    std::optional<double> far_box;
+    if (!Skip(near)) near_box = tree.BoxDistanceWithin(near, q, epsilon);
+    if (!Skip(far)) far_box = tree.BoxDistanceWithin(far, q, epsilon);
+    if (far_box && (!near_box || *far_box < *near_box)) {
+      std::swap(near, far);
+      std::swap(near_box, far_box);
+    }
+    if (near_box) Walk(near, kernel);
+    // The nearer subtree's joins may have put the farther one in the query
+    // row's component.
+    if (far_box && !Skip(far)) Walk(far, kernel);
+    if (rep[node] == kUnknown) MergeChildren(node);
+  }
+
+  void CheckLeaf(std::size_t node) {
+    const Node& n = tree.nodes_[node];
+    std::size_t first = kNoCore;
+    std::size_t root = 0;
+    for (std::size_t pos = n.begin; pos < n.end; ++pos) {
+      if (core_at[pos] == 0) continue;
+      const std::size_t r = sets.Find(tree.order_[pos]);
+      if (first == kNoCore) {
+        first = tree.order_[pos];
+        root = r;
+      } else if (r != root) {
+        return;
+      }
+    }
+    rep[node] = first;
+  }
+
+  /// Pass 2: one walk per core row, in tree order.
+  void JoinAcrossLeaves() {
+    for (std::size_t pos = 0; pos < core_at.size(); ++pos) {
+      if (core_at[pos] == 0) continue;
+      query_pos = pos;
+      query_row = tree.order_[pos];
+      if (Skip(0)) {
+        // A represented root holds every core row, all joined; otherwise
+        // the root is the query row's own leaf, which pass 1 covered.
+        if (rep[0] != kUnknown) return;
+        continue;
+      }
+      const FlatKernel kernel(*tree.view_, relation[query_row]);
+      if (tree.BoxDistanceWithin(0, kernel.query().data(), epsilon)) {
+        Walk(0, kernel);
+      }
+    }
+  }
+};
+
+std::vector<std::size_t> KdTree::CoreComponents(const Relation& relation,
+                                                const std::vector<bool>& core,
+                                                double epsilon) const {
+  if (nodes_.empty()) return {};
+  ComponentWalk walk(*this, relation, core, epsilon);
+  walk.JoinWithinLeaves();
+  walk.JoinAcrossLeaves();
+  view_->FlushScan(walk.delta);
+  return walk.sets.Roots();
 }
 
 }  // namespace disc

@@ -32,7 +32,8 @@ namespace disc {
 /// to the scalar reference, BruteForceIndex.
 ///
 /// Thread-safety: immutable after construction; every query keeps its
-/// state (FlatKernel, scan counters, heap) per call (DESIGN.md §5).
+/// state (FlatKernel, scan counters, heap, union-find) per call
+/// (DESIGN.md §5).
 class KdTree : public NeighborIndex {
  public:
   /// Builds the tree over `relation` (median splits on the widest attribute
@@ -51,6 +52,12 @@ class KdTree : public NeighborIndex {
   /// current k-th best distance.
   std::vector<Neighbor> KNearest(const Tuple& query,
                                  std::size_t k) const override;
+  /// Union-find in two passes over tree positions: each core row against
+  /// its own leaf, then one walk per core row that skips every subtree
+  /// already known to lie in that row's component (ComponentWalk).
+  std::vector<std::size_t> CoreComponents(const Relation& relation,
+                                          const std::vector<bool>& core,
+                                          double epsilon) const override;
 
  private:
   /// The tree-order rows [begin, end) of view_. A leaf has right = -1; an
@@ -60,6 +67,9 @@ class KdTree : public NeighborIndex {
     std::size_t end = 0;
     int right = -1;
   };
+
+  /// CoreComponents' per-call state and passes.
+  struct ComponentWalk;
 
   /// Nodes with more rows are split.
   static constexpr std::size_t kLeafSize = 64;

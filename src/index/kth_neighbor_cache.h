@@ -8,6 +8,8 @@
 
 namespace disc {
 
+class WorkStealingPool;
+
 /// Precomputes δ_η(t) — the distance from each indexed tuple t to its η-th
 /// nearest neighbor within the same relation (self excluded: a tuple counts
 /// itself as one of its ε-neighbors per Formula 4, so the η-th neighbor of t
@@ -18,9 +20,11 @@ namespace disc {
 class KthNeighborCache {
  public:
   /// Builds the cache by running an η-NN query per tuple; the tuple itself
-  /// counts among its neighbors (Formula 4).
+  /// counts among its neighbors (Formula 4). With `pool`, the rows run in
+  /// fixed-grain ParallelFor chunks, each writing its own δ slots, so the
+  /// cache is bit-identical for every pool size.
   KthNeighborCache(const Relation& relation, const NeighborIndex& index,
-                   std::size_t eta);
+                   std::size_t eta, WorkStealingPool* pool = nullptr);
 
   /// δ_η for tuple `row`.
   double delta(std::size_t row) const { return deltas_[row]; }

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/relation.h"
+#include "index/lowest_root_sets.h"
+
 namespace disc {
 
 void NearestHeap::Offer(std::size_t row, double distance) {
@@ -31,6 +34,20 @@ std::vector<Neighbor> NeighborIndex::RangeQuery(const Tuple& query,
   });
   std::sort(out.begin(), out.end(), NeighborLess);
   return out;
+}
+
+std::vector<std::size_t> NeighborIndex::CoreComponents(
+    const Relation& relation, const std::vector<bool>& core,
+    double epsilon) const {
+  LowestRootSets sets(size());
+  for (std::size_t row = 0; row < size(); ++row) {
+    if (!core[row]) continue;
+    ForEachWithin(relation[row], epsilon,
+                  [&](std::size_t hit, double /*distance*/) {
+                    if (core[hit]) sets.Union(row, hit);
+                  });
+  }
+  return sets.Roots();
 }
 
 }  // namespace disc

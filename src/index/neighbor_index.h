@@ -11,6 +11,8 @@
 
 namespace disc {
 
+class Relation;
+
 /// A (row index, distance) query result.
 struct Neighbor {
   std::size_t row = 0;
@@ -125,6 +127,20 @@ class NeighborIndex {
   /// The k nearest rows to `query`, sorted by NeighborLess (fewer if n < k).
   virtual std::vector<Neighbor> KNearest(const Tuple& query,
                                          std::size_t k) const = 0;
+
+  /// The components of the core ε-graph, whose vertices are the rows
+  /// flagged in `core` and whose edges join two core rows within `epsilon`
+  /// of each other: for every row, the lowest core row of its component,
+  /// or the row itself when it is not core. `relation` must be the
+  /// relation the index was built over, and `core` holds size() flags.
+  /// The ε-relation is symmetric bit for bit, so these are exactly the
+  /// sets a breadth-first expansion over core rows reaches. The default
+  /// runs union-find over one ForEachWithin per core row; an override may
+  /// skip any pair it already knows to be connected. All state is per
+  /// call (DESIGN.md §5).
+  virtual std::vector<std::size_t> CoreComponents(
+      const Relation& relation, const std::vector<bool>& core,
+      double epsilon) const;
 };
 
 }  // namespace disc

@@ -219,7 +219,7 @@ void AppendExplainSearchJson(JsonWriter& json, const ExplainSearchLog& log) {
 }
 
 ExplainJsonlSink::ExplainJsonlSink(const std::string& path)
-    : JsonlSink(path == "-" ? "" : path, "explain",
+    : JsonlSink(path, "explain",
                 [](JsonWriter& json, const ExplainSearchLog& log) {
                   AppendExplainSearchJson(json, log);
                 }) {}

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -12,6 +14,8 @@
 #include "data/generators.h"
 #include "eval/clustering_metrics.h"
 #include "index/brute_force_index.h"
+#include "index/index_factory.h"
+#include "index/kth_neighbor_cache.h"
 
 namespace disc {
 namespace {
@@ -124,24 +128,35 @@ TEST(Dbscan, NanCellRowJoinsItsClusterUnderLInf) {
   EXPECT_EQ(Dbscan(r, ev, {1.0, 3}), (Labels{0, 0, 0, kNoise}));
 }
 
-/// Reference expansion: a FIFO frontier that pushes every
-/// unvisited-or-noise neighbour of a core row from a sorted RangeQuery
-/// (duplicates included) and labels a row when it is popped, over the
-/// scalar brute-force index. Dbscan instead claims each row once from
-/// unsorted visits; the labels must not differ.
-Labels FrontierDbscan(const Relation& relation, const DistanceEvaluator& ev,
-                      const DbscanParams& params) {
-  const std::size_t n = relation.size();
-  Labels labels(n, kNoise);
+/// Every row's ε-neighbourhood over the scalar brute-force index, each
+/// sorted by NeighborLess.
+std::vector<std::vector<Neighbor>> BruteNeighborhoods(
+    const Relation& relation, const DistanceEvaluator& ev, double epsilon) {
   BruteForceIndex index(relation, ev);
+  std::vector<std::vector<Neighbor>> out;
+  out.reserve(relation.size());
+  for (std::size_t row = 0; row < relation.size(); ++row) {
+    out.push_back(index.RangeQuery(relation[row], epsilon));
+  }
+  return out;
+}
+
+/// Reference expansion: a FIFO frontier that pushes every
+/// unvisited-or-noise neighbour of a core row from a sorted brute-force
+/// neighbourhood (duplicates included) and labels a row when it is popped.
+/// Dbscan instead takes core flags from capped counts, components from
+/// union-find and borders from one visit each; the labels must not differ.
+Labels FrontierDbscan(const std::vector<std::vector<Neighbor>>& neighborhoods,
+                      std::size_t min_pts) {
+  const std::size_t n = neighborhoods.size();
+  Labels labels(n, kNoise);
   std::vector<bool> visited(n, false);
   int next_cluster = 0;
   for (std::size_t seed = 0; seed < n; ++seed) {
     if (visited[seed]) continue;
     visited[seed] = true;
-    std::vector<Neighbor> seed_neighbors =
-        index.RangeQuery(relation[seed], params.epsilon);
-    if (seed_neighbors.size() < params.min_pts) continue;
+    const std::vector<Neighbor>& seed_neighbors = neighborhoods[seed];
+    if (seed_neighbors.size() < min_pts) continue;
     const int cluster = next_cluster++;
     labels[seed] = cluster;
     std::deque<std::size_t> frontier;
@@ -152,8 +167,8 @@ Labels FrontierDbscan(const Relation& relation, const DistanceEvaluator& ev,
       if (labels[p] == kNoise) labels[p] = cluster;
       if (visited[p]) continue;
       visited[p] = true;
-      std::vector<Neighbor> nn = index.RangeQuery(relation[p], params.epsilon);
-      if (nn.size() >= params.min_pts) {
+      const std::vector<Neighbor>& nn = neighborhoods[p];
+      if (nn.size() >= min_pts) {
         for (const Neighbor& nb : nn) {
           if (!visited[nb.row] || labels[nb.row] == kNoise) {
             frontier.push_back(nb.row);
@@ -163,6 +178,12 @@ Labels FrontierDbscan(const Relation& relation, const DistanceEvaluator& ev,
     }
   }
   return labels;
+}
+
+Labels FrontierDbscan(const Relation& relation, const DistanceEvaluator& ev,
+                      const DbscanParams& params) {
+  return FrontierDbscan(BruteNeighborhoods(relation, ev, params.epsilon),
+                        params.min_pts);
 }
 
 TEST(Dbscan, LabelsMatchFrontierExpansionOnSharedBorders) {
@@ -218,6 +239,81 @@ TEST(Dbscan, LabelsMatchFrontierExpansionOnSharedBorders) {
     }
   }
   EXPECT_GT(shared_borders, 0u);
+}
+
+/// `rows` points on the integer grid [0, side)^dims: three quarters drawn
+/// around a few integer centres, the rest uniform, so duplicate points and
+/// distances of exactly ε are common. About one row in 40 holds a NaN cell.
+Relation GridRelation(std::size_t rows, std::size_t dims, int side,
+                      std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::vector<double>> centres(5, std::vector<double>(dims));
+  for (auto& c : centres) {
+    for (double& v : c) v = static_cast<double>(rng.UniformInt(0, side - 1));
+  }
+  Relation r(Schema::Numeric(dims));
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::vector<double>& c = centres[rng.NextIndex(centres.size())];
+    const bool clustered = rng.Uniform() < 0.75;
+    Tuple t(dims);
+    for (std::size_t d = 0; d < dims; ++d) {
+      const double v = clustered ? std::round(rng.Gaussian(c[d], side / 6.0))
+                                 : static_cast<double>(
+                                       rng.UniformInt(0, side - 1));
+      t[d] = Value(std::clamp(v, 0.0, side - 1.0));
+    }
+    if (rng.NextIndex(40) == 0) {
+      t[rng.NextIndex(dims)] = Value(std::numeric_limits<double>::quiet_NaN());
+    }
+    r.AppendUnchecked(std::move(t));
+  }
+  return r;
+}
+
+TEST(DbscanDifferential, MatchesFrontierExpansionOnIntegerGrids) {
+  // ε is taken from the relation's own distances: the median of the rows'
+  // 4th-neighbour distances and the next larger one. That is around where
+  // the core graph connects, and exactly equal to many pair distances.
+  std::size_t configs = 0;
+  for (std::uint64_t seed : {11u, 12u}) {
+    for (std::size_t dims : {2u, 3u, 6u}) {
+      const int side = dims == 2 ? 60 : dims == 3 ? 16 : 6;
+      const std::size_t rows = 1000 + 500 * ((seed + dims) % 3);
+      const Relation r = GridRelation(rows, dims, side, seed * 10 + dims);
+      for (LpNorm norm : {LpNorm::kL1, LpNorm::kL2, LpNorm::kLInf}) {
+        const DistanceEvaluator ev(r.schema(), norm);
+        const std::unique_ptr<NeighborIndex> tree = MakeNeighborIndex(r, ev);
+        ASSERT_STREQ(tree->Name(), "kd_tree");
+        std::vector<double> fourth = KthNeighborCache(r, *tree, 4).deltas();
+        std::erase_if(fourth, [](double d) { return !std::isfinite(d); });
+        std::sort(fourth.begin(), fourth.end());
+        const double median = fourth[fourth.size() / 2];
+        const auto above =
+            std::upper_bound(fourth.begin(), fourth.end(), median);
+        ASSERT_NE(above, fourth.end());
+        for (double eps : {median, *above}) {
+          const auto neighborhoods = BruteNeighborhoods(r, ev, eps);
+          for (std::size_t min_pts : {1u, 2u, 3u, 5u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed=" << seed << " dims=" << dims
+                         << " rows=" << rows << " norm="
+                         << static_cast<int>(norm) << " eps=" << eps
+                         << " min_pts=" << min_pts);
+            const Labels want = FrontierDbscan(neighborhoods, min_pts);
+            ASSERT_EQ(Dbscan(r, ev, {eps, min_pts}), want);
+            std::vector<bool> core(r.size());
+            for (std::size_t row = 0; row < r.size(); ++row) {
+              core[row] = neighborhoods[row].size() >= min_pts;
+            }
+            ASSERT_EQ(tree->CoreComponents(r, core, eps),
+                      tree->NeighborIndex::CoreComponents(r, core, eps));
+            ++configs;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configs, 144u);
 }
 
 }  // namespace

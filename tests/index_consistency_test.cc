@@ -342,9 +342,10 @@ TEST(KdTree, SelfQueryIncludesSelf) {
 }
 
 TEST(KdTree, ConcurrentQueriesMatchSequential) {
-  // DiscSaver shares one index across its workers (DESIGN.md §5). Four
+  // DiscSaver shares one index across its workers (DESIGN.md §5). Five
   // threads each run one query kind against the same tree — every query
-  // builds its own FlatKernel — and must reproduce the sequential answers.
+  // builds its own FlatKernel, and CoreComponents its own union-find — and
+  // must reproduce the sequential answers.
   Relation r = RandomRelation(3000, 3, 8);
   KdTree tree(r);
   Rng rng(12);
@@ -364,9 +365,16 @@ TEST(KdTree, ConcurrentQueriesMatchSequential) {
     counts[i] = tree.CountWithin(queries[i], eps, cap);
     knn[i] = tree.KNearest(queries[i], k);
   }
+  const double component_eps = 1.2;
+  std::vector<bool> core(r.size());
+  for (std::size_t row = 0; row < r.size(); ++row) {
+    core[row] = tree.CountWithin(r[row], component_eps, 4) >= 4;
+  }
+  const std::vector<std::size_t> components =
+      tree.CoreComponents(r, core, component_eps);
 
   constexpr int kRounds = 5;
-  std::vector<int> mismatches(4, 0);
+  std::vector<int> mismatches(5, 0);
   std::vector<std::thread> threads;
   threads.emplace_back([&] {
     for (int round = 0; round < kRounds; ++round) {
@@ -398,8 +406,15 @@ TEST(KdTree, ConcurrentQueriesMatchSequential) {
       }
     }
   });
+  threads.emplace_back([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      if (tree.CoreComponents(r, core, component_eps) != components) {
+        ++mismatches[4];
+      }
+    }
+  });
   for (std::thread& t : threads) t.join();
-  EXPECT_EQ(mismatches, std::vector<int>(4, 0));
+  EXPECT_EQ(mismatches, std::vector<int>(5, 0));
   EXPECT_EQ(visited, range);
 }
 
