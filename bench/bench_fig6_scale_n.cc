@@ -7,6 +7,9 @@
 // Exact algorithm beats DISC slightly on F1 at a much higher (still
 // linear-in-n) time.
 
+#include <optional>
+#include <string>
+
 #include "core/exact_saver.h"
 #include "support.h"
 
@@ -43,63 +46,97 @@ ExactOutcome RunExact(const PaperDataset& ds,
   return out;
 }
 
+/// One method's running cutoff: once a run has passed kCutoffSeconds, every
+/// larger n prints ">cutoff" without running the method again.
+struct Cutoff {
+  bool passed = false;
+
+  /// Times `run` unless the cutoff has passed; the seconds, or ">cutoff".
+  template <typename Run>
+  std::string Time(Run&& run) {
+    if (passed) return ">cutoff";
+    Timer timer;
+    run();
+    const double secs = timer.Seconds();
+    passed = secs > kCutoffSeconds;
+    return Fmt(secs, 3);
+  }
+};
+
 }  // namespace
 
 int main() {
   PrintHeader("Figure 6: scalability in n (Flight-shaped, m=3)");
-  PrintRow({"n", "F1_DISC", "F1_Exact", "F1_DORC", "t_DISC", "t_Exact",
-            "t_DORC", "t_ERACER", "t_HoloCl", "t_Holist"});
+  PrintRow({"n", "F1_DISC", "F1_Exact", "F1_DORC", "t_DISC", "us_DISC/o",
+            "t_Exact", "t_DORC", "t_ERACER", "t_HoloCl", "t_Holist"});
 
-  bool dorc_cut = false;
+  Cutoff disc_cut, exact_cut, dorc_cut, eracer_cut, holo_cut, holistic_cut;
   // Start at n = 200: below that, clusters hold fewer members than η = 31
-  // and every method degenerates.
-  for (double scale : {0.001, 0.002, 0.004, 0.008, 0.016}) {
+  // and every method degenerates. Doubling up to the paper's 200,000 rows.
+  for (double scale : {0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064,
+                       0.128, 0.256, 0.512, 1.0}) {
     PaperDataset ds = MakePaperDataset("flight", 42, scale);
     DistanceEvaluator evaluator(ds.dirty.schema());
 
-    Treatment disc_t = RunDisc(ds, evaluator);
-    double f1_disc =
-        ScoreDbscan(disc_t.data, evaluator, ds.suggested, ds.labels).f1;
-
-    ExactOutcome exact = RunExact(ds, evaluator);
-
-    // DORC pairwise, with the paper-style cutoff once it explodes.
-    std::string f1_dorc = "-";
-    std::string t_dorc = ">cutoff";
-    if (!dorc_cut) {
-      DorcOptions dorc_opts;
-      dorc_opts.constraint = ds.suggested;
-      Timer timer;
-      Relation dorc = Dorc(ds.dirty, evaluator, dorc_opts);
-      double secs = timer.Seconds();
-      f1_dorc =
-          Fmt(ScoreDbscan(dorc, evaluator, ds.suggested, ds.labels).f1);
-      t_dorc = Fmt(secs, 3);
-      if (secs > kCutoffSeconds) dorc_cut = true;
+    // DISC, with its mean per-outlier search time. Only the methods
+    // themselves are timed, never the scoring.
+    std::optional<SavedDataset> disc;
+    const std::string t_disc = disc_cut.Time([&] {
+      OutlierSavingOptions options;
+      options.constraint = ds.suggested;
+      options.save.kappa = BenchKappaFor(ds.name);
+      disc = SaveOutliers(ds.dirty, evaluator, options);
+    });
+    std::string f1_disc = "-";
+    std::string us_disc = "-";
+    if (disc.has_value()) {
+      f1_disc = Fmt(
+          ScoreDbscan(disc->repaired, evaluator, ds.suggested, ds.labels).f1);
+      double search_ns = 0;
+      for (const OutlierRecord& record : disc->records) {
+        search_ns += static_cast<double>(record.stats.wall_nanos);
+      }
+      if (!disc->records.empty()) {
+        us_disc = Fmt(search_ns / 1e3 / disc->records.size(), 1);
+      }
     }
 
-    Timer t1;
-    Relation eracer = Eracer(ds.dirty, evaluator);
-    double t_eracer = t1.Seconds();
-    (void)eracer;
+    std::string f1_exact = ">cutoff";
+    std::string t_exact = ">cutoff";
+    if (!exact_cut.passed) {
+      ExactOutcome exact = RunExact(ds, evaluator);
+      exact_cut.passed = exact.timed_out;
+      if (!exact.timed_out) {
+        f1_exact = Fmt(exact.f1);
+        t_exact = Fmt(exact.seconds, 3);
+      }
+    }
 
-    Timer t2;
-    HolocleanOptions hopts;
-    hopts.constraint = ds.suggested;
-    Relation holo = Holoclean(ds.dirty, evaluator, hopts);
-    double t_holo = t2.Seconds();
-    (void)holo;
+    // DORC pairwise, with the paper-style cutoff once it explodes.
+    std::optional<Relation> dorc;
+    const std::string t_dorc = dorc_cut.Time([&] {
+      DorcOptions dorc_opts;
+      dorc_opts.constraint = ds.suggested;
+      dorc = Dorc(ds.dirty, evaluator, dorc_opts);
+    });
+    const std::string f1_dorc =
+        dorc.has_value()
+            ? Fmt(ScoreDbscan(*dorc, evaluator, ds.suggested, ds.labels).f1)
+            : "-";
 
-    Timer t3;
-    Relation holistic = Holistic(ds.dirty, evaluator);
-    double t_holistic = t3.Seconds();
-    (void)holistic;
+    const std::string t_eracer =
+        eracer_cut.Time([&] { (void)Eracer(ds.dirty, evaluator); });
+    const std::string t_holo = holo_cut.Time([&] {
+      HolocleanOptions hopts;
+      hopts.constraint = ds.suggested;
+      (void)Holoclean(ds.dirty, evaluator, hopts);
+    });
+    const std::string t_holistic =
+        holistic_cut.Time([&] { (void)Holistic(ds.dirty, evaluator); });
 
-    PrintRow({std::to_string(ds.dirty.size()), Fmt(f1_disc),
-              exact.timed_out ? ">cutoff" : Fmt(exact.f1), f1_dorc,
-              Fmt(disc_t.seconds, 3),
-              exact.timed_out ? ">cutoff" : Fmt(exact.seconds, 3), t_dorc,
-              Fmt(t_eracer, 3), Fmt(t_holo, 3), Fmt(t_holistic, 3)});
+    PrintRow({std::to_string(ds.dirty.size()), f1_disc, f1_exact, f1_dorc,
+              t_disc, us_disc, t_exact, t_dorc, t_eracer, t_holo,
+              t_holistic});
   }
 
   std::printf(

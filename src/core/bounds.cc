@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
 #include "common/thread_pool.h"
 #include "core/observation.h"
+#include "distance/columnar.h"
 #include "distance/lp_norm.h"
+#include "index/kd_tree.h"
 
 namespace disc {
 
@@ -62,6 +65,15 @@ struct ChunkPoll {
   }
 };
 
+/// Closes a scan: an abandoned one is counted in the decision log, whose
+/// safe values flag the searches whose bound-quality data is polluted by
+/// truncation. Returns `completed`.
+bool FinishScan(bool completed, BudgetGauge* gauge) {
+  SearchObserver* observer = ObserverOf(gauge);
+  if (!completed && observer != nullptr) ++observer->abandoned_scans;
+  return completed;
+}
+
 /// Runs the grain-pure chunk body `body(begin, end, chunk, poll)` over
 /// list positions [0, count): inline as chunk 0, or as ScanChunks() chunks
 /// on `nested`. The body returns false once its poll says stop. Returns
@@ -70,57 +82,94 @@ struct ChunkPoll {
 template <class Body>
 bool RunScan(std::size_t count, BudgetGauge* gauge, WorkStealingPool* nested,
              Body&& body) {
-  bool completed = true;
   if (ScanChunks(nested, count) == 1) {
     InlinePoll poll{gauge};
-    completed = body(std::size_t{0}, count, std::size_t{0}, poll);
-  } else {
-    std::atomic<bool> aborted{false};
-    nested->ParallelFor(
-        0, count, kNestedScanGrain,
-        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-          ChunkPoll poll{gauge, &aborted};
-          body(begin, end, chunk, poll);
-        });
-    completed = !aborted.load(std::memory_order_relaxed);
-    if (!completed) gauge->RecordHardStop();
+    return FinishScan(body(std::size_t{0}, count, std::size_t{0}, poll),
+                      gauge);
   }
-  // The decision log counts abandoned scans: their safe values flag the
-  // searches whose bound-quality data is polluted by truncation.
-  SearchObserver* observer = ObserverOf(gauge);
-  if (!completed && observer != nullptr) ++observer->abandoned_scans;
-  return completed;
+  std::atomic<bool> aborted{false};
+  nested->ParallelFor(
+      0, count, kNestedScanGrain,
+      [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        ChunkPoll poll{gauge, &aborted};
+        body(begin, end, chunk, poll);
+      });
+  const bool completed = !aborted.load(std::memory_order_relaxed);
+  if (!completed) gauge->RecordHardStop();
+  return FinishScan(completed, gauge);
 }
 
-/// The memoized attribute rows of a SearchDistanceCache for one subset X,
-/// resolved once per pass so the row loops below touch flat arrays with no
-/// per-row subset iteration or lazy-fill checks. Resolve on the calling
-/// thread: AttributeRow's lazy fill mutates under const and must never run
-/// inside a chunk.
-struct SubsetRows {
+/// Δ(t_o[a], t[a]) for the attributes of one subset, in ascending order,
+/// read from the memoized attribute rows of a SearchDistanceCache (rows are
+/// relation rows). Resolved once per pass so the row loops touch flat
+/// arrays with no per-row subset iteration or lazy-fill checks. Resolve on
+/// the calling thread: AttributeRow's lazy fill mutates under const and
+/// must never run inside a chunk.
+struct CachedAttrs {
   std::array<const double*, AttributeSet::kCapacity> rows;
   std::size_t count = 0;
+
+  CachedAttrs(const SearchDistanceCache& dcache, const AttributeSet& x,
+              std::size_t arity) {
+    for (std::size_t a = 0; a < arity; ++a) {
+      if (x.contains(a)) rows[count++] = dcache.attribute_row(a);
+    }
+  }
+  double operator()(std::size_t j, std::size_t row) const {
+    return rows[j][row];
+  }
 };
 
-SubsetRows ResolveSubsetRows(const SearchDistanceCache& dcache,
-                             const AttributeSet& x, std::size_t arity) {
-  SubsetRows s;
-  for (std::size_t a = 0; a < arity; ++a) {
-    if (x.contains(a)) s.rows[s.count++] = dcache.attribute_row(a);
-  }
-  return s;
-}
+/// The same values computed from the kd-tree's tree-order columns (rows
+/// are tree positions): |q[a] − v|, the arithmetic of the unit
+/// absolute-difference metric and of the cache's fills.
+struct TreeAttrs {
+  std::array<const double*, AttributeSet::kCapacity> cols;
+  std::array<double, AttributeSet::kCapacity> q;
+  std::size_t count = 0;
 
-/// Subset distance with early exit from the hoisted rows — the same values
-/// accumulated in the same ascending-attribute order with the same per-add
-/// Exceeds check as DistanceEvaluator::DistanceOnWithin, so verdicts and
-/// accepted totals are bit-identical.
-inline double SubsetDistanceWithin(const SubsetRows& s, LpNorm norm,
+  TreeAttrs(const ColumnarView& view, const std::vector<double>& query,
+            const AttributeSet& x) {
+    for (std::size_t a = 0; a < view.arity(); ++a) {
+      if (!x.contains(a)) continue;
+      cols[count] = view.column(a);
+      q[count++] = query[a];
+    }
+  }
+  double operator()(std::size_t j, std::size_t pos) const {
+    return std::fabs(q[j] - cols[j][pos]);
+  }
+};
+
+/// Subset distance with early exit — the same values accumulated in the
+/// same ascending-attribute order with the same per-add Exceeds check as
+/// DistanceEvaluator::DistanceOnWithin, so verdicts and accepted totals
+/// are bit-identical.
+template <class Attrs>
+inline double SubsetDistanceWithin(const Attrs& attrs, LpNorm norm,
                                    std::size_t row, double threshold) {
   LpAccumulator acc(norm);
-  for (std::size_t j = 0; j < s.count; ++j) {
-    acc.Add(s.rows[j][row]);
+  for (std::size_t j = 0; j < attrs.count; ++j) {
+    acc.Add(attrs(j, row));
     if (acc.Exceeds(threshold)) {
+      return std::numeric_limits<double>::infinity();
+    }
+  }
+  return acc.Total();
+}
+
+/// A splice cost, exact when it is at most `cap` and +infinity once the
+/// running total passes `cap`. It compares totals rather than the raw
+/// accumulator, so a cost that ties `cap` is never dropped (an L2 sum of
+/// squares can exceed fl(cap²) while its root rounds to cap): the donor
+/// minima see every tie, whatever order they meet the rows in.
+template <class Attrs>
+inline double CostWithin(const Attrs& attrs, LpNorm norm, std::size_t row,
+                         double cap) {
+  LpAccumulator acc(norm);
+  for (std::size_t j = 0; j < attrs.count; ++j) {
+    acc.Add(attrs(j, row));
+    if (acc.Exceeds(cap) && acc.Total() > cap) {
       return std::numeric_limits<double>::infinity();
     }
   }
@@ -146,15 +195,54 @@ struct BandChunk {
   std::vector<double> heap;
 };
 
-/// Running Proposition-5 donor minima of one chunk.
+/// Running Proposition-5 donor minima, each by (cost, relation row): the
+/// strict-< first minimum of an ascending relation-order walk, and the same
+/// donor for any other order. A cost of +infinity (or NaN) never becomes a
+/// donor.
 struct DonorBest {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   double qualified = std::numeric_limits<double>::infinity();
-  std::size_t qualified_row = static_cast<std::size_t>(-1);
+  std::size_t qualified_row = kNone;
   double any = std::numeric_limits<double>::infinity();
-  std::size_t any_row = static_cast<std::size_t>(-1);
+  std::size_t any_row = kNone;
+
+  static bool Before(double cost, std::size_t row, double best,
+                     std::size_t best_row) {
+    return cost < best || (cost == best && row < best_row);
+  }
+  /// Early-exit cap of the next cost: one beyond both minima can update
+  /// neither.
+  double cap() const { return std::max(any, qualified); }
+  void Offer(double cost, std::size_t row, bool qualifies) {
+    if (!(cost < std::numeric_limits<double>::infinity())) return;
+    if (Before(cost, row, any, any_row)) {
+      any = cost;
+      any_row = row;
+    }
+    if (qualifies && Before(cost, row, qualified, qualified_row)) {
+      qualified = cost;
+      qualified_row = row;
+    }
+  }
+  void Merge(const DonorBest& other) {
+    if (Before(other.any, other.any_row, any, any_row)) {
+      any = other.any;
+      any_row = other.any_row;
+    }
+    if (Before(other.qualified, other.qualified_row, qualified,
+               qualified_row)) {
+      qualified = other.qualified;
+      qualified_row = other.qualified_row;
+    }
+  }
 };
 
 }  // namespace
+
+BandSource::BandSource(const KdTree& tree, const Tuple& outlier)
+    : tree_(&tree), outlier_(&outlier), q_(tree.view().arity()) {
+  for (std::size_t a = 0; a < q_.size(); ++a) q_[a] = outlier[a].num();
+}
 
 BoundsEngine::BoundsEngine(const Relation& relation,
                            const DistanceEvaluator& evaluator,
@@ -170,6 +258,18 @@ BoundsEngine::BoundsEngine(const Relation& relation,
     throw std::length_error(
         "BoundsEngine: relation exceeds the 32-bit band row range");
   }
+  // The tree computes the unit absolute-difference metric under its own
+  // norm, so it serves bands only where the evaluator does the same.
+  const auto* tree = dynamic_cast<const KdTree*>(&index);
+  if (tree != nullptr && tree->view().norm() == evaluator_.norm() &&
+      ColumnarView::Eligible(relation_, evaluator_)) {
+    tree_ = tree;
+  }
+}
+
+const KdTree* BoundsEngine::TreeFor(const Tuple& outlier) const {
+  return tree_ != nullptr && !tree_->SomeDistanceIsNan(outlier) ? tree_
+                                                                : nullptr;
 }
 
 double BoundsEngine::GlobalLowerBound(const Tuple& outlier,
@@ -190,9 +290,9 @@ double BoundsEngine::GlobalLowerBound(const Tuple& outlier,
   return bound > 0 ? bound : 0;
 }
 
-double BoundsEngine::BandPass(const SearchDistanceCache& dcache,
-                              const AttributeSet& x, const Band* parent,
-                              bool lower_bound, Band* band, BudgetGauge* gauge,
+double BoundsEngine::BandPass(const BandSource& source, const AttributeSet& x,
+                              const Band* parent, bool lower_bound, Band* band,
+                              BudgetGauge* gauge,
                               WorkStealingPool* nested) const {
   // Candidates are inliers with Δ(t_o[X], t[X]) ≤ ε (the shaded band in
   // Figure 3); among them Proposition 3 needs the η-th nearest in
@@ -204,69 +304,120 @@ double BoundsEngine::BandPass(const SearchDistanceCache& dcache,
     ++gauge->stats().prop3_bounds;
   }
   PhaseScope phase(ObserverOf(gauge), TracePhase::kBoundsScan);
-  const SubsetRows x_rows = ResolveSubsetRows(dcache, x, evaluator_.arity());
   // Inheritance: round-to-nearest sums of non-negative terms are monotone,
   // so a row whose partial sum exceeded ε on the parent's subset exceeds it
   // on every superset, and the parent's list holds all of band(X). A NaN
   // term breaks that, so such a search walks all rows (DESIGN.md §4).
-  const std::uint32_t* source =
-      parent != nullptr && !parent->all_rows && !dcache.has_nan()
-          ? parent->rows.data()
-          : nullptr;
-  const std::size_t count =
-      source != nullptr ? parent->rows.size() : relation_.size();
+  const bool inherit =
+      parent != nullptr && !parent->all_rows && !source.has_nan();
+  const KdTree* tree = source.tree_;
   const LpNorm norm = evaluator_.norm();
   const double eps = constraint_.epsilon;
 
   band->rows.clear();
   band->dx.clear();
+  band->full.clear();
   band->all_rows = x.empty() && !(0.0 > eps);
   if (band->all_rows && !want_lb) return 0;  // nothing to scan for
+  if (band->all_rows && tree != nullptr) {
+    // Every row qualifies, so the bound is the (η−1)-th nearest distance:
+    // a kNN query instead of a scan.
+    const std::vector<Neighbor> nn = tree->KNearest(*source.outlier_, needed);
+    if (nn.size() < needed) return std::numeric_limits<double>::infinity();
+    const double bound = nn.back().distance - eps;
+    return bound > 0 ? bound : 0;
+  }
   std::vector<double> heap;
-  const std::size_t chunks = ScanChunks(nested, count);
-  std::vector<BandChunk> parts(chunks > 1 ? chunks : 0);
-  // Band checks pass ε as the early-exit threshold so they stop at the
-  // first overshooting attribute; the verdict is unchanged.
-  auto body = [&](std::size_t begin, std::size_t end, std::size_t chunk,
-                  auto& poll) {
-    Band& out = chunks > 1 ? parts[chunk].band : *band;
-    std::vector<double>& kept = chunks > 1 ? parts[chunk].heap : heap;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (!poll()) return false;
-      const std::uint32_t row =
-          source != nullptr ? source[i] : static_cast<std::uint32_t>(i);
-      const double dx = SubsetDistanceWithin(x_rows, norm, row, eps);
-      if (dx > eps) continue;
-      if (!band->all_rows) {
-        out.rows.push_back(row);
-        out.dx.push_back(dx);
-      }
-      if (want_lb) KeepSmallest(&kept, needed, dcache.FullDistance(row));
+  bool chunked = false;
+  if (!inherit && tree != nullptr) {
+    // From all rows on the tree: only the leaves whose boxes lie within ε
+    // on X can hold a band row. Each accepted row's full distance is
+    // computed in the same leaf visit (no threshold stops it early).
+    const TreeAttrs on_x(tree->view(), source.q_, x);
+    const TreeAttrs all(tree->view(), source.q_,
+                        AttributeSet::Full(evaluator_.arity()));
+    InlinePoll poll{gauge};
+    const bool completed = tree->ForEachLeafWithinOn(
+        source.q_.data(), x, eps, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t pos = begin; pos < end; ++pos) {
+            if (!poll()) return false;
+            const double dx = SubsetDistanceWithin(on_x, norm, pos, eps);
+            if (dx > eps) continue;
+            const double full = SubsetDistanceWithin(
+                all, norm, pos, std::numeric_limits<double>::infinity());
+            band->rows.push_back(static_cast<std::uint32_t>(pos));
+            band->dx.push_back(dx);
+            band->full.push_back(full);
+            if (want_lb) KeepSmallest(&heap, needed, full);
+          }
+          return true;
+        });
+    // An abandoned pass returns the uninformative bound 0: nothing is
+    // pruned on its account, and the caller unwinds via gauge->stopped().
+    if (!FinishScan(completed, gauge)) return 0;
+  } else {
+    // A list walk: the parent's band, or all n rows of the cache.
+    const SearchDistanceCache* dcache = source.dcache_;
+    const std::size_t count = inherit ? parent->rows.size() : relation_.size();
+    const std::size_t chunks = ScanChunks(nested, count);
+    chunked = chunks > 1;
+    std::vector<BandChunk> parts(chunked ? chunks : 0);
+    // Band checks pass ε as the early-exit threshold so they stop at the
+    // first overshooting attribute; the verdict is unchanged.
+    auto scan = [&](const auto& on_x) {
+      return RunScan(count, gauge, nested, [&](std::size_t begin,
+                                               std::size_t end,
+                                               std::size_t chunk,
+                                               auto& poll) {
+        Band& out = chunked ? parts[chunk].band : *band;
+        std::vector<double>& kept = chunked ? parts[chunk].heap : heap;
+        for (std::size_t i = begin; i < end; ++i) {
+          if (!poll()) return false;
+          const std::uint32_t row =
+              inherit ? parent->rows[i] : static_cast<std::uint32_t>(i);
+          const double dx = SubsetDistanceWithin(on_x, norm, row, eps);
+          if (dx > eps) continue;
+          const double full =
+              inherit ? parent->full[i] : dcache->FullDistance(row);
+          if (!band->all_rows) {
+            out.rows.push_back(row);
+            out.dx.push_back(dx);
+            out.full.push_back(full);
+          }
+          if (want_lb) KeepSmallest(&kept, needed, full);
+        }
+        return true;
+      });
+    };
+    const bool completed =
+        tree != nullptr
+            ? scan(TreeAttrs(tree->view(), source.q_, x))
+            : scan(CachedAttrs(*dcache, x, evaluator_.arity()));
+    if (!completed) return 0;
+    // Chunk-ordered concatenation keeps the rows ascending. Each chunk's
+    // heap dropped only distances with `needed` smaller ones inside that
+    // chunk, so the concatenated heaps still hold the global `needed`
+    // smallest, and they sum below `needed` iff the band has fewer
+    // qualifiers.
+    for (BandChunk& part : parts) {
+      band->rows.insert(band->rows.end(), part.band.rows.begin(),
+                        part.band.rows.end());
+      band->dx.insert(band->dx.end(), part.band.dx.begin(),
+                      part.band.dx.end());
+      band->full.insert(band->full.end(), part.band.full.begin(),
+                        part.band.full.end());
+      heap.insert(heap.end(), part.heap.begin(), part.heap.end());
     }
-    return true;
-  };
-  // An abandoned pass returns the uninformative bound 0: nothing is pruned
-  // on its account, and the caller unwinds via gauge->stopped().
-  if (!RunScan(count, gauge, nested, body)) return 0;
-  // Chunk-ordered concatenation keeps the rows ascending. Each chunk's heap
-  // dropped only distances with `needed` smaller ones inside that chunk, so
-  // the concatenated heaps still hold the global `needed` smallest, and
-  // they sum below `needed` iff the band has fewer qualifiers.
-  for (BandChunk& part : parts) {
-    band->rows.insert(band->rows.end(), part.band.rows.begin(),
-                      part.band.rows.end());
-    band->dx.insert(band->dx.end(), part.band.dx.begin(), part.band.dx.end());
-    heap.insert(heap.end(), part.heap.begin(), part.heap.end());
   }
   if (!want_lb) return 0;
   if (heap.size() < needed) {
     // Fewer than η−1 inliers are reachable keeping X fixed: infeasible.
     return std::numeric_limits<double>::infinity();
   }
-  // A single chunk's max-heap holds exactly the `needed` smallest, so its
-  // top is the answer; concatenated chunk heaps need a selection.
+  // A single max-heap holds exactly the `needed` smallest, so its top is
+  // the answer; concatenated chunk heaps need a selection.
   double kth = heap.front();
-  if (chunks > 1) {
+  if (chunked) {
     std::nth_element(heap.begin(),
                      heap.begin() + static_cast<std::ptrdiff_t>(needed - 1),
                      heap.end());
@@ -288,9 +439,8 @@ double BoundsEngine::LowerBoundForX(const Tuple& outlier,
 }
 
 std::optional<BoundsEngine::UpperBound> BoundsEngine::DonorSplice(
-    const Tuple& outlier, const AttributeSet& x,
-    const SearchDistanceCache& dcache, const Band& band, BudgetGauge* gauge,
-    WorkStealingPool* nested) const {
+    const Tuple& outlier, const AttributeSet& x, const BandSource& source,
+    const Band& band, BudgetGauge* gauge, WorkStealingPool* nested) const {
   const std::size_t arity = evaluator_.arity();
   if (gauge != nullptr) {
     ++gauge->stats().index_queries;
@@ -305,59 +455,70 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::DonorSplice(
   //      by an exact neighbor count. (a)'s sufficient condition is very
   //      conservative when δ_η runs close to ε (chains, sparse clusters,
   //      high dimension), where (b) still finds cheap feasible splices.
-  const SubsetRows splice_rows =
-      ResolveSubsetRows(dcache, x.ComplementIn(arity), arity);
+  const KdTree* tree = source.tree_;
+  const AttributeSet splice_attrs = x.ComplementIn(arity);
   const LpNorm norm = evaluator_.norm();
   const double eps = constraint_.epsilon;
-  const std::size_t count =
-      band.all_rows ? relation_.size() : band.rows.size();
-  const std::size_t chunks = ScanChunks(nested, count);
   DonorBest best;
-  std::vector<DonorBest> parts(chunks > 1 ? chunks : 0);
-  auto body = [&](std::size_t begin, std::size_t end, std::size_t chunk,
-                  auto& poll) {
-    DonorBest& local = chunks > 1 ? parts[chunk] : best;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (!poll()) return false;
-      const std::uint32_t row =
-          band.all_rows ? static_cast<std::uint32_t>(i) : band.rows[i];
-      const double dx = band.all_rows ? 0.0 : band.dx[i];
-      // A splice cost beyond both incumbents can update neither, so the
-      // larger incumbent is a sound early-exit threshold (accepted values
-      // are exact, rejected ones come back as +infinity and fail both `<`).
-      const double cost_cap = std::max(local.any, local.qualified);
-      const double cost =
-          SubsetDistanceWithin(splice_rows, norm, row, cost_cap);
-      if (cost < local.any) {
-        local.any = cost;
-        local.any_row = row;
-      }
-      if (cache_.delta(row) <= eps - dx && cost < local.qualified) {
-        local.qualified = cost;
-        local.qualified_row = row;
-      }
-    }
-    return true;
-  };
+  bool completed = true;
+  if (band.all_rows && tree != nullptr) {
+    // X = ∅ on the tree: both donors are nearest rows by full distance, so
+    // a nearest-first walk finds them, skipping every box farther than
+    // both minima.
+    const TreeAttrs all(tree->view(), source.q_, splice_attrs);
+    InlinePoll poll{gauge};
+    completed = FinishScan(
+        tree->ForEachLeafNearest(
+            source.q_.data(), [&] { return best.cap(); },
+            [&](std::size_t begin, std::size_t end) {
+              for (std::size_t pos = begin; pos < end; ++pos) {
+                if (!poll()) return false;
+                const std::size_t row = tree->row_at(pos);
+                best.Offer(CostWithin(all, norm, pos, best.cap()), row,
+                           cache_.delta(row) <= eps);
+              }
+              return true;
+            }),
+        gauge);
+  } else {
+    const std::size_t count =
+        band.all_rows ? relation_.size() : band.rows.size();
+    const std::size_t chunks = ScanChunks(nested, count);
+    std::vector<DonorBest> parts(chunks > 1 ? chunks : 0);
+    auto scan = [&](const auto& splice) {
+      return RunScan(count, gauge, nested, [&](std::size_t begin,
+                                               std::size_t end,
+                                               std::size_t chunk,
+                                               auto& poll) {
+        DonorBest& local = chunks > 1 ? parts[chunk] : best;
+        for (std::size_t i = begin; i < end; ++i) {
+          if (!poll()) return false;
+          const std::size_t at =
+              band.all_rows ? i : static_cast<std::size_t>(band.rows[i]);
+          const std::size_t row = tree != nullptr ? tree->row_at(at) : at;
+          const double dx = band.all_rows ? 0.0 : band.dx[i];
+          // A splice cost beyond both minima can update neither, so their
+          // cap is a sound early-exit threshold.
+          local.Offer(CostWithin(splice, norm, at, local.cap()), row,
+                      cache_.delta(row) <= eps - dx);
+        }
+        return true;
+      });
+    };
+    completed =
+        tree != nullptr
+            ? scan(TreeAttrs(tree->view(), source.q_, splice_attrs))
+            : scan(CachedAttrs(*source.dcache_, splice_attrs, arity));
+    // Chunk minima are exact (a cost at or below the chunk-local cap never
+    // trips the early exit), so merging them by (cost, row) gives the
+    // minima of one walk over the whole list.
+    for (const DonorBest& part : parts) best.Merge(part);
+  }
   // No partial donor scan may produce a bound: abandoning returns "no upper
   // bound" so the incumbent is never replaced by a half-searched splice
   // (anytime-soundness — see DESIGN.md).
-  if (!RunScan(count, gauge, nested, body)) return std::nullopt;
-  // Chunk minima are exact (a cost below the chunk-local cap never trips
-  // the early exit); merging in ascending chunk order with strict < picks
-  // the globally minimal cost at its lowest row — the first minimum of one
-  // sequential walk.
-  for (const DonorBest& part : parts) {
-    if (part.any < best.any) {
-      best.any = part.any;
-      best.any_row = part.any_row;
-    }
-    if (part.qualified < best.qualified) {
-      best.qualified = part.qualified;
-      best.qualified_row = part.qualified_row;
-    }
-  }
-  if (best.any_row == static_cast<std::size_t>(-1)) return std::nullopt;
+  if (!completed) return std::nullopt;
+  if (best.any_row == DonorBest::kNone) return std::nullopt;
 
   auto splice = [&](std::size_t row) {
     UpperBound ub;
@@ -378,7 +539,7 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::DonorSplice(
     UpperBound candidate = splice(best.any_row);
     if (IsFeasible(candidate.adjusted, gauge)) return candidate;
   }
-  if (best.qualified_row == static_cast<std::size_t>(-1)) return std::nullopt;
+  if (best.qualified_row == DonorBest::kNone) return std::nullopt;
   return splice(best.qualified_row);
 }
 

@@ -17,6 +17,7 @@
 
 namespace disc {
 
+class KdTree;
 class WorkStealingPool;
 
 /// The feasibility check of both savers: does `candidate` have ≥ η
@@ -26,6 +27,39 @@ class WorkStealingPool;
 bool CountFeasible(const NeighborIndex& index,
                    const DistanceConstraint& constraint, const Tuple& candidate,
                    BudgetGauge* gauge = nullptr);
+
+/// Where one search's band passes read their rows and distances
+/// (DESIGN.md §4). It has two forms with the same bounds, bands, donors and
+/// decisions, bit for bit:
+///  - over a SearchDistanceCache: band rows are relation rows, a pass that
+///    starts from all rows walks all n of them, and every distance comes
+///    from the cache. Relations the kd-tree does not serve, searches with a
+///    NaN full distance, and every caller that hands in a cache use it.
+///  - over the kd-tree (BoundsEngine::TreeFor): band rows are tree
+///    positions, a pass that would start from all rows walks the tree
+///    instead, and every distance is computed from the tree's tree-order
+///    columns. Nothing is filled per search.
+/// The referenced cache, tree and outlier must outlive the source.
+class BandSource {
+ public:
+  /// The all-rows form over `dcache`. Implicit, so a cache is accepted
+  /// wherever a source is.
+  BandSource(const SearchDistanceCache& dcache)  // NOLINT(runtime/explicit)
+      : dcache_(&dcache) {}
+  /// The tree form for `outlier`, which TreeFor returned `tree` for.
+  BandSource(const KdTree& tree, const Tuple& outlier);
+
+  /// True when some full-space distance is NaN (never in the tree form).
+  bool has_nan() const { return dcache_ != nullptr && dcache_->has_nan(); }
+
+ private:
+  friend class BoundsEngine;
+
+  const SearchDistanceCache* dcache_ = nullptr;
+  const KdTree* tree_ = nullptr;
+  const Tuple* outlier_ = nullptr;
+  std::vector<double> q_;  ///< the outlier's cells (tree form)
+};
 
 /// Bound computations of §3.1 / §3.2, shared by the DISC approximation and
 /// by tests that sandwich the exact optimum.
@@ -39,9 +73,12 @@ bool CountFeasible(const NeighborIndex& index,
 /// node with one BandPass, which collects the band as a row list and fills
 /// the Prop-3 heap in the same loop, and then one DonorSplice over that
 /// list. Bands only shrink as X grows (r_ε(t_o[X ∪ {a}]) ⊆ r_ε(t_o[X])),
-/// so a child's pass walks its parent's list instead of all n rows.
-/// LowerBoundForX / UpperBoundForX are the all-rows forms of the same two
-/// passes.
+/// so a child's pass walks its parent's list instead of all n rows. A pass
+/// with no list to inherit starts from all rows: over a SearchDistanceCache
+/// it walks all n, over the kd-tree (BandSource) it walks the leaves whose
+/// boxes lie within ε of t_o on X, and at X = ∅ it asks nearest-neighbour
+/// queries instead. LowerBoundForX / UpperBoundForX are the all-rows forms
+/// of the same two passes.
 ///
 /// Every method takes an optional BudgetGauge. With a gauge, each bound
 /// computation is metered as one logical index query and the row scans
@@ -74,12 +111,14 @@ class BoundsEngine {
                DistanceConstraint constraint);
 
   /// The band r_ε(t_o[X]) of one search node: the qualifying rows in
-  /// ascending order, each with its Δ(t_o[X], t[X]). At X = ∅ every row
-  /// qualifies with Δ = 0, which `all_rows` records instead of an n-entry
-  /// list.
+  /// ascending order (relation rows or tree positions, by the BandSource),
+  /// each with its Δ(t_o[X], t[X]) and its full-space Δ(t_o, t), which a
+  /// child's pass inherits with the row. At X = ∅ every row qualifies with
+  /// Δ = 0, which `all_rows` records instead of an n-entry list.
   struct Band {
     std::vector<std::uint32_t> rows;
     std::vector<double> dx;
+    std::vector<double> full;
     bool all_rows = false;
   };
 
@@ -89,17 +128,25 @@ class BoundsEngine {
   double GlobalLowerBound(const Tuple& outlier,
                           BudgetGauge* gauge = nullptr) const;
 
-  /// One band pass for X over the search cache `dcache`. Walks `parent`
-  /// (the band of a subset of X), or all rows when `parent` is null or
-  /// when `dcache.has_nan()` (a NaN attribute distance breaks the
-  /// monotonicity that makes the parent's list a superset). Writes the
-  /// band of X into `*band`. With `lower_bound`, the same loop keeps the
-  /// η−1 smallest full-space distances and the pass returns the
-  /// Proposition-3 bound (see LowerBoundForX); otherwise it returns 0 and
-  /// counts no Prop-3 computation. `band` must not alias `parent`. An
-  /// abandoned pass returns 0 and leaves `*band` incomplete — check
-  /// gauge->stopped() before using either.
-  double BandPass(const SearchDistanceCache& dcache, const AttributeSet& x,
+  /// The kd-tree that can serve the band passes of `outlier`'s search as
+  /// a BandSource, or null when they must run over a SearchDistanceCache:
+  /// the index is not a KdTree over this relation's eligible metric
+  /// (ColumnarView::Eligible), or some Δ(outlier, t) is NaN
+  /// (KdTree::SomeDistanceIsNan).
+  const KdTree* TreeFor(const Tuple& outlier) const;
+
+  /// One band pass for X over `source`. Walks `parent` (the band of a
+  /// subset of X, from the same source), or starts from all rows when
+  /// `parent` is null or all-rows or when `source.has_nan()` (a NaN
+  /// attribute distance breaks the monotonicity that makes the parent's
+  /// list a superset). Writes the band of X into `*band`. With
+  /// `lower_bound`, the same loop keeps the η−1 smallest full-space
+  /// distances and the pass returns the Proposition-3 bound (see
+  /// LowerBoundForX); otherwise it returns 0 and counts no Prop-3
+  /// computation. `band` must not alias `parent`. An abandoned pass returns
+  /// 0 and leaves `*band` incomplete — check gauge->stopped() before using
+  /// either.
+  double BandPass(const BandSource& source, const AttributeSet& x,
                   const Band* parent, bool lower_bound, Band* band,
                   BudgetGauge* gauge = nullptr,
                   WorkStealingPool* nested = nullptr) const;
@@ -130,10 +177,12 @@ class BoundsEngine {
   };
 
   /// The Proposition-5 donor reduction over `band`, which must be the band
-  /// of X from a BandPass over the same `dcache` (built for `outlier`).
+  /// of X from a BandPass over the same `source` (for `outlier`). Each
+  /// donor is the minimum by (cost, relation row), so the band's row order
+  /// never decides a tie.
   std::optional<UpperBound> DonorSplice(const Tuple& outlier,
                                         const AttributeSet& x,
-                                        const SearchDistanceCache& dcache,
+                                        const BandSource& source,
                                         const Band& band,
                                         BudgetGauge* gauge = nullptr,
                                         WorkStealingPool* nested = nullptr) const;
@@ -156,6 +205,7 @@ class BoundsEngine {
   const NeighborIndex& index_;
   const KthNeighborCache& cache_;
   DistanceConstraint constraint_;
+  const KdTree* tree_ = nullptr;  ///< `index_` when it serves BandSources
 };
 
 }  // namespace disc

@@ -13,6 +13,7 @@
 #include "core/observation.h"
 #include "core/save_journal.h"
 #include "index/index_factory.h"
+#include "index/kd_tree.h"
 
 namespace disc {
 
@@ -75,7 +76,6 @@ DiscSaver::DiscSaver(const Relation& inliers,
                                               constraint_.eta, pool);
   bounds_ = std::make_unique<BoundsEngine>(inliers_, evaluator_, *index_,
                                            *cache_, constraint_);
-  columnar_ = ColumnarView::Build(inliers_, evaluator_);
 }
 
 struct DiscSaver::SearchState {
@@ -84,9 +84,9 @@ struct DiscSaver::SearchState {
   bool found = false;
   std::unordered_set<std::uint64_t> visited;
   BudgetGauge* gauge = nullptr;
-  /// Per-search distance cache (full-space distances to every inlier plus
-  /// memoized per-attribute rows), shared by every band pass of this search.
-  const SearchDistanceCache* dcache = nullptr;
+  /// Where every band pass of this search reads its rows: the kd-tree, or
+  /// the search's all-rows distance cache.
+  const BandSource* source = nullptr;
   /// Pool serving the chunked passes of this search (null = inline).
   WorkStealingPool* nested = nullptr;
   /// Band of the node at each recursion depth: a node's children read its
@@ -157,7 +157,7 @@ void DiscSaver::Explore(const Tuple& outlier, AttributeSet x,
   // the whole subtree is cut when LB(X) >= incumbent.
   BoundsEngine::Band& band = state->bands[depth];
   const double lb =
-      bounds_->BandPass(*state->dcache, x, parent,
+      bounds_->BandPass(*state->source, x, parent,
                         options.use_lower_bound_pruning, &band, gauge,
                         state->nested);
   if (gauge->stopped()) return settle(ExplainAction::kPruneBudget);
@@ -178,7 +178,7 @@ void DiscSaver::Explore(const Tuple& outlier, AttributeSet x,
   std::optional<BoundsEngine::UpperBound> ub =
       x.empty() && state->root_splice != nullptr
           ? *state->root_splice
-          : bounds_->DonorSplice(outlier, x, *state->dcache, band, gauge,
+          : bounds_->DonorSplice(outlier, x, *state->source, band, gauge,
                                  state->nested);
   if (gauge->stopped()) return settle(ExplainAction::kPruneBudget);
   if (ub.has_value()) {
@@ -279,23 +279,30 @@ SaveResult DiscSaver::Save(const Tuple& outlier, const SaveOptions& options,
   state.gauge = &gauge;
   state.nested = nested;
 
-  // Per-search distance cache: Δ(t_o, t) to every inlier is invariant
-  // across all B&B nodes of this search, so compute the vector once here
-  // (the very first band pass would have paid that cost anyway) and let
-  // every band pass serve from it. Backed by the columnar kernels when the
-  // relation qualifies, the scalar evaluator otherwise; bit-identical
-  // either way. `dcache.fill` fault site: the eager full-space fill is the
-  // search's single biggest allocation, so a simulated allocation failure
-  // lands here and aborts the search as kFault.
+  // Where the band passes read their rows. When the kd-tree serves this
+  // search, a pass that starts from all rows walks the tree instead, X = ∅
+  // asks nearest-neighbour queries, and nothing is filled per search.
+  // Otherwise (a relation the tree does not serve, or a NaN full distance)
+  // a SearchDistanceCache holds Δ(t_o, t) to every inlier, filled once
+  // here, and every pass walks all rows or its parent's list over it.
+  // `dcache.fill` fault site, hit once per search on either path: the
+  // cache's eager fill is the search's single biggest allocation, so a
+  // simulated allocation failure lands here and aborts the search as
+  // kFault.
   if (Status s = DISC_FAULT_POINT("dcache.fill"); !s.ok()) {
     return FaultedResult(outlier, start_ns);
   }
-  const SearchDistanceCache dcache(inliers_, evaluator_, outlier,
-                                   columnar_.get(), &gauge.stats(), nested,
-                                   observer);
-  state.dcache = &dcache;
+  const KdTree* tree = bounds_->TreeFor(outlier);
+  std::optional<SearchDistanceCache> dcache;
+  if (tree == nullptr) {
+    dcache.emplace(inliers_, evaluator_, outlier, nullptr, &gauge.stats(),
+                   nested, observer);
+  }
+  const BandSource source =
+      tree != nullptr ? BandSource(*tree, outlier) : BandSource(*dcache);
+  state.source = &source;
   state.bands.resize(arity + 1);
-  state.dominance = options.use_lower_bound_pruning && !dcache.has_nan();
+  state.dominance = options.use_lower_bound_pruning && !source.has_nan();
 
   // The X = emptyset upper bound (Lemma 4 flavour): nearest substitution-
   // style donor. In unrestricted mode it seeds the incumbent directly. In
@@ -305,9 +312,12 @@ SaveResult DiscSaver::Save(const Tuple& outlier, const SaveOptions& options,
   // letting the often-cheaper substitution into it would both over-prune
   // and mask the low-attribute adjustment the caller asked for. The
   // substitution is reconsidered after revert refinement below.
+  bounds_->BandPass(source, AttributeSet(), nullptr, /*lower_bound=*/false,
+                    &state.bands[0], &gauge, nested);
   const std::optional<BoundsEngine::UpperBound> global_seed =
-      bounds_->UpperBoundForX(outlier, AttributeSet(), &gauge, &dcache,
-                              nested);
+      gauge.stopped() ? std::nullopt
+                      : bounds_->DonorSplice(outlier, AttributeSet(), source,
+                                             state.bands[0], &gauge, nested);
   if (!restricted && global_seed.has_value()) {
     state.best_cost = global_seed->cost;
     state.best_adjusted = global_seed->adjusted;

@@ -17,7 +17,6 @@
 #include "core/bounds.h"
 #include "core/search_budget.h"
 #include "core/search_distance_cache.h"
-#include "distance/columnar.h"
 #include "distance/evaluator.h"
 #include "index/kth_neighbor_cache.h"
 #include "index/neighbor_index.h"
@@ -211,13 +210,14 @@ class DiscSaver {
   /// satisfy the constraint. The relation and evaluator must outlive the
   /// saver.
   ///
-  /// Every search builds a per-search distance cache. It is backed by the
-  /// columnar kernels exactly when the inlier relation is eligible
-  /// (ColumnarView::Eligible: all-numeric, 1–64 attributes, the unit
-  /// absolute-difference metric throughout) — the same rule that gives the
-  /// saver a kd-tree — and by the scalar evaluator otherwise, with
-  /// bit-identical results either way. `pool`, when non-null, builds the
-  /// δ_η cache (KthNeighborCache), bit-identical for every pool size.
+  /// When the inlier relation is eligible (ColumnarView::Eligible:
+  /// all-numeric, 1–64 attributes, the unit absolute-difference metric
+  /// throughout) the saver's index is a kd-tree, and every search whose
+  /// full distances hold no NaN reads its bands from the tree's own
+  /// tree-order columns (BandSource). Every other search builds a
+  /// per-search SearchDistanceCache on the scalar evaluator. Results are
+  /// bit-identical either way. `pool`, when non-null, builds the δ_η cache
+  /// (KthNeighborCache), bit-identical for every pool size.
   DiscSaver(const Relation& inliers, const DistanceEvaluator& evaluator,
             DistanceConstraint constraint, WorkStealingPool* pool = nullptr);
 
@@ -274,7 +274,6 @@ class DiscSaver {
   std::unique_ptr<NeighborIndex> index_;
   std::unique_ptr<KthNeighborCache> cache_;
   std::unique_ptr<BoundsEngine> bounds_;
-  std::unique_ptr<ColumnarView> columnar_;  ///< null when ineligible
 };
 
 /// Computes which attributes differ between `original` and `adjusted`

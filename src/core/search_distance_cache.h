@@ -27,9 +27,12 @@ class WorkStealingPool;
 /// bound scans turn every subset distance Δ(t_o[X], t[X]) into a short sum
 /// over cached doubles — no Value unwrapping, no virtual metric dispatch.
 ///
-/// Every bound computation reads it: DiscSaver builds one per search, and
-/// the all-rows BoundsEngine wrappers build a scalar-backed one when the
-/// caller passes none.
+/// It serves the searches the kd-tree does not: DiscSaver builds one (on
+/// the scalar evaluator) for a search over a relation that is not
+/// ColumnarView::Eligible or whose full distances hold a NaN, and the
+/// all-rows BoundsEngine wrappers build a scalar-backed one when the caller
+/// passes none. Every other search reads its bands from the kd-tree's own
+/// columns (BandSource, core/bounds.h) and fills nothing.
 ///
 /// Determinism contract: cached entries are produced by exactly the scalar
 /// arithmetic (via FlatKernel when a ColumnarView is supplied, whose kernels

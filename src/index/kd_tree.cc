@@ -1,6 +1,7 @@
 #include "index/kd_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -81,13 +82,18 @@ KdTree::KdTree(const Relation& relation, LpNorm norm)
   const std::size_t n = relation.size();
   order_.resize(n);
   std::iota(order_.begin(), order_.end(), std::size_t{0});
+  column_flags_.assign(dims_, 0);
   if (n > 0) {
     // Row-major scratch coordinates for the splits; freed once the
     // tree-order columns are built.
     std::vector<double> coords(n * dims_);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t a = 0; a < dims_; ++a) {
-        coords[i * dims_ + a] = relation[i][a].num();
+        const double v = relation[i][a].num();
+        coords[i * dims_ + a] = v;
+        if (std::isnan(v)) column_flags_[a] |= kNanCell;
+        if (v == kInf) column_flags_[a] |= kPosInfCell;
+        if (v == -kInf) column_flags_[a] |= kNegInfCell;
       }
     }
     Build(coords, 0, n);
@@ -165,6 +171,37 @@ std::optional<double> KdTree::BoxDistanceWithin(std::size_t node,
     if (acc.Exceeds(threshold)) return std::nullopt;
   }
   return acc.Total();
+}
+
+bool KdTree::BoxWithinOn(std::size_t node, const double* query,
+                         AttributeSet x, double threshold) const {
+  // The attributes of X in ascending order, each gap by the rule of
+  // BoxDistanceWithin: the sum stays at most every row's sum on X.
+  const double* box = boxes_.data() + node * 2 * dims_;
+  LpAccumulator acc(norm_);
+  for (std::uint64_t bits = x.bits(); bits != 0; bits &= bits - 1) {
+    const auto a = static_cast<std::size_t>(std::countr_zero(bits));
+    const double q = query[a];
+    const double lo = box[2 * a];
+    const double hi = box[2 * a + 1];
+    acc.Add(q < lo ? lo - q : (q > hi ? q - hi : 0.0));
+    if (acc.Exceeds(threshold)) return false;
+  }
+  return true;
+}
+
+bool KdTree::SomeDistanceIsNan(const Tuple& query) const {
+  if (norm_ == LpNorm::kLInf || order_.empty()) return false;
+  for (std::size_t a = 0; a < dims_; ++a) {
+    const double q = query[a].num();
+    const std::uint8_t flags = column_flags_[a];
+    if (std::isnan(q) || (flags & kNanCell) != 0 ||
+        (q == kInf && (flags & kPosInfCell) != 0) ||
+        (q == -kInf && (flags & kNegInfCell) != 0)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 template <typename Sink>

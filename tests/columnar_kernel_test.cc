@@ -8,6 +8,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -16,12 +18,14 @@
 #include "core/disc_saver.h"
 #include "core/outlier_saving.h"
 #include "core/search_distance_cache.h"
+#include "core/search_stats.h"
 #include "distance/columnar.h"
 #include "distance/evaluator.h"
 #include "index/brute_force_index.h"
 #include "index/index_factory.h"
 #include "index/kd_tree.h"
 #include "index/kth_neighbor_cache.h"
+#include "obs/explain.h"
 
 namespace disc {
 namespace {
@@ -88,7 +92,8 @@ class PlainAbsoluteDifference : public AttributeMetric {
 
 /// The default evaluator of `schema` with every numeric metric replaced by
 /// PlainAbsoluteDifference.
-DistanceEvaluator ScalarReferenceEvaluator(const Schema& schema) {
+DistanceEvaluator ScalarReferenceEvaluator(const Schema& schema,
+                                           LpNorm norm = LpNorm::kL2) {
   std::vector<std::unique_ptr<AttributeMetric>> metrics;
   for (std::size_t a = 0; a < schema.arity(); ++a) {
     if (schema.kind(a) == ValueKind::kNumeric) {
@@ -97,7 +102,7 @@ DistanceEvaluator ScalarReferenceEvaluator(const Schema& schema) {
       metrics.push_back(DefaultMetricFor(schema.kind(a)));
     }
   }
-  return DistanceEvaluator(schema, std::move(metrics));
+  return DistanceEvaluator(schema, std::move(metrics), norm);
 }
 
 /// Rows and distances equal element for element.
@@ -691,6 +696,228 @@ TEST(SaverFastPathTest, ScaledMetricMatchesHalvedUnitRun) {
     if (g.disposition == OutlierDisposition::kSaved) ++saved;
   }
   EXPECT_GT(saved, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Tree-served bands vs the all-rows reference, differentially
+// ---------------------------------------------------------------------------
+
+/// A relation of `n` rows on the integer grid {0, ..., side}^m, where many
+/// rows lie at exactly ε and many donors tie in cost at different rows.
+/// About one row in 97 holds a ±∞ cell and, with `nan_cells`, one in 89 a
+/// NaN cell.
+Relation GridRelation(std::size_t n, std::size_t m, int side, bool nan_cells,
+                      Rng* rng) {
+  Relation r(Schema::Numeric(m));
+  for (std::size_t i = 0; i < n; ++i) {
+    Tuple t(m);
+    for (std::size_t a = 0; a < m; ++a) {
+      t[a] = Value(static_cast<double>(rng->UniformInt(0, side)));
+    }
+    if (i % 97 == 5) t[i % m] = Value(i % 2 == 0 ? kInf : -kInf);
+    if (nan_cells && i % 89 == 7) t[(i / 89) % m] = Value(std::nan(""));
+    r.AppendUnchecked(std::move(t));
+  }
+  return r;
+}
+
+/// Grid points moved off the grid mass on one to three attributes; one in
+/// four also holds a NaN, +∞ or −∞ cell.
+std::vector<Tuple> GridOutliers(std::size_t count, std::size_t m, int side,
+                                Rng* rng) {
+  std::vector<Tuple> outliers;
+  for (std::size_t k = 0; k < count; ++k) {
+    Tuple t(m);
+    for (std::size_t a = 0; a < m; ++a) {
+      t[a] = Value(static_cast<double>(rng->UniformInt(0, side)));
+    }
+    const std::size_t moved = 1 + k % std::min<std::size_t>(3, m);
+    for (std::size_t j = 0; j < moved; ++j) {
+      const std::size_t a = (k + j * 3) % m;
+      const double shift = static_cast<double>(rng->UniformInt(side / 2, side));
+      t[a] = Value(t[a].num() + (rng->Bernoulli(0.5) ? shift : -shift));
+    }
+    const std::size_t a = k % m;
+    if (k % 8 == 5) t[a] = Value(std::nan(""));
+    if (k % 8 == 6) t[a] = Value(kInf);
+    if (k % 8 == 7) t[a] = Value(-kInf);
+    outliers.push_back(std::move(t));
+  }
+  return outliers;
+}
+
+/// Keeps every finished decision log (the batch drains on one thread).
+struct LogCapture : ExplainSink {
+  void Emit(const ExplainSearchLog& log) override { logs.push_back(log); }
+  std::vector<ExplainSearchLog> logs;
+};
+
+/// The same double, NaN matching NaN.
+bool SameDouble(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+/// The first difference between two batches of the same outliers, or ""
+/// when every SaveResult field (but trace_id, which names the batch), every
+/// SearchStats work counter except the dcache_* pair, and every explain
+/// event agree.
+std::string FirstDifference(const std::vector<SaveResult>& got,
+                            const std::vector<SaveResult>& want,
+                            const LogCapture& got_log,
+                            const LogCapture& want_log) {
+  std::ostringstream diff;
+  if (got.size() != want.size()) return "result count";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const SaveResult& g = got[i];
+    const SaveResult& w = want[i];
+    diff << "outlier " << i << ": ";
+    bool same_cells = g.adjusted.size() == w.adjusted.size();
+    for (std::size_t a = 0; same_cells && a < g.adjusted.size(); ++a) {
+      same_cells = SameValue(g.adjusted[a], w.adjusted[a]);
+    }
+    if (g.feasible != w.feasible || g.termination != w.termination ||
+        !same_cells || !SameDouble(g.cost, w.cost) ||
+        g.adjusted_attributes.bits() != w.adjusted_attributes.bits() ||
+        !SameDouble(g.lower_bound, w.lower_bound) ||
+        g.kappa_exceeded != w.kappa_exceeded) {
+      diff << "result (cost " << g.cost << " vs " << w.cost << ")";
+      return diff.str();
+    }
+    for (const SearchStatsField& field : kSearchStatsWorkFields) {
+      if (std::string(field.name).rfind("dcache_", 0) == 0) continue;
+      if (g.stats.*field.member != w.stats.*field.member) {
+        diff << field.name << " " << g.stats.*field.member << " vs "
+             << w.stats.*field.member;
+        return diff.str();
+      }
+    }
+    diff.str("");
+  }
+  if (got_log.logs.size() != want_log.logs.size()) return "log count";
+  for (std::size_t i = 0; i < got_log.logs.size(); ++i) {
+    const auto& g = got_log.logs[i].events;
+    const auto& w = want_log.logs[i].events;
+    if (g.size() != w.size()) {
+      diff << "log " << i << ": " << g.size() << " vs " << w.size()
+           << " events";
+      return diff.str();
+    }
+    for (std::size_t e = 0; e < g.size(); ++e) {
+      if (g[e].action != w[e].action || g[e].x_bits != w[e].x_bits ||
+          g[e].seed != w[e].seed || !SameDouble(g[e].lb, w[e].lb) ||
+          !SameDouble(g[e].ub, w[e].ub) ||
+          !SameDouble(g[e].incumbent, w[e].incumbent) ||
+          g[e].donor_row != w[e].donor_row) {
+        diff << "log " << i << " event " << e << ": x " << g[e].x_bits
+             << " donor " << g[e].donor_row << " vs " << w[e].donor_row
+             << ", ub " << g[e].ub << " vs " << w[e].ub;
+        return diff.str();
+      }
+    }
+  }
+  return "";
+}
+
+TEST(TreeBandDifferential, MatchesScalarReferenceOnIntegerGrids) {
+  // DiscSaver on the default evaluator (kd-tree, tree-served bands unless a
+  // full distance is NaN) against DiscSaver on the scalar reference
+  // (brute-force index, all-rows cache) over the same arithmetic: every
+  // result, counter and decision must agree at every κ, with pruning on
+  // and off, under every norm. L∞ relations also hold NaN cells, which
+  // that norm's tree path must carry.
+  struct Shape {
+    std::size_t m;
+    std::size_t n;
+    int side;
+    std::size_t eta;
+  };
+  const Shape shapes[] = {{2, 3000, 40, 5}, {3, 2000, 14, 4},
+                          {5, 1200, 6, 4}, {8, 600, 3, 3}};
+  std::size_t tree_searches = 0;
+  std::size_t cache_searches = 0;
+  for (const Shape& shape : shapes) {
+    for (LpNorm norm : {LpNorm::kL1, LpNorm::kL2, LpNorm::kLInf}) {
+      Rng rng(7000 + 10 * shape.m + static_cast<std::uint64_t>(norm));
+      const Relation r = GridRelation(shape.n, shape.m, shape.side,
+                                      norm == LpNorm::kLInf, &rng);
+      const std::vector<Tuple> outliers =
+          GridOutliers(24, shape.m, shape.side, &rng);
+      const DistanceEvaluator tree_ev(r.schema(), norm);
+      const DistanceEvaluator scalar_ev =
+          ScalarReferenceEvaluator(r.schema(), norm);
+      ASSERT_TRUE(ColumnarView::Eligible(r, tree_ev));
+      ASSERT_FALSE(ColumnarView::Eligible(r, scalar_ev));
+      const DistanceConstraint constraint{/*epsilon=*/2.0, shape.eta};
+      const DiscSaver tree(r, tree_ev, constraint);
+      const DiscSaver scalar(r, scalar_ev, constraint);
+      for (std::size_t kappa : {0u, 1u, 2u}) {
+        for (bool pruning : {true, false}) {
+          SaveOptions options;
+          options.kappa = kappa;
+          options.use_lower_bound_pruning = pruning;
+          LogCapture got_log;
+          LogCapture want_log;
+          const std::vector<SaveResult> got = tree.SaveAll(
+              outliers, options, nullptr, {}, nullptr, {}, &got_log);
+          const std::vector<SaveResult> want = scalar.SaveAll(
+              outliers, options, nullptr, {}, nullptr, {}, &want_log);
+          EXPECT_EQ(FirstDifference(got, want, got_log, want_log), "")
+              << "m=" << shape.m << " norm=" << static_cast<int>(norm)
+              << " kappa=" << kappa << " pruning=" << pruning;
+          for (const SaveResult& result : got) {
+            const bool cached =
+                result.stats.dcache_hits + result.stats.dcache_misses > 0;
+            ++(cached ? cache_searches : tree_searches);
+          }
+        }
+      }
+    }
+  }
+  // Both paths ran: the tree served most searches, and NaN verdicts (NaN
+  // outlier cells, an infinity against the same infinity) sent the rest to
+  // the cache.
+  EXPECT_GT(tree_searches, 2 * cache_searches);
+  EXPECT_GT(cache_searches, 0u);
+}
+
+TEST(TreeBandDifferential, NanVerdictMatchesBruteForce) {
+  // Column 0 holds +∞, column 1 −∞, column 2 both, column 3 neither (or a
+  // NaN cell); every query cell kind against every column, every norm.
+  const double nan = std::nan("");
+  for (bool nan_column : {false, true}) {
+    Relation r(Schema::Numeric(4));
+    r.AppendUnchecked(Tuple::Numeric({1, 2, 3, 4}));
+    r.AppendUnchecked(Tuple::Numeric({kInf, 0, 0, 0}));
+    r.AppendUnchecked(Tuple::Numeric({0, -kInf, kInf, 0}));
+    r.AppendUnchecked(Tuple::Numeric({0, 0, -kInf, nan_column ? nan : 1.0}));
+    for (LpNorm norm : {LpNorm::kL1, LpNorm::kL2, LpNorm::kLInf}) {
+      const KdTree tree(r, norm);
+      const DistanceEvaluator ev(r.schema(), norm);
+      for (std::size_t a = 0; a < 4; ++a) {
+        for (double cell : {0.5, nan, kInf, -kInf}) {
+          Tuple q = Tuple::Numeric({0.5, 0.5, 0.5, 0.5});
+          q[a] = Value(cell);
+          bool some_nan = false;
+          for (std::size_t i = 0; i < r.size(); ++i) {
+            some_nan = some_nan || std::isnan(ev.Distance(q, r[i]));
+          }
+          EXPECT_EQ(tree.SomeDistanceIsNan(q), some_nan)
+              << "norm=" << static_cast<int>(norm) << " attr " << a
+              << " cell " << cell << " nan_column=" << nan_column;
+        }
+      }
+    }
+  }
+  // The two infinity cases, spelled out under L2: +∞ against +∞ is NaN,
+  // +∞ against −∞ is not.
+  Relation r(Schema::Numeric(2));
+  r.AppendUnchecked(Tuple::Numeric({kInf, -kInf}));
+  const KdTree tree(r, LpNorm::kL2);
+  EXPECT_TRUE(tree.SomeDistanceIsNan(Tuple::Numeric({kInf, 0})));
+  EXPECT_FALSE(tree.SomeDistanceIsNan(Tuple::Numeric({0, kInf})));
+  // An empty tree has no distance at all.
+  const KdTree empty(Relation(Schema::Numeric(2)), LpNorm::kL2);
+  EXPECT_FALSE(empty.SomeDistanceIsNan(Tuple::Numeric({nan, kInf})));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -32,6 +33,7 @@
 #include "core/outlier_saving.h"
 #include "data/generators.h"
 #include "index/index_factory.h"
+#include "index/kd_tree.h"
 #include "index/kth_neighbor_cache.h"
 
 namespace disc {
@@ -242,8 +244,15 @@ void ExpectBitIdentical(const std::vector<SaveResult>& a,
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].feasible, b[i].feasible) << "outlier " << i;
-    EXPECT_EQ(a[i].adjusted, b[i].adjusted) << "outlier " << i;
-    EXPECT_EQ(a[i].cost, b[i].cost) << "outlier " << i;
+    ASSERT_EQ(a[i].adjusted.size(), b[i].adjusted.size());
+    for (std::size_t c = 0; c < a[i].adjusted.size(); ++c) {
+      // NaN matches NaN: an unsaved outlier keeps its NaN cell.
+      EXPECT_TRUE(SameValue(a[i].adjusted[c], b[i].adjusted[c]))
+          << "outlier " << i << " cell " << c;
+    }
+    EXPECT_TRUE(a[i].cost == b[i].cost ||
+                (std::isnan(a[i].cost) && std::isnan(b[i].cost)))
+        << "outlier " << i;
     EXPECT_EQ(a[i].termination, b[i].termination) << "outlier " << i;
     EXPECT_EQ(a[i].lower_bound, b[i].lower_bound) << "outlier " << i;
     EXPECT_EQ(a[i].adjusted_attributes.bits(), b[i].adjusted_attributes.bits());
@@ -329,11 +338,38 @@ TEST(CostOrderedSaveAll, CancellationMidBatchIsSoundAndPoolReusable) {
   ExpectBitIdentical(reference, rerun);
 }
 
+/// Pooled SaveAll on 4 workers against the sequential run: bit-identical
+/// results, and below each search the span tree ends at its phase spans
+/// (nested chunks export none). Returns the pool's nested chunk count.
+std::uint64_t ExpectPooledSaveAllMatchesSequential(
+    const SaverFixture& f, const std::vector<Tuple>& outliers,
+    const SaveOptions& options) {
+  std::vector<SaveResult> reference = f.saver->SaveAll(outliers, options);
+  WorkStealingPool pool(4);
+  const WorkStealingPool::SchedStats before = pool.stats();
+  SpanCapture trace;
+  std::vector<SaveResult> parallel =
+      f.saver->SaveAll(outliers, options, &pool, {}, &trace);
+  ExpectBitIdentical(reference, parallel);
+  std::set<std::uint64_t> searches;
+  for (const TraceSpan& span : trace.spans) {
+    if (span.name == "search") searches.insert(span.span_id);
+  }
+  EXPECT_EQ(searches.size(), outliers.size());
+  for (const TraceSpan& span : trace.spans) {
+    if (span.name == "search" || span.name == "estimate") continue;
+    EXPECT_EQ(searches.count(span.parent_id), 1u)
+        << span.name << " span below a search's phase spans";
+  }
+  return pool.stats().nested_chunks - before.nested_chunks;
+}
+
 TEST(CostOrderedSaveAll, NestedScansDeterministicOnLargeRelation) {
-  // Large enough that the chunked bound scans actually engage (the nested
-  // path needs n >= 2 * grain = 16384 candidate rows): 4 clusters x 5000.
-  // The pool-backed run must match the sequential run bit for bit — this
-  // is the end-to-end check of the k-smallest / chunk-minima merge logic.
+  // Large enough that the chunked bound scans can engage (the nested path
+  // needs lists of >= 2 * grain = 16384 rows): 4 clusters x 5000. The
+  // kd-tree serves these searches with bands of a few hundred rows, so
+  // this run checks bit-identity on the pool; the all-rows run below
+  // checks the chunk merges.
   Relation data = MakeSkewedDataset(/*seed=*/83, /*per_cluster=*/5000,
                                     /*corrupt_stride=*/2500);
   DistanceEvaluator evaluator(data.schema());
@@ -341,33 +377,20 @@ TEST(CostOrderedSaveAll, NestedScansDeterministicOnLargeRelation) {
   ASSERT_GE(f.inliers.size(), 2u * 8192u)
       << "dataset too small for the nested scan path";
   ASSERT_GT(f.outliers.size(), 2u);
-
   SaveOptions options;
   options.kappa = 2;
-  std::vector<SaveResult> reference = f.saver->SaveAll(f.outliers, options);
+  ExpectPooledSaveAllMatchesSequential(f, f.outliers, options);
 
-  WorkStealingPool pool(4);
-  const WorkStealingPool::SchedStats before = pool.stats();
-  SpanCapture trace;
-  std::vector<SaveResult> parallel =
-      f.saver->SaveAll(f.outliers, options, &pool, {}, &trace);
-  ExpectBitIdentical(reference, parallel);
-  const WorkStealingPool::SchedStats after = pool.stats();
-  EXPECT_GT(after.nested_chunks - before.nested_chunks, 0u)
+  // A NaN cell makes every L2 full distance of its outlier NaN, which
+  // sends the search down the all-rows walk over its distance cache:
+  // 20k-row passes that chunk across the pool. This is the end-to-end
+  // check of the k-smallest / chunk-minima merge logic.
+  std::vector<Tuple> with_nan = f.outliers;
+  for (std::size_t i = 0; i < with_nan.size(); i += 2) {
+    with_nan[i][i % 4] = Value(std::nan(""));
+  }
+  EXPECT_GT(ExpectPooledSaveAllMatchesSequential(f, with_nan, options), 0u)
       << "nested scan path never engaged on a 20k-row relation";
-
-  // Nested chunks export no spans: below each search the tree ends at its
-  // phase spans.
-  std::set<std::uint64_t> searches;
-  for (const TraceSpan& span : trace.spans) {
-    if (span.name == "search") searches.insert(span.span_id);
-  }
-  ASSERT_EQ(searches.size(), f.outliers.size());
-  for (const TraceSpan& span : trace.spans) {
-    if (span.name == "search" || span.name == "estimate") continue;
-    EXPECT_EQ(searches.count(span.parent_id), 1u)
-        << span.name << " span below a search's phase spans";
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -405,12 +428,12 @@ struct BandFixture {
 /// the lower bound and the splice to match bit for bit. Returns the pools'
 /// nested chunk count.
 std::uint64_t ExpectPooledBandPassMatchesInline(
-    const BandFixture& f, const SearchDistanceCache& dcache,
-    const AttributeSet& x, const BoundsEngine::Band* parent) {
+    const BandFixture& f, const BandSource& source, const AttributeSet& x,
+    const BoundsEngine::Band* parent) {
   BoundsEngine::Band want;
   const double want_lb =
-      f.engine->BandPass(dcache, x, parent, true, &want);
-  const auto want_ub = f.engine->DonorSplice(f.outlier, x, dcache, want);
+      f.engine->BandPass(source, x, parent, true, &want);
+  const auto want_ub = f.engine->DonorSplice(f.outlier, x, source, want);
   EXPECT_TRUE(want_ub.has_value());
   std::uint64_t chunks = 0;
   for (std::size_t threads : {1u, 4u, 8u}) {
@@ -418,12 +441,13 @@ std::uint64_t ExpectPooledBandPassMatchesInline(
     WorkStealingPool pool(threads);
     BoundsEngine::Band band;
     const double lb =
-        f.engine->BandPass(dcache, x, parent, true, &band, nullptr, &pool);
+        f.engine->BandPass(source, x, parent, true, &band, nullptr, &pool);
     EXPECT_EQ(lb, want_lb);
     EXPECT_EQ(band.rows, want.rows);
     EXPECT_EQ(band.dx, want.dx);
+    EXPECT_EQ(band.full, want.full);
     const auto ub =
-        f.engine->DonorSplice(f.outlier, x, dcache, band, nullptr, &pool);
+        f.engine->DonorSplice(f.outlier, x, source, band, nullptr, &pool);
     EXPECT_EQ(ub.has_value(), want_ub.has_value());
     if (ub.has_value() && want_ub.has_value()) {
       EXPECT_EQ(ub->cost, want_ub->cost);
@@ -456,6 +480,25 @@ TEST(NestedBandPass, InheritedListPassMatchesInlineAtEveryThreadCount) {
       << "inherited list too short for the chunked path";
   EXPECT_GT(ExpectPooledBandPassMatchesInline(f, dcache, AttributeSet{0, 1, 2},
                                               &parent),
+            0u)
+      << "the chunked band pass never engaged";
+}
+
+TEST(NestedBandPass, TreeInheritedListPassMatchesInlineAtEveryThreadCount) {
+  // The same passes over the kd-tree's rows: the band of {0, 1} comes from
+  // one tree walk, and the inherited pass for {0, 1, 2} and its donor
+  // splice chunk across the pool in tree order, where only the (cost,
+  // relation row) tie-break keeps the donors of every chunking equal.
+  BandFixture f;
+  const KdTree* tree = f.engine->TreeFor(f.outlier);
+  ASSERT_NE(tree, nullptr);
+  const BandSource source(*tree, f.outlier);
+  BoundsEngine::Band parent;
+  f.engine->BandPass(source, AttributeSet{0, 1}, nullptr, false, &parent);
+  ASSERT_GE(parent.rows.size(), 2u * 8192u)
+      << "tree band too short for the chunked path";
+  EXPECT_GT(ExpectPooledBandPassMatchesInline(f, source,
+                                              AttributeSet{0, 1, 2}, &parent),
             0u)
       << "the chunked band pass never engaged";
 }
