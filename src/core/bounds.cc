@@ -10,12 +10,17 @@
 #include "common/thread_pool.h"
 #include "core/observation.h"
 #include "distance/columnar.h"
+#include "distance/columnar_internal.h"
 #include "distance/lp_norm.h"
 #include "index/kd_tree.h"
 
 namespace disc {
 
 namespace {
+
+using columnar_internal::kInf;
+using columnar_internal::NormPolicy;
+using columnar_internal::WithNorm;
 
 /// The per-search observer riding on the gauge (null when none).
 inline SearchObserver* ObserverOf(BudgetGauge* gauge) {
@@ -141,39 +146,51 @@ struct TreeAttrs {
   }
 };
 
-/// Subset distance with early exit — the same values accumulated in the
-/// same ascending-attribute order with the same per-add Exceeds check as
-/// DistanceEvaluator::DistanceOnWithin, so verdicts and accepted totals
-/// are bit-identical.
-template <class Attrs>
-inline double SubsetDistanceWithin(const Attrs& attrs, LpNorm norm,
-                                   std::size_t row, double threshold) {
-  LpAccumulator acc(norm);
-  for (std::size_t j = 0; j < attrs.count; ++j) {
-    acc.Add(attrs(j, row));
-    if (acc.Exceeds(threshold)) {
-      return std::numeric_limits<double>::infinity();
-    }
+/// The one accumulation of every band and donor loop: the canonical
+/// recurrence of Formula 1 (NormPolicy<N>::Add over the attributes in
+/// ascending order, the arithmetic of DistanceEvaluator::DistanceOnWithin)
+/// continued from `acc` over the terms [from, attrs.count) of `row`. `over`
+/// is set once a running value exceeds `raw` (NormPolicy<N>::Raw of the
+/// threshold) and is never cleared, so a NaN term after an exceeding prefix
+/// still rejects the row, as the evaluator's early exit does. The sum itself
+/// runs to the end: nothing in the loop branches on the data.
+template <LpNorm N, class Attrs>
+inline double Accumulate(const Attrs& attrs, std::size_t from,
+                         std::size_t row, double acc, double raw, bool& over) {
+  for (std::size_t j = from; j < attrs.count; ++j) {
+    acc = NormPolicy<N>::Add(acc, attrs(j, row));
+    over |= acc > raw;
   }
-  return acc.Total();
+  return acc;
 }
 
-/// A splice cost, exact when it is at most `cap` and +infinity once the
-/// running total passes `cap`. It compares totals rather than the raw
-/// accumulator, so a cost that ties `cap` is never dropped (an L2 sum of
-/// squares can exceed fl(cap²) while its root rounds to cap): the donor
-/// minima see every tie, whatever order they meet the rows in.
-template <class Attrs>
-inline double CostWithin(const Attrs& attrs, LpNorm norm, std::size_t row,
-                         double cap) {
-  LpAccumulator acc(norm);
-  for (std::size_t j = 0; j < attrs.count; ++j) {
-    acc.Add(attrs(j, row));
-    if (acc.Exceeds(cap) && acc.Total() > cap) {
-      return std::numeric_limits<double>::infinity();
-    }
-  }
-  return acc.Total();
+/// Δ over every attribute of `attrs` at `row`, with no threshold.
+template <LpNorm N, class Attrs>
+inline double Distance(const Attrs& attrs, std::size_t row) {
+  bool over = false;
+  return NormPolicy<N>::Total(
+      Accumulate<N>(attrs, 0, row, 0.0, kInf, over));
+}
+
+/// The band verdict of a row whose accumulator over X is `acc`: kept unless
+/// some prefix exceeded ε or the total does, i.e. unless
+/// DistanceEvaluator::DistanceOnWithin(X, t_o, t, ε) > ε.
+template <LpNorm N>
+inline bool Kept(double acc, bool over, double eps) {
+  return !over & !(NormPolicy<N>::Total(acc) > eps);
+}
+
+/// How many of X's attributes, in ascending order, a pass over `parent`'s
+/// band can take from the parent's accumulators: all of the parent's when
+/// every attribute X adds follows them, since X's recurrence then begins
+/// with the parent's; none otherwise.
+inline std::size_t ResumeFrom(const AttributeSet& parent,
+                              const AttributeSet& x) {
+  const std::uint64_t added = x.bits() & ~parent.bits();
+  const std::uint64_t lowest_added = added & (~added + 1);
+  const bool extends = (parent.bits() & ~x.bits()) == 0 &&
+                       (added == 0 || parent.bits() < lowest_added);
+  return extends ? parent.size() : 0;
 }
 
 /// Keeps the `needed` smallest values offered so far in a max-heap.
@@ -187,6 +204,22 @@ inline void KeepSmallest(std::vector<double>* heap, std::size_t needed,
     heap->back() = d;
     std::push_heap(heap->begin(), heap->end());
   }
+}
+
+/// True when KeepSmallest would change the heap: it is not full yet, or `d`
+/// lies below its top. The loops test this before offering a row, so a row
+/// the heap cannot take costs one compare. `needed` must be positive.
+inline bool Takes(const std::vector<double>& heap, std::size_t needed,
+                  double d) {
+  return heap.size() < needed || d < heap.front();
+}
+
+/// Sizes a band's lists for rows [0, n) without clearing them first: the
+/// loops overwrite every slot they count, so only growth is filled.
+void Resize(BoundsEngine::Band* band, std::size_t n) {
+  band->rows.resize(n);
+  band->acc.resize(n);
+  band->full.resize(n);
 }
 
 /// One parallel chunk's share of a band pass.
@@ -210,8 +243,8 @@ struct DonorBest {
                      std::size_t best_row) {
     return cost < best || (cost == best && row < best_row);
   }
-  /// Early-exit cap of the next cost: one beyond both minima can update
-  /// neither.
+  /// A cost above both minima can update neither: the loops offer a row
+  /// only when its whole splice cost is at most this cap.
   double cap() const { return std::max(any, qualified); }
   void Offer(double cost, std::size_t row, bool qualifies) {
     if (!(cost < std::numeric_limits<double>::infinity())) return;
@@ -307,117 +340,148 @@ double BoundsEngine::BandPass(const BandSource& source, const AttributeSet& x,
   // Inheritance: round-to-nearest sums of non-negative terms are monotone,
   // so a row whose partial sum exceeded ε on the parent's subset exceeds it
   // on every superset, and the parent's list holds all of band(X). A NaN
-  // term breaks that, so such a search walks all rows (DESIGN.md §4).
+  // term breaks that, so such a search walks all rows (DESIGN.md §4). Where
+  // X's recurrence extends the parent's, each row resumes the parent's
+  // accumulator and adds X's remaining terms alone.
   const bool inherit =
       parent != nullptr && !parent->all_rows && !source.has_nan();
+  const std::size_t from = inherit ? ResumeFrom(parent->x, x) : 0;
   const KdTree* tree = source.tree_;
-  const LpNorm norm = evaluator_.norm();
   const double eps = constraint_.epsilon;
 
-  band->rows.clear();
-  band->dx.clear();
-  band->full.clear();
+  band->x = x;
   band->all_rows = x.empty() && !(0.0 > eps);
-  if (band->all_rows && !want_lb) return 0;  // nothing to scan for
-  if (band->all_rows && tree != nullptr) {
-    // Every row qualifies, so the bound is the (η−1)-th nearest distance:
-    // a kNN query instead of a scan.
-    const std::vector<Neighbor> nn = tree->KNearest(*source.outlier_, needed);
-    if (nn.size() < needed) return std::numeric_limits<double>::infinity();
-    const double bound = nn.back().distance - eps;
-    return bound > 0 ? bound : 0;
+  if (band->all_rows) {
+    Resize(band, 0);
+    if (!want_lb) return 0;  // nothing to scan for
+    if (tree != nullptr) {
+      // Every row qualifies, so the bound is the (η−1)-th nearest distance:
+      // a kNN query instead of a scan.
+      const std::vector<Neighbor> nn =
+          tree->KNearest(*source.outlier_, needed);
+      if (nn.size() < needed) return kInf;
+      const double bound = nn.back().distance - eps;
+      return bound > 0 ? bound : 0;
+    }
   }
+  // Every loop below writes each row it scans into the next free slot and
+  // advances past it only when the row is kept, so no loop branches on a
+  // verdict; the heap is offered only the kept rows it would take.
   std::vector<double> heap;
-  bool chunked = false;
-  if (!inherit && tree != nullptr) {
-    // From all rows on the tree: only the leaves whose boxes lie within ε
-    // on X can hold a band row. Each accepted row's full distance is
-    // computed in the same leaf visit (no threshold stops it early).
-    const TreeAttrs on_x(tree->view(), source.q_, x);
-    const TreeAttrs all(tree->view(), source.q_,
-                        AttributeSet::Full(evaluator_.arity()));
-    InlinePoll poll{gauge};
-    const bool completed = tree->ForEachLeafWithinOn(
-        source.q_.data(), x, eps, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t pos = begin; pos < end; ++pos) {
-            if (!poll()) return false;
-            const double dx = SubsetDistanceWithin(on_x, norm, pos, eps);
-            if (dx > eps) continue;
-            const double full = SubsetDistanceWithin(
-                all, norm, pos, std::numeric_limits<double>::infinity());
-            band->rows.push_back(static_cast<std::uint32_t>(pos));
-            band->dx.push_back(dx);
-            band->full.push_back(full);
-            if (want_lb) KeepSmallest(&heap, needed, full);
-          }
-          return true;
-        });
-    // An abandoned pass returns the uninformative bound 0: nothing is
-    // pruned on its account, and the caller unwinds via gauge->stopped().
-    if (!FinishScan(completed, gauge)) return 0;
-  } else {
+  std::vector<BandChunk> parts;
+  const bool completed = WithNorm(evaluator_.norm(), [&](auto norm) {
+    constexpr LpNorm N = decltype(norm)::value;
+    const double raw = NormPolicy<N>::Raw(eps);
+    if (!inherit && tree != nullptr) {
+      // From all rows on the tree: only the leaves whose boxes lie within ε
+      // on X can hold a band row. A leaf's verdicts come first, then the
+      // full distances of its kept rows alone (no threshold stops those
+      // early).
+      const TreeAttrs on_x(tree->view(), source.q_, x);
+      const TreeAttrs all(tree->view(), source.q_,
+                          AttributeSet::Full(evaluator_.arity()));
+      InlinePoll poll{gauge};
+      std::size_t k = 0;
+      const bool done = tree->ForEachLeafWithinOn(
+          source.q_.data(), x, eps, [&](std::size_t begin, std::size_t end) {
+            if (band->rows.size() < k + (end - begin)) {
+              Resize(band, k + (end - begin));
+            }
+            const std::size_t first = k;
+            for (std::size_t pos = begin; pos < end; ++pos) {
+              if (!poll()) return false;
+              bool over = false;
+              const double acc = Accumulate<N>(on_x, 0, pos, 0.0, raw, over);
+              band->rows[k] = static_cast<std::uint32_t>(pos);
+              band->acc[k] = acc;
+              k += Kept<N>(acc, over, eps);
+            }
+            for (std::size_t i = first; i < k; ++i) {
+              const double full = Distance<N>(all, band->rows[i]);
+              band->full[i] = full;
+              if (want_lb && Takes(heap, needed, full)) {
+                KeepSmallest(&heap, needed, full);
+              }
+            }
+            return true;
+          });
+      Resize(band, k);
+      return FinishScan(done, gauge);
+    }
     // A list walk: the parent's band, or all n rows of the cache.
     const SearchDistanceCache* dcache = source.dcache_;
     const std::size_t count = inherit ? parent->rows.size() : relation_.size();
     const std::size_t chunks = ScanChunks(nested, count);
-    chunked = chunks > 1;
-    std::vector<BandChunk> parts(chunked ? chunks : 0);
-    // Band checks pass ε as the early-exit threshold so they stop at the
-    // first overshooting attribute; the verdict is unchanged.
-    auto scan = [&](const auto& on_x) {
+    parts.resize(chunks > 1 ? chunks : 0);
+    const bool list = !band->all_rows;
+    auto walk = [&](const auto& on_x) {
       return RunScan(count, gauge, nested, [&](std::size_t begin,
                                                std::size_t end,
                                                std::size_t chunk,
                                                auto& poll) {
-        Band& out = chunked ? parts[chunk].band : *band;
-        std::vector<double>& kept = chunked ? parts[chunk].heap : heap;
+        Band& out = chunks > 1 ? parts[chunk].band : *band;
+        std::vector<double>& kept = chunks > 1 ? parts[chunk].heap : heap;
+        if (list && out.rows.size() < end - begin) Resize(&out, end - begin);
+        std::size_t k = 0;
+        bool go = true;
         for (std::size_t i = begin; i < end; ++i) {
-          if (!poll()) return false;
+          if (!poll()) {
+            go = false;
+            break;
+          }
           const std::uint32_t row =
               inherit ? parent->rows[i] : static_cast<std::uint32_t>(i);
-          const double dx = SubsetDistanceWithin(on_x, norm, row, eps);
-          if (dx > eps) continue;
+          bool over = false;
+          const double acc =
+              Accumulate<N>(on_x, from, row, from != 0 ? parent->acc[i] : 0.0,
+                            raw, over);
           const double full =
               inherit ? parent->full[i] : dcache->FullDistance(row);
-          if (!band->all_rows) {
-            out.rows.push_back(row);
-            out.dx.push_back(dx);
-            out.full.push_back(full);
+          const bool keep = Kept<N>(acc, over, eps);
+          if (list) {
+            out.rows[k] = row;
+            out.acc[k] = acc;
+            out.full[k] = full;
+            k += keep;
           }
-          if (want_lb) KeepSmallest(&kept, needed, full);
+          if (want_lb && (keep & Takes(kept, needed, full))) {
+            KeepSmallest(&kept, needed, full);
+          }
         }
-        return true;
+        if (list) Resize(&out, k);
+        return go;
       });
     };
-    const bool completed =
-        tree != nullptr
-            ? scan(TreeAttrs(tree->view(), source.q_, x))
-            : scan(CachedAttrs(*dcache, x, evaluator_.arity()));
-    if (!completed) return 0;
-    // Chunk-ordered concatenation keeps the rows ascending. Each chunk's
-    // heap dropped only distances with `needed` smaller ones inside that
-    // chunk, so the concatenated heaps still hold the global `needed`
-    // smallest, and they sum below `needed` iff the band has fewer
-    // qualifiers.
-    for (BandChunk& part : parts) {
-      band->rows.insert(band->rows.end(), part.band.rows.begin(),
-                        part.band.rows.end());
-      band->dx.insert(band->dx.end(), part.band.dx.begin(),
-                      part.band.dx.end());
-      band->full.insert(band->full.end(), part.band.full.begin(),
-                        part.band.full.end());
-      heap.insert(heap.end(), part.heap.begin(), part.heap.end());
-    }
+    return tree != nullptr
+               ? walk(TreeAttrs(tree->view(), source.q_, x))
+               : walk(CachedAttrs(*dcache, x, evaluator_.arity()));
+  });
+  // An abandoned pass returns the uninformative bound 0: nothing is pruned
+  // on its account, and the caller unwinds via gauge->stopped().
+  if (!completed) return 0;
+  // Chunk-ordered concatenation keeps the rows ascending. Each chunk's heap
+  // dropped only distances with `needed` smaller ones inside that chunk, so
+  // the concatenated heaps still hold the global `needed` smallest, and
+  // they sum below `needed` iff the band has fewer qualifiers.
+  if (!parts.empty()) Resize(band, 0);
+  for (BandChunk& part : parts) {
+    band->rows.insert(band->rows.end(), part.band.rows.begin(),
+                      part.band.rows.end());
+    band->acc.insert(band->acc.end(), part.band.acc.begin(),
+                     part.band.acc.end());
+    band->full.insert(band->full.end(), part.band.full.begin(),
+                      part.band.full.end());
+    heap.insert(heap.end(), part.heap.begin(), part.heap.end());
   }
   if (!want_lb) return 0;
   if (heap.size() < needed) {
     // Fewer than η−1 inliers are reachable keeping X fixed: infeasible.
-    return std::numeric_limits<double>::infinity();
+    return kInf;
   }
   // A single max-heap holds exactly the `needed` smallest, so its top is
   // the answer; concatenated chunk heaps need a selection.
   double kth = heap.front();
-  if (chunked) {
+  if (!parts.empty()) {
     std::nth_element(heap.begin(),
                      heap.begin() + static_cast<std::ptrdiff_t>(needed - 1),
                      heap.end());
@@ -457,34 +521,39 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::DonorSplice(
   //      high dimension), where (b) still finds cheap feasible splices.
   const KdTree* tree = source.tree_;
   const AttributeSet splice_attrs = x.ComplementIn(arity);
-  const LpNorm norm = evaluator_.norm();
   const double eps = constraint_.epsilon;
   DonorBest best;
-  bool completed = true;
-  if (band.all_rows && tree != nullptr) {
-    // X = ∅ on the tree: both donors are nearest rows by full distance, so
-    // a nearest-first walk finds them, skipping every box farther than
-    // both minima.
-    const TreeAttrs all(tree->view(), source.q_, splice_attrs);
-    InlinePoll poll{gauge};
-    completed = FinishScan(
-        tree->ForEachLeafNearest(
-            source.q_.data(), [&] { return best.cap(); },
-            [&](std::size_t begin, std::size_t end) {
-              for (std::size_t pos = begin; pos < end; ++pos) {
-                if (!poll()) return false;
-                const std::size_t row = tree->row_at(pos);
-                best.Offer(CostWithin(all, norm, pos, best.cap()), row,
-                           cache_.delta(row) <= eps);
-              }
-              return true;
-            }),
-        gauge);
-  } else {
+  std::vector<DonorBest> parts;
+  // Each row's whole splice cost is summed and compared with the cap once:
+  // a cost above it can update neither minimum, so the minima are those of
+  // a loop that stopped each sum at the cap.
+  const bool completed = WithNorm(evaluator_.norm(), [&](auto norm) {
+    constexpr LpNorm N = decltype(norm)::value;
+    if (band.all_rows && tree != nullptr) {
+      // X = ∅ on the tree: both donors are nearest rows by full distance,
+      // so a nearest-first walk finds them, skipping every box farther than
+      // both minima.
+      const TreeAttrs all(tree->view(), source.q_, splice_attrs);
+      InlinePoll poll{gauge};
+      return FinishScan(
+          tree->ForEachLeafNearest(
+              source.q_.data(), [&] { return best.cap(); },
+              [&](std::size_t begin, std::size_t end) {
+                for (std::size_t pos = begin; pos < end; ++pos) {
+                  if (!poll()) return false;
+                  const double cost = Distance<N>(all, pos);
+                  if (!(cost <= best.cap())) continue;
+                  const std::size_t row = tree->row_at(pos);
+                  best.Offer(cost, row, cache_.delta(row) <= eps);
+                }
+                return true;
+              }),
+          gauge);
+    }
     const std::size_t count =
         band.all_rows ? relation_.size() : band.rows.size();
     const std::size_t chunks = ScanChunks(nested, count);
-    std::vector<DonorBest> parts(chunks > 1 ? chunks : 0);
+    parts.resize(chunks > 1 ? chunks : 0);
     auto scan = [&](const auto& splice) {
       return RunScan(count, gauge, nested, [&](std::size_t begin,
                                                std::size_t end,
@@ -495,25 +564,24 @@ std::optional<BoundsEngine::UpperBound> BoundsEngine::DonorSplice(
           if (!poll()) return false;
           const std::size_t at =
               band.all_rows ? i : static_cast<std::size_t>(band.rows[i]);
+          const double cost = Distance<N>(splice, at);
+          if (!(cost <= local.cap())) continue;
           const std::size_t row = tree != nullptr ? tree->row_at(at) : at;
-          const double dx = band.all_rows ? 0.0 : band.dx[i];
-          // A splice cost beyond both minima can update neither, so their
-          // cap is a sound early-exit threshold.
-          local.Offer(CostWithin(splice, norm, at, local.cap()), row,
-                      cache_.delta(row) <= eps - dx);
+          const double dx =
+              band.all_rows ? 0.0 : NormPolicy<N>::Total(band.acc[i]);
+          local.Offer(cost, row, cache_.delta(row) <= eps - dx);
         }
         return true;
       });
     };
-    completed =
-        tree != nullptr
-            ? scan(TreeAttrs(tree->view(), source.q_, splice_attrs))
-            : scan(CachedAttrs(*source.dcache_, splice_attrs, arity));
-    // Chunk minima are exact (a cost at or below the chunk-local cap never
-    // trips the early exit), so merging them by (cost, row) gives the
-    // minima of one walk over the whole list.
-    for (const DonorBest& part : parts) best.Merge(part);
-  }
+    return tree != nullptr
+               ? scan(TreeAttrs(tree->view(), source.q_, splice_attrs))
+               : scan(CachedAttrs(*source.dcache_, splice_attrs, arity));
+  });
+  // Each chunk offered every row at or below its own cap, so its minima are
+  // exact, and merging them by (cost, row) gives the minima of one walk
+  // over the whole list.
+  for (const DonorBest& part : parts) best.Merge(part);
   // No partial donor scan may produce a bound: abandoning returns "no upper
   // bound" so the incumbent is never replaced by a half-searched splice
   // (anytime-soundness — see DESIGN.md).

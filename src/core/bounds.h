@@ -110,14 +110,17 @@ class BoundsEngine {
                const NeighborIndex& index, const KthNeighborCache& cache,
                DistanceConstraint constraint);
 
-  /// The band r_ε(t_o[X]) of one search node: the qualifying rows in
-  /// ascending order (relation rows or tree positions, by the BandSource),
-  /// each with its Δ(t_o[X], t[X]) and its full-space Δ(t_o, t), which a
-  /// child's pass inherits with the row. At X = ∅ every row qualifies with
+  /// The band r_ε(t_o[X]) of one search node: its X and the qualifying
+  /// rows in ascending order (relation rows or tree positions, by the
+  /// BandSource), each with the raw accumulator of Δ(t_o[X], t[X]) — the
+  /// sum (L1), the sum of squares (L2) or the max (L∞) of the canonical
+  /// recurrence, whose total is Δ — and its full-space Δ(t_o, t). A child's
+  /// pass inherits both with the row. At X = ∅ every row qualifies with
   /// Δ = 0, which `all_rows` records instead of an n-entry list.
   struct Band {
+    AttributeSet x;
     std::vector<std::uint32_t> rows;
-    std::vector<double> dx;
+    std::vector<double> acc;
     std::vector<double> full;
     bool all_rows = false;
   };
@@ -139,7 +142,11 @@ class BoundsEngine {
   /// subset of X, from the same source), or starts from all rows when
   /// `parent` is null or all-rows or when `source.has_nan()` (a NaN
   /// attribute distance breaks the monotonicity that makes the parent's
-  /// list a superset). Writes the band of X into `*band`. With
+  /// list a superset). When every attribute X adds to the parent's follows
+  /// all of the parent's in ascending order, each row continues the
+  /// parent's accumulator over the added attributes alone — the same
+  /// recurrence, so the same bits; from any other parent it starts from
+  /// zero. Writes the band of X into `*band`. With
   /// `lower_bound`, the same loop keeps the η−1 smallest full-space
   /// distances and the pass returns the Proposition-3 bound (see
   /// LowerBoundForX); otherwise it returns 0 and counts no Prop-3

@@ -8,16 +8,6 @@
 
 namespace disc {
 
-namespace {
-
-/// Row-scan polls between deadline/cancellation checks. A steady-clock read
-/// costs ~20 ns; at one check per 64 rows the overhead is invisible next to
-/// the per-row distance evaluation, while a stop is still noticed within
-/// microseconds.
-constexpr std::size_t kScanPollStride = 64;
-
-}  // namespace
-
 const char* SaveTerminationName(SaveTermination t) {
   switch (t) {
     case SaveTermination::kCompleted:
@@ -90,12 +80,6 @@ bool BudgetGauge::OnNodeExpanded(std::size_t visited_sets) {
     return Stop(SaveTermination::kQueryBudget);
   }
   return true;
-}
-
-bool BudgetGauge::KeepScanning() {
-  if (stopped_) return false;
-  if ((++scan_polls_ % kScanPollStride) != 0) return true;
-  return Poll(fault_scan_);
 }
 
 bool BudgetGauge::HardStopRequested() const {

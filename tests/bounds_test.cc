@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <numeric>
+#include <optional>
+#include <vector>
 
 #include "common/random.h"
 #include "core/disc_saver.h"
 #include "distance/columnar.h"
 #include "index/index_factory.h"
+#include "index/kd_tree.h"
 
 namespace disc {
 namespace {
@@ -177,13 +182,53 @@ void ExpectSameDouble(double got, double want) {
   }
 }
 
+/// Δ from a band's raw accumulator: the root of the sum of squares under
+/// L2, the accumulator itself otherwise.
+double TotalOf(LpNorm norm, double acc) {
+  return norm == LpNorm::kL2 ? std::sqrt(acc) : acc;
+}
+
+/// Expects `got` to hold the rows of `want`, a band over a
+/// SearchDistanceCache, with the same accumulators and full distances. A
+/// band read from `tree` holds tree positions, which are mapped to relation
+/// rows first; a cache band must list them in the same (ascending) order.
+void ExpectSameBand(const BoundsEngine::Band& got,
+                    const BoundsEngine::Band& want, const KdTree* tree) {
+  EXPECT_EQ(got.x, want.x);
+  ASSERT_EQ(got.rows.size(), want.rows.size());
+  ASSERT_EQ(got.acc.size(), got.rows.size());
+  ASSERT_EQ(got.full.size(), got.rows.size());
+  auto row = [&](std::size_t i) -> std::size_t {
+    return tree != nullptr ? tree->row_at(got.rows[i]) : got.rows[i];
+  };
+  std::vector<std::size_t> order(got.rows.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (tree != nullptr) {
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return row(a) < row(b); });
+  }
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(row(order[i]), want.rows[i]) << "entry " << i;
+    ExpectSameDouble(got.acc[order[i]], want.acc[i]);
+    ExpectSameDouble(got.full[order[i]], want.full[i]);
+  }
+}
+
 enum class NanCell { kNone, kInlier, kOutlier };
+
+/// Where the passes under test read their rows: the all-rows cache, or the
+/// kd-tree (whose bands are compared with the cache's).
+enum class Served { kCache, kTree };
 
 /// For every X of a seeded m = 7 relation and every parent X \ {a}, the
 /// band pass from the parent's band and the donor splice over its result
 /// must reproduce LowerBoundForX / UpperBoundForX bit for bit, and the
-/// band itself must equal the all-rows band.
-void ExpectInheritanceExact(LpNorm norm, double epsilon, NanCell nan) {
+/// band itself must equal the all-rows band. A parent that drops X's
+/// largest attribute is the one whose accumulators the pass resumes; every
+/// other parent's pass starts from zero. Over the tree, each parent's band
+/// is the tree's own band of X \ {a}.
+void ExpectInheritanceExact(LpNorm norm, double epsilon, NanCell nan,
+                            Served served = Served::kCache) {
   constexpr std::size_t kDims = 7;
   Rng rng(2027);
   Relation r(Schema::Numeric(kDims));
@@ -207,11 +252,22 @@ void ExpectInheritanceExact(LpNorm norm, double epsilon, NanCell nan) {
   Tuple outlier = Tuple::Numeric({0.2, -0.3, 7.5, 0.1, 0.4, -6.0, 0.3});
   if (nan == NanCell::kOutlier) outlier[5] = Value(std::nan(""));
   const SearchDistanceCache dcache(r, ev, outlier, view.get());
+  const KdTree* tree =
+      served == Served::kTree ? engine.TreeFor(outlier) : nullptr;
+  ASSERT_EQ(tree != nullptr, served == Served::kTree);
+  std::optional<BandSource> tree_source;
+  if (tree != nullptr) tree_source.emplace(*tree, outlier);
+  const BandSource& source =
+      tree != nullptr ? *tree_source : BandSource(dcache);
 
   constexpr std::uint64_t kSets = std::uint64_t{1} << kDims;
   std::vector<BoundsEngine::Band> all(kSets);
+  std::vector<BoundsEngine::Band> parents(kSets);
   for (std::uint64_t bits = 0; bits < kSets; ++bits) {
     engine.BandPass(dcache, AttributeSet(bits), nullptr, false, &all[bits]);
+    engine.BandPass(source, AttributeSet(bits), nullptr, false,
+                    &parents[bits]);
+    if (bits != 0) ExpectSameBand(parents[bits], all[bits], tree);
   }
   for (std::uint64_t bits = 1; bits < kSets; ++bits) {
     const AttributeSet x(bits);
@@ -222,14 +278,10 @@ void ExpectInheritanceExact(LpNorm norm, double epsilon, NanCell nan) {
       SCOPED_TRACE(testing::Message() << "X=" << bits << " parent drops " << a);
       BoundsEngine::Band band;
       const double lb = engine.BandPass(
-          dcache, x, &all[bits & ~(std::uint64_t{1} << a)], true, &band);
-      EXPECT_EQ(band.rows, all[bits].rows);
-      ASSERT_EQ(band.dx.size(), all[bits].dx.size());
-      for (std::size_t i = 0; i < band.dx.size(); ++i) {
-        ExpectSameDouble(band.dx[i], all[bits].dx[i]);
-      }
+          source, x, &parents[bits & ~(std::uint64_t{1} << a)], true, &band);
+      ExpectSameBand(band, all[bits], tree);
       EXPECT_EQ(lb, want_lb);
-      const auto ub = engine.DonorSplice(outlier, x, dcache, band);
+      const auto ub = engine.DonorSplice(outlier, x, source, band);
       ASSERT_EQ(ub.has_value(), want_ub.has_value());
       if (!ub.has_value()) continue;
       ExpectSameDouble(ub->cost, want_ub->cost);
@@ -248,6 +300,12 @@ TEST(BandInheritance, ExactUnderEveryNorm) {
   ExpectInheritanceExact(LpNorm::kLInf, 2.5, NanCell::kNone);
 }
 
+TEST(BandInheritance, ExactOverTheTree) {
+  ExpectInheritanceExact(LpNorm::kL1, 7.0, NanCell::kNone, Served::kTree);
+  ExpectInheritanceExact(LpNorm::kL2, 3.5, NanCell::kNone, Served::kTree);
+  ExpectInheritanceExact(LpNorm::kLInf, 2.5, NanCell::kNone, Served::kTree);
+}
+
 TEST(BandInheritance, ExactWithNanInOneInlier) {
   ExpectInheritanceExact(LpNorm::kL1, 7.0, NanCell::kInlier);
   ExpectInheritanceExact(LpNorm::kL2, 3.5, NanCell::kInlier);
@@ -258,6 +316,76 @@ TEST(BandInheritance, ExactWithNanInTheOutlier) {
   ExpectInheritanceExact(LpNorm::kL1, 7.0, NanCell::kOutlier);
   ExpectInheritanceExact(LpNorm::kL2, 3.5, NanCell::kOutlier);
   ExpectInheritanceExact(LpNorm::kLInf, 2.5, NanCell::kOutlier);
+}
+
+// ---------------------------------------------------------------------------
+// Band membership: every band pass agrees with the scalar reference
+// ---------------------------------------------------------------------------
+
+/// For every X of an m = 5 relation whose rows hold NaN cells both before
+/// and after an attribute whose term alone exceeds ε, the band of X holds
+/// exactly the rows t with DistanceOnWithin(X, t_o, t, ε) not > ε, each
+/// with that value as its Δ. A NaN term poisons an L1/L2 sum so that it
+/// never exceeds ε (the row stays, with Δ NaN), unless an earlier prefix
+/// already did (the row is out); L∞ drops NaN terms.
+void ExpectBandsMatchEvaluator(LpNorm norm) {
+  constexpr std::size_t kDims = 5;
+  constexpr double kEps = 2.0;
+  const double nan = std::nan("");
+  Rng rng(77);
+  Relation r(Schema::Numeric(kDims));
+  for (std::size_t i = 0; i < 120; ++i) {
+    Tuple t(kDims);
+    for (std::size_t a = 0; a < kDims; ++a) {
+      t[a] = Value(rng.Gaussian(0.0, 0.8));
+    }
+    r.AppendUnchecked(std::move(t));
+  }
+  // Attribute 2's term alone exceeds ε in both rows below.
+  r.AppendUnchecked(Tuple::Numeric({nan, 0.1, 9.0, 0.2, -0.1}));   // NaN first
+  r.AppendUnchecked(Tuple::Numeric({0.1, -0.2, 9.0, nan, 0.3}));   // NaN after
+  r.AppendUnchecked(Tuple::Numeric({0.3, nan, 0.2, 0.1, nan}));    // NaN only
+  r.AppendUnchecked(Tuple::Numeric({nan, 0.2, -9.0, nan, 9.0}));   // both
+  DistanceEvaluator ev(r.schema(), norm);
+  const DistanceConstraint constraint{kEps, 3};
+  auto index = MakeNeighborIndex(r, ev, constraint.epsilon);
+  KthNeighborCache knn(r, *index, constraint.eta);
+  BoundsEngine engine(r, ev, *index, knn, constraint);
+  auto view = ColumnarView::Build(r, ev);
+  ASSERT_NE(view, nullptr);
+  const Tuple outlier = Tuple::Numeric({0.0, 0.0, 0.0, 0.0, 0.0});
+
+  const SearchDistanceCache scalar(r, ev, outlier);
+  const SearchDistanceCache columnar(r, ev, outlier, view.get());
+  for (const SearchDistanceCache* dcache : {&scalar, &columnar}) {
+    for (std::uint64_t bits = 1; bits < (std::uint64_t{1} << kDims);
+         ++bits) {
+      const AttributeSet x(bits);
+      SCOPED_TRACE(testing::Message()
+                   << "X=" << bits << " columnar=" << dcache->columnar());
+      BoundsEngine::Band band;
+      engine.BandPass(*dcache, x, nullptr, true, &band);
+      ASSERT_EQ(band.acc.size(), band.rows.size());
+      std::size_t next = 0;
+      for (std::size_t row = 0; row < r.size(); ++row) {
+        const double want = ev.DistanceOnWithin(x, outlier, r[row], kEps);
+        const bool kept = !(want > kEps);
+        const bool listed =
+            next < band.rows.size() && band.rows[next] == row;
+        EXPECT_EQ(listed, kept) << "row " << row << " Δ " << want;
+        if (!listed) continue;
+        ExpectSameDouble(TotalOf(norm, band.acc[next]), want);
+        ++next;
+      }
+      EXPECT_EQ(next, band.rows.size()) << "rows out of order";
+    }
+  }
+}
+
+TEST(BandMembership, MatchesTheEvaluatorUnderEveryNorm) {
+  ExpectBandsMatchEvaluator(LpNorm::kL1);
+  ExpectBandsMatchEvaluator(LpNorm::kL2);
+  ExpectBandsMatchEvaluator(LpNorm::kLInf);
 }
 
 }  // namespace

@@ -444,7 +444,7 @@ std::uint64_t ExpectPooledBandPassMatchesInline(
         f.engine->BandPass(source, x, parent, true, &band, nullptr, &pool);
     EXPECT_EQ(lb, want_lb);
     EXPECT_EQ(band.rows, want.rows);
-    EXPECT_EQ(band.dx, want.dx);
+    EXPECT_EQ(band.acc, want.acc);
     EXPECT_EQ(band.full, want.full);
     const auto ub =
         f.engine->DonorSplice(f.outlier, x, source, band, nullptr, &pool);
