@@ -3,7 +3,8 @@
 //  - neighbor-index range query: KD-tree vs the scalar brute-force reference
 //  - delta_eta precompute (KthNeighborCache)
 //  - a single DISC save: pruning on vs off, kappa-restricted vs full
-//  - bound computations in isolation
+//  - bound computations in isolation, all-rows over a cache and inherited
+//    over the kd-tree
 
 #include <benchmark/benchmark.h>
 
@@ -142,6 +143,42 @@ void BM_BoundsUpperBound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoundsUpperBound);
+
+/// The bound scans a search runs on an eligible relation: one tree-form
+/// BandPass for X = {0, 1, 2, 3} over the band of its canonical parent
+/// {0, 1, 2} (so each row resumes the parent's accumulator), plus the
+/// DonorSplice over the result, on a g8-shaped relation (8 attributes,
+/// 2,400 rows, ε = 4). `per_parent_row` is the time per row of the parent
+/// band.
+void BM_InheritedBandPass(benchmark::State& state) {
+  Relation r = MakeInliers(2400, 8);
+  DistanceEvaluator ev(r.schema());
+  DiscSaver saver(r, ev, {4.0, 6});
+  Tuple outlier =
+      Tuple::Numeric({0.2, -0.3, 0.1, 0.4, -0.2, 0.3, 0.1, 9.0});
+  const BoundsEngine& bounds = saver.bounds();
+  const KdTree* tree = bounds.TreeFor(outlier);
+  if (tree == nullptr) {
+    state.SkipWithError("the kd-tree does not serve this relation");
+    return;
+  }
+  const BandSource source(*tree, outlier);
+  const AttributeSet x{0, 1, 2, 3};
+  BoundsEngine::Band parent;
+  BoundsEngine::Band band;
+  bounds.BandPass(source, AttributeSet{0, 1, 2}, nullptr, false, &parent);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        bounds.BandPass(source, x, &parent, true, &band));
+    benchmark::DoNotOptimize(bounds.DonorSplice(outlier, x, source, band));
+  }
+  state.counters["parent_rows"] = static_cast<double>(parent.rows.size());
+  state.counters["per_parent_row"] = benchmark::Counter(
+      static_cast<double>(parent.rows.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_InheritedBandPass);
 
 /// Writes BENCH_micro_core.json: the search-work counters of one
 /// representative kappa-restricted DISC save (the BM_DiscSave workload),

@@ -12,14 +12,17 @@
 
 /// Scalar per-row kernels shared by the reference path (columnar.cc) and
 /// the vector tier (columnar_simd.cc), which runs them for unaligned head
-/// rows. Internal to the distance library — not part of the public surface.
+/// rows. Not part of the public surface: outside the distance library only
+/// the band and donor loops of core/bounds.cc use it, for NormPolicy and
+/// WithNorm.
 namespace disc::columnar_internal {
 
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The norm's arithmetic (paper Formula 1) — the one definition every
-/// columnar kernel instantiates, scalar and vector tiers alike, so each
-/// kernel body is written once and the norm is a compile-time constant.
+/// columnar kernel and bound loop instantiates, scalar and vector tiers
+/// alike, so each kernel body is written once and the norm is a
+/// compile-time constant.
 /// The vector lane helpers of columnar_simd.cc mirror Add and Total
 /// intrinsic for intrinsic.
 ///
