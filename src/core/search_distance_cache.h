@@ -38,9 +38,9 @@ class WorkStealingPool;
 /// arithmetic (via FlatKernel when a ColumnarView is supplied, whose kernels
 /// are bit-identical to DistanceEvaluator by construction, or via the
 /// evaluator itself otherwise); the bound scans sum the attribute rows by
-/// the canonical LpAccumulator recurrence in increasing attribute order, so
-/// every value and every threshold verdict matches DistanceEvaluator bit
-/// for bit.
+/// the canonical recurrence (LpAccumulator's arithmetic, as NormPolicy) in
+/// increasing attribute order, so every value and every threshold verdict
+/// matches DistanceEvaluator bit for bit.
 ///
 /// Thread-safety: NONE — the lazy rows mutate under const. A cache is a
 /// per-search, stack-local object owned by a single worker; it is never
